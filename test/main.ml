@@ -9,6 +9,7 @@ let () =
       ("obs", Test_obs.suite);
       ("core", Test_core.suite);
       ("cluster", Test_cluster.suite);
+      ("client", Test_client.suite);
       ("chaos", Test_chaos.suite);
       ("snapshot", Test_snapshot.suite);
       ("apply", Test_apply.suite);
