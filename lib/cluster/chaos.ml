@@ -467,6 +467,45 @@ let apply_event deploy ~t0 ~timeline event =
          right group's deployment before ever reaching here. *)
       note "shard%d event ignored by single-group runner: %a" g pp_event e
 
+(* Crashes must be recoverable for the whole run: peers keep ordered
+   bodies past any downtime (so a restarted node can refetch them). In
+   legacy runs no log prefix may compact away either (catch-up
+   backtracking — and the checker — must reach index 1); with
+   [snapshots = Some interval] the opposite is the point: checkpoint
+   every [interval] entries and retain only that much log, so lagging
+   nodes are forced through the install path and the snapshot-aware
+   checker is exercised. *)
+let widen (params : Hnode.params) ~duration ~drain ~snapshots =
+  {
+    params with
+    Hnode.timing =
+      {
+        params.Hnode.timing with
+        Hnode.gc_ordered = (2 * duration) + drain + Timebase.s 1;
+      };
+    features =
+      (* The run always attaches the flow-control middlebox (flow_cap),
+         which admits at most [cap] in-flight rids and waits for a
+         Feedback per reply to free each slot. Nodes with [flow_control]
+         off never send Feedback, so load wedges at the cap within the
+         first few milliseconds; force it on rather than make every
+         caller carry the workaround. *)
+      (match snapshots with
+      | None ->
+          {
+            params.Hnode.features with
+            Hnode.log_retain = max_int / 2;
+            flow_control = true;
+          }
+      | Some interval ->
+          {
+            params.Hnode.features with
+            Hnode.log_retain = interval;
+            snapshot_interval = interval;
+            flow_control = true;
+          });
+  }
+
 let run ?params ?(n = 5) ?(rate_rps = 120_000.) ?(flow_cap = 1000)
     ?(bucket = Timebase.ms 100) ?(duration = Timebase.s 2)
     ?(drain = Timebase.ms 100) ?(reconfig = false) ?snapshots ?schedule
@@ -477,45 +516,7 @@ let run ?params ?(n = 5) ?(rate_rps = 120_000.) ?(flow_cap = 1000)
     | None -> Hnode.params ~mode:Hnode.Hover_pp ~n ()
   in
   let n = params.Hnode.n in
-  (* Crashes must be recoverable for the whole run: peers keep ordered
-     bodies past any downtime (so a restarted node can refetch them). In
-     legacy runs no log prefix may compact away either (catch-up
-     backtracking — and the checker — must reach index 1); with
-     [snapshots = Some interval] the opposite is the point: checkpoint
-     every [interval] entries and retain only that much log, so lagging
-     nodes are forced through the install path and the snapshot-aware
-     checker is exercised. *)
-  let params =
-    {
-      params with
-      Hnode.timing =
-        {
-          params.Hnode.timing with
-          Hnode.gc_ordered = (2 * duration) + drain + Timebase.s 1;
-        };
-      features =
-        (* The run always attaches the flow-control middlebox (flow_cap),
-           which admits at most [cap] in-flight rids and waits for a
-           Feedback per reply to free each slot. Nodes with [flow_control]
-           off never send Feedback, so load wedges at the cap within the
-           first few milliseconds; force it on rather than make every
-           caller carry the workaround. *)
-        (match snapshots with
-        | None ->
-            {
-              params.Hnode.features with
-              Hnode.log_retain = max_int / 2;
-              flow_control = true;
-            }
-        | Some interval ->
-            {
-              params.Hnode.features with
-              Hnode.log_retain = interval;
-              snapshot_interval = interval;
-              flow_control = true;
-            });
-    }
-  in
+  let params = widen params ~duration ~drain ~snapshots in
   let schedule =
     match schedule with
     | Some s -> s

@@ -119,6 +119,16 @@ val apply_event :
     in a single-group run). Exposed so the sharded chaos runner can unwrap
     [Shard] tags and drive each group's deployment itself. *)
 
+val widen :
+  Hnode.params ->
+  duration:Timebase.t ->
+  drain:Timebase.t ->
+  snapshots:int option ->
+  Hnode.params
+(** The parameter widening {!run} applies for a [duration] + [drain] run
+    (see there), exposed so runners that stand up their own deployments
+    (the sharded chaos runner) keep crashes recoverable the same way. *)
+
 val check :
   ?snapshots:bool ->
   Deploy.t ->

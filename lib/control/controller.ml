@@ -4,7 +4,7 @@ module Metrics = Hovercraft_obs.Metrics
 module Deploy = Hovercraft_cluster.Deploy
 module Shard_map = Hovercraft_shard.Shard_map
 module Shard_deploy = Hovercraft_shard.Shard_deploy
-module Shard_loadgen = Hovercraft_shard.Shard_loadgen
+module Loadgen = Hovercraft_cluster.Loadgen
 
 type config = {
   slo_p99 : Timebase.t;
@@ -50,7 +50,7 @@ type pending =
 type t = {
   cfg : config;
   sd : Shard_deploy.t;
-  gen : Shard_loadgen.t;
+  gen : Loadgen.t;
   engine : Engine.t;
   shards : int;
   mutable prev_heat : int array;
@@ -230,7 +230,7 @@ let tick t =
      breached windows, then pick the remedy the signals point at. *)
   for g = 0 to t.shards - 1 do
     if owned.(g) > 0 then begin
-      let w = Shard_loadgen.group_latency_window t.gen g in
+      let w = Loadgen.group_latency_window t.gen g in
       let samples = Metrics.last_count w in
       let p99 = Metrics.last_percentile w 0.99 in
       let breached = samples >= t.cfg.min_samples && p99 > t.cfg.slo_p99 in

@@ -36,7 +36,7 @@
 
 open Hovercraft_sim
 module Shard_deploy = Hovercraft_shard.Shard_deploy
-module Shard_loadgen = Hovercraft_shard.Shard_loadgen
+module Loadgen = Hovercraft_cluster.Loadgen
 
 type config = {
   slo_p99 : Timebase.t;  (** The latency objective per window. *)
@@ -76,7 +76,7 @@ val config :
 
 type t
 
-val create : ?cfg:config -> Shard_deploy.t -> Shard_loadgen.t -> t
+val create : ?cfg:config -> Shard_deploy.t -> Loadgen.t -> t
 (** Attach to a deployment and the load generator whose windowed
     latencies are the SLI. Takes a heat baseline at creation, so the
     first tick sees only post-attach demand. *)

@@ -9,7 +9,6 @@ module Metrics = Hovercraft_obs.Metrics
 module Deploy = Hovercraft_cluster.Deploy
 module Loadgen = Hovercraft_cluster.Loadgen
 module Traffic = Hovercraft_cluster.Traffic
-module Chaos = Hovercraft_cluster.Chaos
 module Shard_map = Hovercraft_shard.Shard_map
 module Shard_deploy = Hovercraft_shard.Shard_deploy
 module Shard_loadgen = Hovercraft_shard.Shard_loadgen
@@ -376,13 +375,13 @@ let run ?controller spec ~seed () =
   let stop_at = t0 + spec.duration in
   let measure_from = t0 + spec.warmup in
   let rotate_all () =
-    Metrics.rotate (Shard_loadgen.latency_window gen);
+    Metrics.rotate (Loadgen.latency_window gen);
     for g = 0 to spec.shards - 1 do
-      Metrics.rotate (Shard_loadgen.group_latency_window gen g)
+      Metrics.rotate (Loadgen.group_latency_window gen g)
     done
   in
   let judge ~w_end =
-    let w = Shard_loadgen.latency_window gen in
+    let w = Loadgen.latency_window gen in
     let count = Metrics.last_count w in
     let p99_us = Timebase.to_us_f (Metrics.last_percentile w 0.99) in
     let mid = w_end - (spec.tick / 2) in
@@ -418,9 +417,9 @@ let run ?controller spec ~seed () =
   let report =
     Shard_loadgen.run gen ~warmup:spec.warmup ~duration:spec.duration ~drain ()
   in
-  (* Epilogue: clear faults, restart the (non-decommissioned) dead, and
-     converge — letting in-flight migrations and membership changes
-     finish — before any history checker looks. *)
+  (* Epilogue: clear faults and restart the (non-decommissioned) dead,
+     then converge — letting in-flight migrations and membership changes
+     finish — and run the history checkers. *)
   Array.iter
     (fun (d : Deploy.t) ->
       if Fabric.partitioned d.Deploy.fabric then Fabric.heal d.Deploy.fabric;
@@ -431,45 +430,10 @@ let run ?controller spec ~seed () =
             Deploy.restart_node d i)
         d.Deploy.nodes)
     groups;
-  let converged () =
-    (not (Shard_deploy.migrating sd))
-    && Shard_deploy.total_pending_recoveries sd = 0
-    && Array.for_all
-         (fun d ->
-           let live = Deploy.live_nodes d in
-           let max_commit =
-             List.fold_left (fun acc nd -> max acc (Hnode.commit_index nd)) 0 live
-           in
-           List.for_all (fun nd -> Hnode.applied_index nd >= max_commit) live)
-         groups
+  let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
+    Shard_chaos.settle_and_check sd ~snapshots:true
+      ~completed_writes:!completed_writes
   in
-  let rec settle tries =
-    Shard_deploy.quiesce sd ~extra:(Timebase.ms 200) ();
-    if (not (converged ())) && tries > 0 then settle (tries - 1)
-  in
-  settle 50;
-  (* Invariants: per-group prefix/exactly-once/catch-up, then the
-     map-level exactly-once / nothing-lost check, then fingerprints. *)
-  let violations = ref [] in
-  let exactly_once_ok = ref true in
-  let caught_up = ref true in
-  Array.iteri
-    (fun g d ->
-      let v, eo, _, cu, _ = Chaos.check ~snapshots:true d ~completed_writes:[] in
-      List.iter
-        (fun s -> violations := Printf.sprintf "shard%d: %s" g s :: !violations)
-        v;
-      if not eo then exactly_once_ok := false;
-      if not cu then caught_up := false)
-    groups;
-  let xviol, xeo, preserved =
-    Shard_chaos.cross_map_check groups ~completed_writes:!completed_writes
-  in
-  violations := List.rev_append (List.rev xviol) !violations;
-  if not xeo then exactly_once_ok := false;
-  let consistent = Shard_deploy.consistent sd in
-  if not consistent then
-    violations := "live replica fingerprints diverge" :: !violations;
   let windows = List.rev !windows in
   let n_windows = List.length windows in
   let good_windows =
@@ -501,13 +465,13 @@ let run ?controller spec ~seed () =
     actions;
     events;
     notes;
-    violations = List.rev !violations;
-    exactly_once_ok = !exactly_once_ok;
-    committed_preserved = preserved;
-    caught_up = !caught_up;
+    violations;
+    exactly_once_ok;
+    committed_preserved;
+    caught_up;
     consistent;
-    retried = Shard_loadgen.retried gen;
-    rerouted = Shard_loadgen.rerouted gen;
+    retried = Loadgen.retried gen;
+    rerouted = Loadgen.rerouted gen;
     migrations = Shard_deploy.migrations sd;
     map_version = Shard_map.version (Shard_deploy.map sd);
     pending_recoveries = Shard_deploy.total_pending_recoveries sd;

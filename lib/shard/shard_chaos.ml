@@ -3,9 +3,6 @@ open Hovercraft_core
 open Hovercraft_r2p2
 module Fabric = Hovercraft_net.Fabric
 module Op = Hovercraft_apps.Op
-module Rnode = Hovercraft_raft.Node
-module Rlog = Hovercraft_raft.Log
-module Rtypes = Hovercraft_raft.Types
 module Deploy = Hovercraft_cluster.Deploy
 module Loadgen = Hovercraft_cluster.Loadgen
 module Chaos = Hovercraft_cluster.Chaos
@@ -128,6 +125,53 @@ let cross_map_check groups ~completed_writes =
     completed_writes;
   (List.rev !violations, !exactly_once_ok, !committed_preserved)
 
+(* A node that slept through most of the run has that much history to
+   re-apply at state-machine speed; converge on observed progress —
+   including an in-flight migration finishing, so the map is stable —
+   instead of a fixed window (bounded so a genuine wedge still ends the
+   run and fails the checkers). Then the per-group invariants (prefix
+   agreement, per-replica exactly-once, catch-up), the map-level
+   exactly-once / nothing-lost check over client-completed writes, and
+   the fingerprint comparison. *)
+let settle_and_check sd ~snapshots ~completed_writes =
+  let groups = Shard_deploy.groups sd in
+  let converged () =
+    (not (Shard_deploy.migrating sd))
+    && Shard_deploy.total_pending_recoveries sd = 0
+    && Array.for_all
+         (fun d ->
+           let live = Deploy.live_nodes d in
+           let max_commit =
+             List.fold_left (fun acc nd -> max acc (Hnode.commit_index nd)) 0 live
+           in
+           List.for_all (fun nd -> Hnode.applied_index nd >= max_commit) live)
+         groups
+  in
+  let rec settle tries =
+    Shard_deploy.quiesce sd ~extra:(Timebase.ms 200) ();
+    if (not (converged ())) && tries > 0 then settle (tries - 1)
+  in
+  settle 50;
+  let violations = ref [] in
+  let exactly_once_ok = ref true in
+  let caught_up = ref true in
+  Array.iteri
+    (fun g d ->
+      let v, eo, _, cu, _ = Chaos.check ~snapshots d ~completed_writes:[] in
+      List.iter
+        (fun s -> violations := Printf.sprintf "shard%d: %s" g s :: !violations)
+        v;
+      if not eo then exactly_once_ok := false;
+      if not cu then caught_up := false)
+    groups;
+  let xviol, xeo, preserved = cross_map_check groups ~completed_writes in
+  violations := List.rev_append (List.rev xviol) !violations;
+  if not xeo then exactly_once_ok := false;
+  let consistent = Shard_deploy.consistent sd in
+  if not consistent then
+    violations := "live replica fingerprints diverge" :: !violations;
+  (List.rev !violations, !exactly_once_ok, preserved, !caught_up, consistent)
+
 (* ------------------------------------------------------------------ *)
 (* Driving a run                                                       *)
 
@@ -175,25 +219,7 @@ let run ?params ?(n = 5) ?(shards = 1) ?active ?(rate_rps = 120_000.)
       | None -> Hnode.params ~mode:Hnode.Hover_pp ~n ()
     in
     let n = params.Hnode.n in
-    (* Same widening as Chaos.run: bodies stay refetchable past any crash,
-       no log prefix compacts away (the checkers scan full histories), and
-       flow control is forced on because every group gets a middlebox. *)
-    let params =
-      {
-        params with
-        Hnode.timing =
-          {
-            params.Hnode.timing with
-            Hnode.gc_ordered = (2 * duration) + drain + Timebase.s 1;
-          };
-        features =
-          {
-            params.Hnode.features with
-            Hnode.log_retain = max_int / 2;
-            flow_control = true;
-          };
-      }
-    in
+    let params = Chaos.widen params ~duration ~drain ~snapshots:None in
     let sd =
       Shard_deploy.create
         (Shard_deploy.config ?active ~flow_cap ~shards params)
@@ -254,9 +280,7 @@ let run ?params ?(n = 5) ?(shards = 1) ?active ?(rate_rps = 120_000.)
                 note "%a rejected: %s" pp_migration m msg))
       migrations;
     let report = Shard_loadgen.run gen ~warmup:0 ~duration ~drain () in
-    (* Epilogue: heal and restart every group, then converge — including
-       letting an in-flight migration finish so the map is stable before
-       the history checkers look. *)
+    (* Epilogue: heal and restart every group, then converge and check. *)
     Array.iteri
       (fun g d ->
         if Fabric.partitioned d.Deploy.fabric then
@@ -267,48 +291,9 @@ let run ?params ?(n = 5) ?(shards = 1) ?active ?(rate_rps = 120_000.)
               Chaos.apply_event d ~t0 ~timeline:timelines.(g) (Chaos.Restart i))
           d.Deploy.nodes)
       groups;
-    let converged () =
-      (not (Shard_deploy.migrating sd))
-      && Shard_deploy.total_pending_recoveries sd = 0
-      && Array.for_all
-           (fun d ->
-             let live = Deploy.live_nodes d in
-             let max_commit =
-               List.fold_left
-                 (fun acc nd -> max acc (Hnode.commit_index nd))
-                 0 live
-             in
-             List.for_all (fun nd -> Hnode.applied_index nd >= max_commit) live)
-           groups
+    let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
+      settle_and_check sd ~snapshots:false ~completed_writes:!completed_writes
     in
-    let rec settle tries =
-      Shard_deploy.quiesce sd ~extra:(Timebase.ms 200) ();
-      if (not (converged ())) && tries > 0 then settle (tries - 1)
-    in
-    settle 50;
-    (* Per-group invariants (prefix agreement, per-replica exactly-once,
-       catch-up), then the map-level exactly-once / nothing-lost check
-       over client-completed writes. *)
-    let violations = ref [] in
-    let exactly_once_ok = ref true in
-    let caught_up = ref true in
-    Array.iteri
-      (fun g d ->
-        let v, eo, _, cu, _ = Chaos.check d ~completed_writes:[] in
-        List.iter
-          (fun s -> violations := Printf.sprintf "shard%d: %s" g s :: !violations)
-          v;
-        if not eo then exactly_once_ok := false;
-        if not cu then caught_up := false)
-      groups;
-    let xviol, xeo, preserved =
-      cross_map_check groups ~completed_writes:!completed_writes
-    in
-    violations := List.rev_append (List.rev xviol) !violations;
-    if not xeo then exactly_once_ok := false;
-    let consistent = Shard_deploy.consistent sd in
-    if not consistent then
-      violations := "live replica fingerprints diverge" :: !violations;
     let events =
       let tagged =
         List.concat
@@ -331,13 +316,13 @@ let run ?params ?(n = 5) ?(shards = 1) ?active ?(rate_rps = 120_000.)
     {
       report;
       events;
-      violations = List.rev !violations;
-      exactly_once_ok = !exactly_once_ok;
-      committed_preserved = preserved;
-      caught_up = !caught_up;
+      violations;
+      exactly_once_ok;
+      committed_preserved;
+      caught_up;
       consistent;
-      retried = Shard_loadgen.retried gen;
-      rerouted = Shard_loadgen.rerouted gen;
+      retried = Loadgen.retried gen;
+      rerouted = Loadgen.rerouted gen;
       migrations = Shard_deploy.migrations sd;
       map_version = Shard_map.version (Shard_deploy.map sd);
       pending_recoveries = Shard_deploy.total_pending_recoveries sd;

@@ -22,17 +22,22 @@ type migration =
 
 val pp_migration : Format.formatter -> migration -> unit
 
-val cross_map_check :
-  Hovercraft_cluster.Deploy.t array ->
+val settle_and_check :
+  Shard_deploy.t ->
+  snapshots:bool ->
   completed_writes:Hovercraft_r2p2.R2p2.req_id list ->
-  string list * bool * bool
-(** The map-level history check on its own, for runners (the scenario
-    suite) that drive their own deployments: given the quiesced groups
-    and the client-observed completed writes, returns
-    [(violations, exactly_once_ok, committed_preserved)] — no write in
-    more than one group's committed history, none lost. Scan the groups
-    only after convergence (heal, restart, settle), with [log_retain]
-    pinned high so full histories are available. *)
+  string list * bool * bool * bool * bool
+(** The post-run epilogue shared by every sharded runner, after its own
+    heal-and-restart: quiesce for at most 50 rounds until no migration is
+    in flight, no body recovery is pending and every live replica has
+    applied its group's commit index; then run the per-group
+    {!Hovercraft_cluster.Chaos.check} (compaction-aware with
+    [snapshots]), the map-level check over the client-completed writes
+    (none in more than one group's committed history, none lost; needs
+    [log_retain] pinned high so full histories are scannable) and the
+    fingerprint comparison. Returns [(violations, exactly_once_ok,
+    committed_preserved, caught_up, consistent)], per-group violations
+    ["shardN: "]-prefixed. *)
 
 type outcome = {
   report : Hovercraft_cluster.Loadgen.report;

@@ -1,81 +1,7 @@
 open Hovercraft_sim
 open Hovercraft_core
-module Op = Hovercraft_apps.Op
 module Ycsb = Hovercraft_apps.Ycsb
-module Loadgen = Hovercraft_cluster.Loadgen
 module Experiment = Hovercraft_cluster.Experiment
-
-type setup = {
-  params : Hnode.params;
-  workload : Rng.t -> Op.t;
-  preload : Op.t list;
-  clients : int;
-  flow_cap : int option;
-  shards : int;
-  slots : int;
-  seed : int;
-}
-
-let setup ?(clients = 8) ?flow_cap ?(preload = []) ?(slots = 64) ?(seed = 1)
-    ~shards params workload =
-  { params; workload; preload; clients; flow_cap; shards; slots; seed }
-
-(* Same window sizing as Experiment.window: enough samples for a stable
-   p99, bounded so the SLO search stays cheap. *)
-let window ~quality ~rate_rps =
-  let min_samples, cap_s =
-    match quality with
-    | Experiment.Fast -> (4_000., 0.25)
-    | Experiment.Full -> (20_000., 1.0)
-  in
-  let needed_s = min_samples /. rate_rps in
-  let dur_s = Float.min cap_s (Float.max 0.03 needed_s) in
-  let dur = int_of_float (dur_s *. 1e9) in
-  let warm = dur / 5 in
-  (warm, dur + warm)
-
-let run_point ?(quality = Experiment.Fast) s ~rate_rps =
-  let sd =
-    Shard_deploy.create
-      (Shard_deploy.config ?flow_cap:s.flow_cap ~slots:s.slots ~shards:s.shards
-         s.params)
-  in
-  if s.preload <> [] then Shard_deploy.preload sd s.preload;
-  let gen =
-    Shard_loadgen.create sd ~clients:s.clients ~rate_rps ~workload:s.workload
-      ~seed:(s.seed + 7) ()
-  in
-  let warmup, duration = window ~quality ~rate_rps in
-  Shard_loadgen.run gen ~warmup ~duration ()
-
-let meets_slo ~slo (r : Loadgen.report) =
-  r.Loadgen.completed > 0
-  && r.Loadgen.p99_us <= Timebase.to_us_f slo
-  && r.Loadgen.goodput_rps >= 0.97 *. r.Loadgen.offered_rps
-  && r.Loadgen.lost = 0
-
-let max_under_slo ?(quality = Experiment.Fast) ?(slo = Timebase.us 500)
-    ?(lo = 5_000.) ?(hi = 2_000_000.) s =
-  let ok rate = meets_slo ~slo (run_point ~quality s ~rate_rps:rate) in
-  if not (ok lo) then 0.
-  else begin
-    let rec bracket good =
-      let candidate = good *. 1.6 in
-      if candidate >= hi then (good, hi)
-      else if ok candidate then bracket candidate
-      else (good, candidate)
-    in
-    let good, bad = bracket lo in
-    let rec bisect good bad iters =
-      if iters = 0 || (bad -. good) /. good < 0.02 then good
-      else begin
-        let mid = (good +. bad) /. 2. in
-        if ok mid then bisect mid bad (iters - 1)
-        else bisect good mid (iters - 1)
-      end
-    in
-    if good >= hi then hi else bisect good bad 8
-  end
 
 (* kRPS-under-SLO as shard count grows, on a FIXED per-host budget: every
    S shares the same NIC and switch rates (Shard_deploy splits them 1/S
@@ -100,13 +26,22 @@ let shardscale ?(quality = Experiment.Fast) ?(slo = Timebase.us 500)
         }
       in
       let kv = Ycsb.Kv.workload_b ~seed:(seed + shards) in
-      let s =
-        setup ~shards params
-          (fun _rng -> Ycsb.Kv.next kv)
-          ~preload:(Ycsb.Kv.preload_ops kv) ~seed
+      let preload = Ycsb.Kv.preload_ops kv in
+      (* One fresh, preloaded deployment per probe, measured with the
+         single-group experiments' window sizing. *)
+      let probe rate_rps =
+        let sd = Shard_deploy.create (Shard_deploy.config ~shards params) in
+        Shard_deploy.preload sd preload;
+        let gen =
+          Shard_loadgen.create sd ~clients:8 ~rate_rps
+            ~workload:(fun _rng -> Ycsb.Kv.next kv)
+            ~seed:(seed + 7) ()
+        in
+        let warmup, duration = Experiment.window ~quality ~rate_rps in
+        Shard_loadgen.run gen ~warmup ~duration ()
       in
       (* The search ceiling must scale with the shard count or every
          S > 1 point saturates against it instead of its own knee. *)
       let hi = 2_000_000. *. float_of_int shards in
-      (shards, max_under_slo ~quality ~slo ~hi s))
+      (shards, Experiment.knee ~slo ~hi probe))
     shard_counts

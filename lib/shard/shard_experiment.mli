@@ -1,51 +1,9 @@
-(** Sharded capacity experiments: {!Hovercraft_cluster.Experiment} for
-    multi-group deployments, plus the [shardscale] study — achievable
+(** Sharded capacity experiments: the [shardscale] study — achievable
     throughput under a p99 SLO as the shard count grows on a fixed
-    per-host budget. *)
+    per-host budget, found by {!Hovercraft_cluster.Experiment.knee} over
+    sharded probes. *)
 
 open Hovercraft_sim
-open Hovercraft_core
-
-type setup = {
-  params : Hnode.params;  (** Per-group node parameters, pre-split budget. *)
-  workload : Rng.t -> Hovercraft_apps.Op.t;
-  preload : Hovercraft_apps.Op.t list;
-  clients : int;
-  flow_cap : int option;
-  shards : int;
-  slots : int;
-  seed : int;
-}
-
-val setup :
-  ?clients:int ->
-  ?flow_cap:int ->
-  ?preload:Hovercraft_apps.Op.t list ->
-  ?slots:int ->
-  ?seed:int ->
-  shards:int ->
-  Hnode.params ->
-  (Rng.t -> Hovercraft_apps.Op.t) ->
-  setup
-
-val run_point :
-  ?quality:Hovercraft_cluster.Experiment.quality ->
-  setup ->
-  rate_rps:float ->
-  Hovercraft_cluster.Loadgen.report
-(** One fresh sharded deployment, preloaded, measured at [rate_rps] with
-    the same window sizing as the single-group experiments. *)
-
-val max_under_slo :
-  ?quality:Hovercraft_cluster.Experiment.quality ->
-  ?slo:Timebase.t ->
-  ?lo:float ->
-  ?hi:float ->
-  setup ->
-  float
-(** Highest offered rate (geometric bracket + bisection to ~2%) whose
-    report still meets the SLO: p99 within [slo], goodput >= 97% of
-    offered, nothing lost. *)
 
 val shardscale :
   ?quality:Hovercraft_cluster.Experiment.quality ->

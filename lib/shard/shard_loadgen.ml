@@ -1,306 +1,26 @@
-open Hovercraft_sim
 open Hovercraft_r2p2
-open Hovercraft_core
-module Addr = Hovercraft_net.Addr
-module Fabric = Hovercraft_net.Fabric
 module Op = Hovercraft_apps.Op
-module Metrics = Hovercraft_obs.Metrics
-module Deploy = Hovercraft_cluster.Deploy
 module Loadgen = Hovercraft_cluster.Loadgen
-module Traffic = Hovercraft_cluster.Traffic
 
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
-
-(* One client endpoint = one id source + a port on EVERY group's fabric
-   (the groups are separate fabrics; a real client has one NIC reaching
-   all of them, so each port gets the full client link rate). *)
-type endpoint = {
-  ports : Protocol.payload Fabric.port array; (* index = group *)
-  ids : R2p2.Id_source.t;
-}
-
-type t = {
-  sd : Shard_deploy.t;
-  engine : Engine.t;
-  mutable endpoints : endpoint array;
-  rate_rps : float;
-  profile : Traffic.profile option;
-  mutable run_start : Timebase.t;
-  workload : Rng.t -> Op.t;
-  retry : (Timebase.t * int) option;
-  on_reply :
-    (rid:R2p2.req_id -> op:Op.t -> sent_at:Timebase.t -> latency:Timebase.t -> unit)
-    option;
-  on_nack : (at:Timebase.t -> unit) option;
-  rng : Rng.t;
-  outstanding : (Timebase.t * Op.t * int) Rid_tbl.t; (* sent_at, op, endpoint *)
-  backoff : Timebase.t Rid_tbl.t; (* per-rid reroute backoff *)
-  stats : Stats.t;
-  metrics : Metrics.t;
-  c_sent : Metrics.counter;
-  c_completed : Metrics.counter;
-  c_nacked : Metrics.counter;
-  c_retried : Metrics.counter;
-  c_rerouted : Metrics.counter;
-  c_lost : Metrics.counter;
-  h_latency_ns : Metrics.histogram;
-  w_latency : Metrics.windowed;
-  w_groups : Metrics.windowed array; (* index = owning group at reply time *)
-  mutable measure_from : Timebase.t;
-  mutable measure_to : Timebase.t;
-  mutable next_endpoint : int;
-}
-
-let client_link_gbps = 10.
-
-(* Owning group of an op under the LIVE shard map; keyless ops go to a
-   deterministic group derived from the request id. *)
-let owner_of t rid op =
-  match Op.key op with
-  | Some k -> fst (Shard_deploy.client_target t.sd ~key:k)
-  | None -> rid.R2p2.id mod Shard_deploy.shards t.sd
-
-(* Route = ownership lookup + one tally against the key's slot in the
-   deployment's heat map. Counting at transmit time (retries included)
-   makes heat reflect the demand each slot actually generates. *)
-let route t rid op =
-  (match Op.key op with
-  | Some k -> Shard_deploy.record_access t.sd ~key:k
-  | None -> ());
-  owner_of t rid op
-
-let transmit t ep rid op =
-  let g = route t rid op in
-  let policy =
-    if Op.read_only op then R2p2.Replicated_req_r else R2p2.Replicated_req
-  in
-  let payload = Protocol.Request { rid; policy; op } in
-  let bytes = Protocol.payload_bytes ~with_bodies:false payload in
-  let group = (Shard_deploy.groups t.sd).(g) in
-  Fabric.send group.Deploy.fabric ep.ports.(g)
-    ~dst:(Deploy.client_target group)
-    ~bytes payload
-
-(* A Wrong_shard NACK means the map moved (or a migration fence is up):
-   refresh the (shared, live) map and re-route. During the fence window
-   the owning group still refuses fresh requests, so back off
-   exponentially — the retransmission keeps the SAME rid, making the
-   eventual landing exactly-once. *)
-let reroute_base = Timebase.us 10
-let reroute_cap = Timebase.ms 2
-
-let on_wrong_shard t rid =
-  match Rid_tbl.find_opt t.outstanding rid with
-  | None -> ()
-  | Some (_, op, epi) ->
-      Metrics.incr t.c_rerouted;
-      let delay =
-        match Rid_tbl.find_opt t.backoff rid with
-        | None -> reroute_base
-        | Some d -> min reroute_cap (2 * d)
-      in
-      Rid_tbl.replace t.backoff rid delay;
-      Engine.after t.engine delay (fun () ->
-          if Rid_tbl.mem t.outstanding rid then
-            transmit t t.endpoints.(epi) rid op)
-
-let on_packet t (pkt : Protocol.payload Fabric.packet) =
-  let now = Engine.now t.engine in
-  match pkt.payload with
-  | Protocol.Response { rid } -> (
-      match Rid_tbl.find_opt t.outstanding rid with
-      | Some (sent_at, op, _) ->
-          Rid_tbl.remove t.outstanding rid;
-          Rid_tbl.remove t.backoff rid;
-          let latency = now - sent_at in
-          if sent_at >= t.measure_from && sent_at <= t.measure_to then begin
-            Metrics.incr t.c_completed;
-            Stats.add t.stats latency;
-            Metrics.observe t.h_latency_ns latency;
-            Metrics.wobserve t.w_latency latency;
-            Metrics.wobserve t.w_groups.(owner_of t rid op) latency;
-            match t.on_reply with
-            | Some f -> f ~rid ~op ~sent_at ~latency
-            | None -> ()
-          end
-      | None -> ())
-  | Protocol.Nack { rid } -> (
-      match Rid_tbl.find_opt t.outstanding rid with
-      | Some (sent_at, _, _) ->
-          Rid_tbl.remove t.outstanding rid;
-          Rid_tbl.remove t.backoff rid;
-          if sent_at >= t.measure_from && sent_at <= t.measure_to then begin
-            Metrics.incr t.c_nacked;
-            match t.on_nack with Some f -> f ~at:now | None -> ()
-          end
-      | None -> ())
-  | Protocol.Wrong_shard { rid; _ } -> on_wrong_shard t rid
-  | Protocol.Request _ | Protocol.Raft _ | Protocol.Recovery_request _
-  | Protocol.Recovery_response _ | Protocol.Probe _ | Protocol.Probe_reply _
-  | Protocol.Agg_commit _ | Protocol.Feedback _ | Protocol.Reconfig _ | Protocol.Rabia _ ->
-      ()
+type t = Loadgen.t
 
 let create sd ~clients ~rate_rps ?profile ~workload ?retry ?on_reply ?on_nack
     ~seed () =
-  if clients <= 0 then
-    invalid_arg "Shard_loadgen.create: need at least one client";
-  if rate_rps <= 0. then
-    invalid_arg "Shard_loadgen.create: rate must be positive";
-  let engine = Shard_deploy.engine sd in
-  let metrics = Metrics.create () in
-  let t =
-    {
-      sd;
-      engine;
-      endpoints = [||];
-      rate_rps;
-      profile;
-      run_start = 0;
-      workload;
-      retry;
-      on_reply;
-      on_nack;
-      rng = Rng.create seed;
-      outstanding = Rid_tbl.create 4096;
-      backoff = Rid_tbl.create 64;
-      stats = Stats.create ();
-      metrics;
-      c_sent = Metrics.counter metrics "sent";
-      c_completed = Metrics.counter metrics "completed";
-      c_nacked = Metrics.counter metrics "nacked";
-      c_retried = Metrics.counter metrics "retried";
-      c_rerouted = Metrics.counter metrics "rerouted";
-      c_lost = Metrics.counter metrics "lost";
-      h_latency_ns = Metrics.histogram metrics "latency_ns";
-      w_latency = Metrics.windowed metrics "latency_ns_window";
-      w_groups =
-        Array.init (Shard_deploy.shards sd) (fun g ->
-            Metrics.windowed metrics (Printf.sprintf "g%d_latency_ns_window" g));
-      measure_from = max_int;
-      measure_to = max_int;
-      next_endpoint = 0;
-    }
+  (* Owning group under the LIVE shard map; keyless ops go to a
+     deterministic group derived from the request id. *)
+  let route rid op =
+    match Op.key op with
+    | Some k -> fst (Shard_deploy.client_target sd ~key:k)
+    | None -> rid.R2p2.id mod Shard_deploy.shards sd
   in
-  t.endpoints <-
-    Array.init clients (fun i ->
-        let addr = Addr.Client i in
-        {
-          ports =
-            Array.map
-              (fun (d : Deploy.t) ->
-                Fabric.attach d.Deploy.fabric ~addr
-                  ~rate_gbps:client_link_gbps ~handler:(on_packet t))
-              (Shard_deploy.groups sd);
-          ids = R2p2.Id_source.create ~src_addr:addr ~src_port:(1000 + i);
-        });
-  t
-
-let rec arm_retry t ep epi rid op attempts_left =
-  match t.retry with
-  | None -> ()
-  | Some (timeout, _) ->
-      Engine.after t.engine timeout (fun () ->
-          if Rid_tbl.mem t.outstanding rid then
-            if attempts_left > 0 then begin
-              Metrics.incr t.c_retried;
-              transmit t ep rid op;
-              arm_retry t ep epi rid op (attempts_left - 1)
-            end
-            else
-              (* Retry budget exhausted: the rid will never be
-                 retransmitted, so its reroute-backoff entry is dead.
-                 Without this, rids that die mid-migration (rerouted at
-                 least once, then lost) leak a table entry forever —
-                 only the reply/NACK paths clear it. *)
-              Rid_tbl.remove t.backoff rid)
-
-let send_one t =
-  let epi = t.next_endpoint in
-  let ep = t.endpoints.(epi) in
-  t.next_endpoint <- (t.next_endpoint + 1) mod Array.length t.endpoints;
-  let op = t.workload t.rng in
-  let rid = R2p2.Id_source.next ep.ids in
-  Rid_tbl.replace t.outstanding rid (Engine.now t.engine, op, epi);
-  Metrics.incr t.c_sent;
-  transmit t ep rid op;
-  match t.retry with
-  | Some (_, attempts) -> arm_retry t ep epi rid op attempts
-  | None -> ()
-
-(* Same draw with or without a profile — see Loadgen.interarrival: the
-   constant-rate path stays byte-identical. *)
-let interarrival t =
-  let u = 1.0 -. Rng.float t.rng in
-  let rate =
-    match t.profile with
-    | None -> t.rate_rps
-    | Some p -> Traffic.rate_at p (Engine.now t.engine - t.run_start)
+  (* Counting at transmit time (retries included) makes heat reflect the
+     demand each slot actually generates. *)
+  let tally op =
+    match Op.key op with
+    | Some k -> Shard_deploy.record_access sd ~key:k
+    | None -> ()
   in
-  let gap_ns = -.log u *. 1e9 /. rate in
-  max 1 (int_of_float gap_ns)
+  Loadgen.create_routed (Shard_deploy.groups sd) ~route ~tally ~clients
+    ~rate_rps ~profile ~workload ~retry ~on_reply ~on_nack ~seed
 
-let run t ~warmup ~duration ?(drain = Timebase.ms 20) () =
-  let start = Engine.now t.engine in
-  let stop_at = start + duration in
-  t.run_start <- start;
-  t.measure_from <- start + warmup;
-  t.measure_to <- stop_at;
-  let rec arrival () =
-    if Engine.now t.engine < stop_at then begin
-      send_one t;
-      Engine.after t.engine (interarrival t) arrival
-    end
-  in
-  Engine.after t.engine (interarrival t) arrival;
-  Engine.run ~until:(stop_at + drain) t.engine;
-  let lost = ref 0 in
-  Rid_tbl.iter
-    (fun _ (sent_at, _, _) ->
-      if sent_at >= t.measure_from && sent_at <= t.measure_to then incr lost)
-    t.outstanding;
-  Metrics.add t.c_lost !lost;
-  (* Client teardown: whatever is still in flight when the run ends was
-     just counted as lost; its backoff state must not outlive it. *)
-  Rid_tbl.reset t.backoff;
-  let completed = Metrics.value t.c_completed in
-  let window_s = Timebase.to_s_f (t.measure_to - t.measure_from) in
-  let pct p =
-    if Stats.count t.stats = 0 then 0.
-    else Timebase.to_us_f (Stats.percentile t.stats p)
-  in
-  let offered =
-    match t.profile with
-    | None -> t.rate_rps
-    | Some p -> Traffic.mean_over p ~duration
-  in
-  {
-    Loadgen.offered_rps = offered;
-    sent = Metrics.value t.c_sent;
-    completed;
-    nacked = Metrics.value t.c_nacked;
-    lost = !lost;
-    goodput_rps =
-      (if window_s > 0. then float_of_int completed /. window_s else 0.);
-    mean_us = Stats.mean t.stats /. 1e3;
-    p50_us = pct 0.5;
-    p99_us = pct 0.99;
-    max_us = Timebase.to_us_f (Stats.max_sample t.stats);
-  }
-
-let stats t = t.stats
-let latency_window t = t.w_latency
-
-let group_latency_window t g =
-  if g < 0 || g >= Array.length t.w_groups then
-    invalid_arg "Shard_loadgen.group_latency_window: unknown group";
-  t.w_groups.(g)
-
-let backoff_entries t = Rid_tbl.length t.backoff
-let retried t = Metrics.value t.c_retried
-let rerouted t = Metrics.value t.c_rerouted
-let metrics t = t.metrics
+let run = Loadgen.run

@@ -1,17 +1,15 @@
-(** Shard-routing load generator.
+(** Shard routing for {!Hovercraft_cluster.Loadgen}.
 
-    The sharded sibling of {!Hovercraft_cluster.Loadgen}: the same
-    open-loop Poisson arrivals and client-side latency measurement, but
-    every request is routed by its key through the live {!Shard_map} to
-    the owning group. A [Wrong_shard] NACK (stale route, or a migration
-    fence) keeps the request outstanding — latency then includes the
-    reroute penalty — and retransmits the SAME request id to the
-    refreshed owner after an exponential backoff, so completion records
-    keep the landing exactly-once. *)
+    A constructor only: the generator is the ordinary one, driving every
+    group's fabric, with each request routed by its key through the live
+    {!Shard_map} to the owning group (keyless requests to a group derived
+    from the request id) and every keyed transmission tallied in the
+    deployment's slot-heat map ({!Shard_deploy.slot_heat}). Read the
+    windows and counters through {!Hovercraft_cluster.Loadgen}. *)
 
 open Hovercraft_sim
 
-type t
+type t = Hovercraft_cluster.Loadgen.t
 
 val create :
   Shard_deploy.t ->
@@ -30,14 +28,9 @@ val create :
   seed:int ->
   unit ->
   t
-(** Attach [clients] endpoints; each endpoint has one request-id source
-    (ids stay globally unique across groups — the cross-map exactly-once
-    checker depends on that) and a port on every group's fabric.
+(** Attach [clients] endpoints, each with a port on every group's fabric.
     [profile]/[retry]/[on_reply]/[on_nack] as in
-    {!Hovercraft_cluster.Loadgen.create} (constant-rate runs stay
-    byte-identical without a profile). Every keyed transmission also
-    tallies its slot in the deployment's heat map
-    ({!Shard_deploy.slot_heat}). *)
+    {!Hovercraft_cluster.Loadgen.create}. *)
 
 val run :
   t ->
@@ -46,29 +39,4 @@ val run :
   ?drain:Timebase.t ->
   unit ->
   Hovercraft_cluster.Loadgen.report
-
-val stats : t -> Stats.t
-
-val latency_window : t -> Hovercraft_obs.Metrics.windowed
-(** Sliding-window view of measured completion latency, all groups
-    together. The consumer owning the tick cadence rotates it. *)
-
-val group_latency_window : t -> int -> Hovercraft_obs.Metrics.windowed
-(** Per-group sliding-window latency, attributed to the group owning the
-    op's key at reply time — the SLI a per-group control loop watches.
-    Raises [Invalid_argument] on an unknown group. *)
-
-val retried : t -> int
-(** Timeout retransmissions (same rid, re-routed per attempt). *)
-
-val rerouted : t -> int
-(** [Wrong_shard]-triggered retransmissions — how often clients chased a
-    moving or fenced slot. *)
-
-val metrics : t -> Hovercraft_obs.Metrics.t
-
-val backoff_entries : t -> int
-(** Live per-rid reroute-backoff entries. Bounded by the in-flight window
-    during a run and zero after {!run} returns (leak regression guard:
-    rids that exhaust their retries or die with the run must not leave
-    entries behind). *)
+(** {!Hovercraft_cluster.Loadgen.run}. *)

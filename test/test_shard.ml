@@ -214,15 +214,15 @@ let test_backoff_table_drains () =
      time to exhaust its retries but before teardown can mask a leak. *)
   let late_entries = ref (-1) in
   Engine.after engine (Timebase.ms 380) (fun () ->
-      late_entries := Shard_loadgen.backoff_entries gen);
+      late_entries := Loadgen.backoff_entries gen);
   let r =
     Shard_loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 400)
       ~drain:(Timebase.ms 50) ()
   in
-  check "reroutes happened" true (Shard_loadgen.rerouted gen > 0);
+  check "reroutes happened" true (Loadgen.rerouted gen > 0);
   check "some rids were written off" true (r.Loadgen.lost > 0);
   check_int "exhausted rids left no backoff entries" 0 !late_entries;
-  check_int "table empty after run" 0 (Shard_loadgen.backoff_entries gen)
+  check_int "table empty after run" 0 (Loadgen.backoff_entries gen)
 
 (* S=1 delegates verbatim to the single-group runner: same seed, same
    outcome, byte for byte (the regression guard for existing seeds). *)
