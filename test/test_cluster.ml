@@ -170,6 +170,68 @@ let test_experiment_slo_search_brackets () =
   let k = Experiment.max_under_slo ~lo:100_000. s in
   check "knee in plausible band" true (k > 500_000. && k < 1_050_000.)
 
+(* The knee search on its own, over a stub probe with no simulation: the
+   p99 steps from 100 us to 1 ms at [knee_rps], everything else is a
+   clean run. [calls] counts the probes the search spent. *)
+let step_probe ~knee_rps =
+  let calls = ref 0 in
+  let probe rate =
+    incr calls;
+    let sent = int_of_float (rate *. 0.01) in
+    {
+      Loadgen.offered_rps = rate;
+      sent;
+      completed = sent;
+      nacked = 0;
+      lost = 0;
+      goodput_rps = rate;
+      mean_us = 50.;
+      p50_us = 50.;
+      p99_us = (if rate <= knee_rps then 100. else 1_000.);
+      max_us = 2_000.;
+    }
+  in
+  (probe, calls)
+
+let test_knee_lo_fails () =
+  let probe, calls = step_probe ~knee_rps:1_000. in
+  Alcotest.(check (float 0.)) "lo misses the SLO" 0.
+    (Experiment.knee ~lo:5_000. ~hi:100_000. probe);
+  check_int "one probe" 1 !calls
+
+let test_knee_beyond_hi () =
+  let probe, _ = step_probe ~knee_rps:1e9 in
+  Alcotest.(check (float 0.)) "capped at hi" 100_000.
+    (Experiment.knee ~lo:5_000. ~hi:100_000. probe)
+
+let test_knee_bisection_precision () =
+  List.iter
+    (fun knee_rps ->
+      let probe, calls = step_probe ~knee_rps in
+      let lo = 5_000. in
+      let k = Experiment.knee ~lo ~hi:2_000_000. probe in
+      check "never above the knee" true (k <= knee_rps);
+      check "within 2% of the knee" true ((knee_rps -. k) /. k < 0.02);
+      (* lo, one probe per x1.6 bracketing step up to the first failure,
+         then at most 8 bisections. *)
+      let bracketing =
+        1 + int_of_float (ceil (log (knee_rps /. lo) /. log 1.6))
+      in
+      check "probe count bounded" true (!calls <= 1 + bracketing + 8))
+    [ 12_345.; 250_000.; 946_000.; 1_500_000. ]
+
+(* The [slo] verb's default cell (HovercRaft, N=3, synthetic 1 us, seed
+   42) searched from its 2 kRPS floor: the knee must land near Fig 7's
+   ~946 kRPS, not stop at the first Poisson-noisy low-rate probe. *)
+let test_slo_verb_knee () =
+  let p = Hnode.params ~mode:Hnode.Hover ~n:3 () in
+  let s =
+    Experiment.setup ~seed:42 { p with Hnode.seed = 42 }
+      (Service.sample (Service.spec ()))
+  in
+  let k = Experiment.max_under_slo ~lo:2_000. s in
+  check "knee in (850, 1050) kRPS" true (k > 850_000. && k < 1_050_000.)
+
 let test_experiment_preload () =
   let gen = Hovercraft_apps.Ycsb.create ~seed:4 () in
   let preload = Hovercraft_apps.Ycsb.preload_ops gen 100 in
@@ -284,6 +346,12 @@ let suite =
     Alcotest.test_case "traffic rate_at semantics" `Quick test_traffic_rate_at;
     Alcotest.test_case "experiment low-load point" `Quick test_experiment_point_low_load;
     Alcotest.test_case "experiment SLO search" `Slow test_experiment_slo_search_brackets;
+    Alcotest.test_case "knee search: lo fails" `Quick test_knee_lo_fails;
+    Alcotest.test_case "knee search: knee beyond hi" `Quick test_knee_beyond_hi;
+    Alcotest.test_case "knee search: bisection precision and probe budget"
+      `Quick test_knee_bisection_precision;
+    Alcotest.test_case "experiment SLO search from the slo verb's floor" `Slow
+      test_slo_verb_knee;
     Alcotest.test_case "experiment preload" `Quick test_experiment_preload;
     Alcotest.test_case "failure outcome shape" `Slow test_failure_outcome_shape;
     Alcotest.test_case "series merge keeps NACK-only buckets" `Quick
