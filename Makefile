@@ -1,4 +1,6 @@
-# Convenience targets; CI runs `make check`.
+# Convenience targets. CI (.github/workflows/ci.yml) runs `dune build @all`
+# and `dune runtest` directly, then several of the smoke targets below;
+# `make check` is the local equivalent of its first two steps.
 
 .PHONY: all build test check obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
