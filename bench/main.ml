@@ -439,10 +439,6 @@ let backendscale_sanity () =
       end)
     [ Hovercraft_core.Hnode.Raft; Hovercraft_core.Hnode.Rabia ]
 
-(* A cheap CI proxy for the knee comparison: drive both net paths well
-   past the serial knee and compare goodput — the pipelined path must
-   sustain at least what the monolithic one does. Two fixed-rate points
-   instead of two bisection searches. *)
 (* Single-point CI check, much cheaper than the full knee search. The
    probe rate sits between the measured knees (serial ~1880 kRPS,
    pipelined ~2460 kRPS), where the two net paths must diverge. Goodput

@@ -32,7 +32,6 @@ open Hovercraft_core
 open Hovercraft_cluster
 module Service = Hovercraft_apps.Service
 module Ycsb = Hovercraft_apps.Ycsb
-module Jbsq = Hovercraft_r2p2.Jbsq
 module Shard_chaos = Hovercraft_shard.Shard_chaos
 
 (* --- shared arguments ------------------------------------------------ *)
@@ -71,47 +70,6 @@ let emit_snapshot ~metrics_out ~trace_level (deploy : Deploy.t) extra =
         with Sys_error e ->
           Printf.eprintf "hovercraft: cannot write metrics snapshot: %s\n" e
       end
-
-let make_params ?(snapshot_interval = 0) ?(backend = Hnode.Raft) mode n no_lb
-    random_lb bound flow_cap seed =
-  let p =
-    or_die (fun () ->
-        Hnode.params ~mode ~backend
-          ~n:(if mode = Hnode.Unreplicated then max n 1 else n)
-          ())
-  in
-  {
-    p with
-    Hnode.seed;
-    features =
-      {
-        p.Hnode.features with
-        Hnode.reply_lb = not no_lb;
-        lb_policy = (if random_lb then Jbsq.Random_choice else Jbsq.Jbsq);
-        bound;
-        flow_control = flow_cap <> None;
-        snapshot_interval;
-      };
-  }
-
-let make_workload ~ycsb ~bimodal ~service_us ~read_fraction ~req_bytes
-    ~rep_bytes ~seed =
-  if ycsb then begin
-    let gen = Ycsb.create ~seed () in
-    ((fun _rng -> Ycsb.next gen), Ycsb.preload_ops gen 20_000)
-  end
-  else begin
-    let service =
-      if bimodal then
-        Dist.Bimodal
-          { mean = Timebase.of_us_f service_us; long_fraction = 0.1; ratio = 10. }
-      else Dist.Fixed (Timebase.of_us_f service_us)
-    in
-    let spec =
-      Service.spec ~service ~req_bytes ~rep_bytes ~read_fraction ()
-    in
-    (Service.sample spec, [])
-  end
 
 let print_report (r : Loadgen.report) =
   Printf.printf "offered    : %.0f RPS\n" r.offered_rps;

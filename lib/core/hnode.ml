@@ -67,11 +67,11 @@ type timing_params = {
 
 type feature_params = {
   apply_threads : int;
-      (* Simulated application threads per node (K). 1 keeps the paper's
-         serial apply loop; K > 1 turns the loop into a dependency-aware
-         dispatcher that runs key-disjoint committed entries on separate
-         CPUs (state mutation stays in log order — only the timing is
-         parallel, so replicas remain byte-identical). *)
+      (* Simulated application threads per node (K). The apply loop is a
+         dependency-aware dispatcher that runs key-disjoint committed
+         entries on separate CPUs (state mutation stays in log order —
+         only the timing is parallel, so replicas remain byte-identical).
+         At K = 1 its window is one entry: the paper's serial loop. *)
   net_stages : int;
       (* Simulated CPUs for the network hot path. 1 keeps the paper's
          monolithic net thread; >1 compartmentalizes it into pipeline
@@ -231,10 +231,10 @@ type t = {
          it into pipeline stages (ingress / sequencer / fanout / replier),
          adjacent roles sharing a core when stages < 4. *)
   apps : Cpu.t array;
-      (* The application threads (length = features.apply_threads).
-         Index 0 runs the serial apply loop; local execution (lease
-         reads, unreplicated mode) spreads over all of them by
-         footprint. *)
+      (* The application threads (length = features.apply_threads). The
+         apply dispatcher and local execution (lease reads, unreplicated
+         mode) both spread work over them by footprint; apply barriers
+         run on index 0. *)
   rng : Rng.t;
   raft : (Protocol.cmd, Protocol.snap) Rnode.t option;
   rabia : (Protocol.cmd, Protocol.snap) Rb.t option;
@@ -271,20 +271,18 @@ type t = {
   mutable last_activity : Timebase.t;
   mutable election_timeout : Timebase.t;
   mutable hb_gen : int;  (* invalidates stale heartbeat loops *)
-  mutable apply_busy : bool;
   mutable applied_ptr : int;
-  (* Parallel-apply scheduler state (K > 1; idle when apply_threads = 1).
-     [applied_ptr] is the dispatch pointer — every entry at or below it
-     has mutated the state machine; the watermark below tracks the
-     contiguous prefix whose simulated CPU work has also finished, which
-     is what the consensus layer (ack piggybacking, replier-queue
-     accounting) is told about. *)
+  (* Apply-dispatcher state. [applied_ptr] is the dispatch pointer —
+     every entry at or below it has mutated the state machine; the
+     watermark below tracks the contiguous prefix whose simulated CPU
+     work has also finished, which is what the consensus layer (ack
+     piggybacking, replier-queue accounting) is told about. *)
   mutable apply_inflight : int;  (* dispatched, CPU work not yet done *)
   apply_done : (int, unit) Hashtbl.t;  (* finished out-of-order entries *)
   mutable apply_watermark : int;
   mutable apply_rr : int;  (* round-robin pointer for footprint-free ops *)
   mutable pumping : bool;
-      (* The parallel dispatcher is mid-loop: re-entrant pumps (a
+      (* The dispatcher is mid-loop: re-entrant pumps (a
          checkpoint cut inside the loop feeds the consensus layer, whose
          actions pump again) must not start a second loop. *)
   pending_recovery : (int * Timebase.t) Rid_tbl.t;  (* rid -> retries, issued-at *)
@@ -451,6 +449,75 @@ let transmit_stage t role ~dst ?(extra = 0) payload =
 let transmit_net t ~dst ?extra payload =
   transmit_stage t stage_fanout ~dst ?extra payload
 
+(* HovercRaft++: hand the aggregator [members] for [term], which resets
+   its registers and quorum, then probe to re-enable the aggregated fast
+   path (§4). *)
+let rearm_aggregator t ~term members =
+  transmit_net t ~dst:Addr.Netagg (Protocol.Reconfig { term; members });
+  t.probe_sent_term <- term;
+  transmit_net t ~dst:Addr.Netagg (Protocol.Probe { term; leader = t.id })
+
+(* Reply tx ownership (§6). The monolithic net folds a client reply's
+   wire cost into the app CPU that produced it: replies leave through the
+   application thread. A pipelined net hands the reply to the replier
+   stage, which pays the wire cost plus the handoff. The three helpers
+   below are the only place this rule is written. *)
+
+(* The share of a reply's wire cost its app CPU pays, on top of the work
+   that produced the reply. *)
+let app_reply_tx t ~bytes = if staged t then 0 else tx_cost t ~bytes ~extra:0
+
+(* Send a reply once its app CPU is done: at once on the monolithic net
+   (that CPU already paid [app_reply_tx]), through the replier stage
+   under a pipelined one. *)
+let hand_off_reply t ~bytes send =
+  if staged t then
+    Cpu.exec
+      (stage_handoff t stage_replier)
+      ~cost:(tx_cost t ~bytes ~extra:t.p.cost.stage_handoff_ns)
+      send
+  else send ()
+
+(* The CPU, and the extra tx cost, of a reply with no app work before it
+   (a replay from the completion record): the app CPU [app] on the
+   monolithic net, the replier stage under a pipelined one. *)
+let reply_tx_cpu t ~app =
+  if staged t then (stage_handoff t stage_replier, t.p.cost.stage_handoff_ns)
+  else (app, 0)
+
+(* A reply on the wire, then its completion credit: to [credit] when
+   given (the request router that balanced the request here), else to
+   the flow-control middlebox when there is one. The CPU this runs on
+   has already paid the tx. *)
+let send_response t ~dst ~bytes ?credit rid =
+  match t.port with
+  | Some port when t.alive -> (
+      Fabric.send t.fabric port ~dst ~bytes (Protocol.Response { rid });
+      let credit =
+        match credit with
+        | Some _ -> credit
+        | None ->
+            if t.p.features.flow_control then Some Addr.Middlebox else None
+      in
+      match credit with
+      | Some dst ->
+          let fb = Protocol.Feedback { rid } in
+          Fabric.send t.fabric port ~dst
+            ~bytes:(Protocol.payload_bytes ~with_bodies:false fb)
+            fb
+      | None -> ())
+  | Some _ | None -> ()
+
+(* The flow-control credit for a reply sent outside the apply path (a
+   replay, a wrong-shard NACK), charged as tx on [cpu]: the middlebox
+   charged the rid on admission and only a credit refunds it. *)
+let credit_on t cpu rid =
+  if t.p.features.flow_control then
+    let fb = Protocol.Feedback { rid } in
+    transmit_on t cpu ~dst:Addr.Middlebox
+      ~bytes:(Protocol.payload_bytes ~with_bodies:false fb)
+      ~extra:0 fb
+
 (* ------------------------------------------------------------------ *)
 (* Observability helpers                                               *)
 
@@ -488,7 +555,7 @@ let halt t =
     (* Pending recoveries are volatile: their retry timers check this
        table, so clearing it also disarms them. *)
     Rid_tbl.reset t.pending_recovery;
-    (* So is the parallel dispatcher's in-flight window: the CPUs' queued
+    (* So is the dispatcher's in-flight window: the CPUs' queued
        closures died with the halt above. The watermark is recomputed
        from the durable applied index at restart. *)
     t.apply_inflight <- 0;
@@ -499,6 +566,19 @@ let halt t =
           t.applied_ptr);
     match t.port with Some p -> Fabric.set_down p true | None -> ()
   end
+
+(* Retirement of a node the applied membership excludes (an applied
+   config entry or an installed image): power off, but only if the
+   exclusion still stands in the consensus layer's current
+   (effective-on-append) configuration. Deferred one engine step so the
+   current apply finishes cleanly. *)
+let retire_if_still_removed t =
+  let still_removed =
+    match t.raft with
+    | Some raft -> not (Rnode.is_member raft t.id)
+    | None -> true
+  in
+  if still_removed then Engine.after t.engine 0 (fun () -> halt t)
 
 (* ------------------------------------------------------------------ *)
 (* Raft plumbing                                                       *)
@@ -718,19 +798,11 @@ and on_became_leader t =
               feed_raft t (Rnode.Client_command (Protocol.client_cmd ~rid op)))
             (Unordered.unordered_bindings t.store)
       | Vanilla | Unreplicated -> ());
-      if t.p.mode = Hover_pp then begin
+      if t.p.mode = Hover_pp then
         (* Tell the aggregator who is in the cluster before enabling the
            fast path: its registers and quorum must match our view. *)
-        transmit_net t ~dst:Addr.Netagg
-          (Protocol.Reconfig
-             {
-               term = Rnode.term raft;
-               members = Array.of_list (Rnode.members raft);
-             });
-        t.probe_sent_term <- Rnode.term raft;
-        transmit_net t ~dst:Addr.Netagg
-          (Protocol.Probe { term = Rnode.term raft; leader = t.id })
-      end;
+        rearm_aggregator t ~term:(Rnode.term raft)
+          (Array.of_list (Rnode.members raft));
       start_heartbeats t
 
 and on_became_follower t =
@@ -780,41 +852,29 @@ and feed_applied t idx =
 and slot_final_at t idx =
   match t.rabia with Some rb -> Rb.slot_final rb idx | None -> true
 
+(* Whether applying [idx] cuts a checkpoint. *)
+and snapshot_due t idx =
+  t.p.features.snapshot_interval > 0
+  && idx - t.last_snap >= t.p.features.snapshot_interval
+  && has_consensus t && slot_final_at t idx
+
+(* The apply loop: a dependency-aware dispatcher over the K application
+   threads. Entries leave the committed prefix strictly in log order and
+   mutate the state machine at dispatch time, so replicas stay
+   byte-identical no matter how thread timing interleaves; only the
+   simulated CPU work (execution cost, the reply leaving the wire, the
+   applied watermark the consensus layer sees) is spread over K threads.
+   The in-flight window bounds how far dispatch runs ahead of finished
+   work, so a crash can only lose a bounded suffix of timing (never
+   state: mutation + record advance atomically at dispatch). At K = 1 the
+   window is one entry, so each dispatch waits for the previous entry's
+   completion: the paper's serial apply loop. *)
+and apply_window t =
+  let k = Array.length t.apps in
+  if k = 1 then 1 else 8 * k
+
 and pump t =
-  if has_consensus t then
-    if Array.length t.apps = 1 then pump_serial t else pump_parallel t
-
-and pump_serial t =
-  if t.alive && (not t.apply_busy) && t.applied_ptr < commit_index_internal t
-  then begin
-    let idx = t.applied_ptr + 1 in
-    let entry = Rlog.get (consensus_log t) idx in
-    let cmd = entry.Rtypes.cmd in
-    match body_for t cmd with
-    | None when Rid_tbl.mem t.completions cmd.meta.rid ->
-        (* A re-ordered duplicate of an already-applied command (a
-           leaderless backend can decide the same rid at two slots after
-           a snapshot catch-up): the body may be gone everywhere, but the
-           completion record already holds the result — no recovery could
-           ever succeed, and none is needed to replay it. *)
-        apply_one t idx cmd Op.Nop
-    | None -> request_recovery t cmd.meta.rid
-    | Some op -> apply_one t idx cmd op
-  end
-
-(* The dependency-aware dispatcher (K > 1). Entries leave the committed
-   prefix strictly in log order and mutate the state machine at dispatch
-   time — exactly like the serial loop — so replicas stay byte-identical
-   no matter how thread timing interleaves; only the simulated CPU work
-   (execution cost, the reply leaving the wire, the applied watermark the
-   consensus layer sees) is spread over K threads. The in-flight window
-   bounds how far dispatch runs ahead of finished work, so a crash can
-   only lose a bounded suffix of timing (never state: mutation + record
-   advance atomically at dispatch). *)
-and apply_window t = 8 * Array.length t.apps
-
-and pump_parallel t =
-  if not t.pumping then begin
+  if has_consensus t && not t.pumping then begin
     t.pumping <- true;
     let stalled = ref false in
     while
@@ -827,8 +887,12 @@ and pump_parallel t =
       let cmd = entry.Rtypes.cmd in
       match body_for t cmd with
       | None when Rid_tbl.mem t.completions cmd.meta.rid ->
-          (* Bodyless duplicate: replay from the completion record (see
-             the serial pump). *)
+          (* A re-ordered duplicate of an already-applied command (a
+             leaderless backend can decide the same rid at two slots
+             after a snapshot catch-up): the body may be gone everywhere,
+             but the completion record already holds the result — no
+             recovery could ever succeed, and none is needed to replay
+             it. *)
           dispatch_one t idx cmd Op.Nop
       | None ->
           request_recovery t cmd.meta.rid;
@@ -872,16 +936,9 @@ and dispatch_one t idx (cmd : Protocol.cmd) op =
   (* Entries that cannot overlap anything take a barrier: global
      footprints, config entries (membership is whole-machine state) and
      entries about to cut a checkpoint (the image must capture a quiesced
-     machine — the atomic section that used to be [apply_one]'s becomes
-     this barrier). The checkpoint test mirrors the one in
-     [apply_atomic]. *)
-  let snapshot_due =
-    t.p.features.snapshot_interval > 0
-    && idx - t.last_snap >= t.p.features.snapshot_interval
-    && has_consensus t && slot_final_at t idx
-  in
+     machine). *)
   let thread =
-    if cmd.Protocol.config <> None || snapshot_due then None
+    if cmd.Protocol.config <> None || snapshot_due t idx then None
     else apply_thread_of t op
   in
   let k =
@@ -905,19 +962,21 @@ and dispatch_one t idx (cmd : Protocol.cmd) op =
 (* Delayed completion of a dispatched entry (runs on its thread's CPU,
    [cost] later). The consensus layer's applied counter — and the
    replier-queue accounting and announce re-kick driven from it — advance
-   along the contiguous watermark, never past a still-running entry. *)
+   along the contiguous watermark, never past a still-running entry. An
+   in-order completion (always, at K = 1) moves the watermark itself;
+   only out-of-order ones wait in [apply_done]. *)
 and apply_completed t idx (cmd : Protocol.cmd) ~should_reply ~reply_bytes =
   apply_visible t cmd ~should_reply ~reply_bytes;
   t.apply_inflight <- max 0 (t.apply_inflight - 1);
-  if idx > t.apply_watermark then begin
-    Hashtbl.replace t.apply_done idx ();
-    let advanced = ref false in
+  let before = t.apply_watermark in
+  if idx > before then begin
+    if idx = before + 1 then t.apply_watermark <- idx
+    else Hashtbl.replace t.apply_done idx ();
     while Hashtbl.mem t.apply_done (t.apply_watermark + 1) do
       Hashtbl.remove t.apply_done (t.apply_watermark + 1);
-      t.apply_watermark <- t.apply_watermark + 1;
-      advanced := true
+      t.apply_watermark <- t.apply_watermark + 1
     done;
-    if !advanced then begin
+    if t.apply_watermark > before then begin
       if is_leader t then
         note_applied t ~node:t.id ~applied:t.apply_watermark;
       feed_applied t t.apply_watermark
@@ -938,40 +997,22 @@ and on_config_applied t ms =
       Printf.sprintf "members=[%s]"
         (String.concat ";" (List.map string_of_int ms)));
   t.members <- ms;
-  if not (List.mem t.id ms) then begin
+  if not (List.mem t.id ms) then
     (* Removed from the cluster. The entry is committed (we only apply
        committed entries) and the Raft layer has already stepped a removed
-       leader down, so the node's duty is done: power off. Deferred one
-       engine step so the current apply finishes cleanly.
-
-       The uniform rule: retire only if the exclusion still stands in the
-       consensus layer's current (effective-on-append) configuration.
-       Newcomers catching up via snapshot never even apply historical
-       config entries (the image's membership supersedes them), but a
-       snapshot-less bootstrap still replays history, so the guard stays. *)
-    let still_removed =
-      match t.raft with
-      | Some raft -> not (Rnode.is_member raft t.id)
-      | None -> true
-    in
-    if still_removed then Engine.after t.engine 0 (fun () -> halt t)
-  end
+       leader down, so the node's duty is done. Newcomers catching up via
+       snapshot never even apply historical config entries (the image's
+       membership supersedes them), but a snapshot-less bootstrap still
+       replays history, hence the still-removed guard. *)
+    retire_if_still_removed t
   else if is_leader t then begin
     Replier.set_nodes t.replier ms;
-    if t.p.mode = Hover_pp then
-      match t.raft with
-      | Some raft ->
-          let term = Rnode.term raft in
-          (* Same soft-state flush as a term change (§4): reset the
-             registers and quorum, then re-probe to re-enable the
-             aggregated path (it was dropped when the config entry was
-             appended). *)
-          transmit_net t ~dst:Addr.Netagg
-            (Protocol.Reconfig { term; members = Array.of_list ms });
-          t.probe_sent_term <- term;
-          transmit_net t ~dst:Addr.Netagg
-            (Protocol.Probe { term; leader = t.id })
-      | None -> ()
+    match t.raft with
+    | Some raft when t.p.mode = Hover_pp ->
+        (* Same soft-state flush as a term change (§4): the aggregated
+           path was dropped when the config entry was appended. *)
+        rearm_aggregator t ~term:(Rnode.term raft) (Array.of_list ms)
+    | Some _ | None -> ()
   end
 
 (* The consensus layer accepted a full snapshot (emitted strictly before
@@ -1039,24 +1080,14 @@ and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta
       Rb.filter_pending rb ~keep:(fun (c : Protocol.cmd) ->
           not (Rid_tbl.mem t.completions c.Protocol.meta.rid))
   | None -> ());
-  (* Same retirement rule as an applied config entry: the image's
-     membership is durable state, but only the consensus layer's current
-     configuration decides whether the exclusion still stands. *)
-  if not (List.mem t.id t.members) then begin
-    let still_removed =
-      match t.raft with
-      | Some raft -> not (Rnode.is_member raft t.id)
-      | None -> true
-    in
-    if still_removed then Engine.after t.engine 0 (fun () -> halt t)
-  end
+  if not (List.mem t.id t.members) then retire_if_still_removed t
   else if is_leader t then Replier.set_nodes t.replier t.members
 
 (* Cut a checkpoint of the applied state machine: the deep-copied image,
    the live completion records (in FIFO order, so expiry keeps working
    after an install) and the applied-prefix membership, identified by
-   (idx, term-at-idx). Runs inside apply_one's pre-delay atomic section,
-   so the image is exactly the state after entry [idx]. *)
+   (idx, term-at-idx). Runs inside [apply_atomic], before the entry's CPU
+   delay, so the image is exactly the state after entry [idx]. *)
 and take_snapshot t idx =
   let completions = completion_records t in
   let data =
@@ -1083,13 +1114,13 @@ and take_snapshot t idx =
   t.last_snap <- idx;
   Metrics.set t.g_snap_index idx
 
-(* The pre-delay atomic section shared by the serial and parallel apply
-   paths: the execute-or-replay decision, the state mutation, the
-   completion record, the applied-pointer advance, the config effect and
-   the checkpoint cut. All of it happens at dispatch time, in log order —
-   which is what keeps replicas byte-identical under parallel apply:
-   thread timing never touches state, only the clock. Returns the entry's
-   CPU cost and what the delayed epilogue needs. *)
+(* The pre-delay atomic section of applying an entry: the
+   execute-or-replay decision, the state mutation, the completion record,
+   the applied-pointer advance, the config effect and the checkpoint cut.
+   All of it happens at dispatch time, in log order — which is what keeps
+   replicas byte-identical under parallel apply: thread timing never
+   touches state, only the clock. Returns the entry's CPU cost and what
+   the delayed epilogue needs. *)
 and apply_atomic t idx (cmd : Protocol.cmd) op =
   let meta = cmd.Protocol.meta in
   let is_replier = meta.replier = t.id in
@@ -1118,17 +1149,9 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
   let reply_bytes =
     if should_reply then R2p2.header_bytes + Op.reply_bytes op result else 0
   in
-  (* Reply tx ownership: the monolithic path folds the reply's wire cost
-     into the app CPU (the paper's model — replies leave through the
-     application thread, §6). Under a pipelined net the replier stage
-     owns that cost instead ([apply_visible] charges it there), so it
-     must not also be charged here — that would double-bill the same
-     packet. *)
   let cost =
     t.p.cost.app_per_op_ns + exec_cost
-    + (if should_reply && not (staged t) then
-         tx_cost t ~bytes:reply_bytes ~extra:0
-       else 0)
+    + if should_reply then app_reply_tx t ~bytes:reply_bytes else 0
   in
   (* The state mutation above, the completion record and the applied
      pointer advance together, BEFORE the CPU delay: a crash landing
@@ -1168,11 +1191,7 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
   (* Checkpointing is part of the same atomic section: the image must
      reflect exactly the prefix up to [idx], including the completion
      record and membership written just above. *)
-  if
-    t.p.features.snapshot_interval > 0
-    && idx - t.last_snap >= t.p.features.snapshot_interval
-    && has_consensus t && slot_final_at t idx
-  then take_snapshot t idx;
+  if snapshot_due t idx then take_snapshot t idx;
   (cost, should_reply, reply_bytes)
 
 (* The delayed, externally visible part of applying an entry: the reply
@@ -1183,29 +1202,8 @@ and apply_visible t (cmd : Protocol.cmd) ~should_reply ~reply_bytes =
   let meta = cmd.Protocol.meta in
   if should_reply then begin
     Metrics.incr t.c_replies;
-    let send_reply () =
-      match t.port with
-      | Some port when t.alive ->
-          Fabric.send t.fabric port ~dst:meta.rid.src_addr ~bytes:reply_bytes
-            (Protocol.Response { rid = meta.rid });
-          if t.p.features.flow_control then
-            Fabric.send t.fabric port ~dst:Addr.Middlebox
-              ~bytes:
-                (Protocol.payload_bytes ~with_bodies:false
-                   (Protocol.Feedback { rid = meta.rid }))
-              (Protocol.Feedback { rid = meta.rid })
-      | Some _ | None -> ()
-    in
-    if staged t then
-      (* Pipelined net: the app thread is done; the reply's wire cost is
-         the replier stage's ([apply_atomic] left it out of the app CPU
-         bill). *)
-      Cpu.exec
-        (stage_handoff t stage_replier)
-        ~cost:
-          (tx_cost t ~bytes:reply_bytes ~extra:t.p.cost.stage_handoff_ns)
-        send_reply
-    else send_reply ()
+    hand_off_reply t ~bytes:reply_bytes (fun () ->
+        send_response t ~dst:meta.rid.src_addr ~bytes:reply_bytes meta.rid)
   end;
   (* Bodies stay in the store after application: duplicate AEs
      (heartbeat retransmits) must still bind, and lagging followers
@@ -1214,16 +1212,6 @@ and apply_visible t (cmd : Protocol.cmd) ~should_reply ~reply_bytes =
   match t.p.mode with
   | Hover | Hover_pp -> if not meta.internal then resolve_recovery t meta.rid
   | Vanilla | Unreplicated -> ()
-
-and apply_one t idx (cmd : Protocol.cmd) op =
-  t.apply_busy <- true;
-  let cost, should_reply, reply_bytes = apply_atomic t idx cmd op in
-  Cpu.exec t.apps.(0) ~cost (fun () ->
-      apply_visible t cmd ~should_reply ~reply_bytes;
-      if is_leader t then note_applied t ~node:t.id ~applied:idx;
-      feed_applied t idx;
-      t.apply_busy <- false;
-      pump t)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery of lost multicast bodies (§5)                              *)
@@ -1395,65 +1383,26 @@ let local_exec_cpu t op =
    completion credit goes (flow-control middlebox or request router). *)
 let execute_locally ?feedback t rid op =
   let result, exec_cost = Op.apply t.app_state op in
-  let reply_bytes = R2p2.header_bytes + Op.reply_bytes op result in
-  let send_reply () =
-    Metrics.incr t.c_replies;
-    match t.port with
-    | Some port when t.alive -> (
-        Fabric.send t.fabric port ~dst:rid.R2p2.src_addr ~bytes:reply_bytes
-          (Protocol.Response { rid });
-        let credit dst =
-          Fabric.send t.fabric port ~dst
-            ~bytes:
-              (Protocol.payload_bytes ~with_bodies:false
-                 (Protocol.Feedback { rid }))
-            (Protocol.Feedback { rid })
-        in
-        match feedback with
-        | Some dst -> credit dst
-        | None -> if t.p.features.flow_control then credit Addr.Middlebox)
-    | Some _ | None -> ()
-  in
-  let cpu = local_exec_cpu t op in
-  if staged t then
-    (* Same reply ownership as the ordered path: execution on the app
-       thread, the wire on the replier stage. *)
-    Cpu.exec cpu ~cost:(t.p.cost.app_per_op_ns + exec_cost) (fun () ->
-        Cpu.exec
-          (stage_handoff t stage_replier)
-          ~cost:
-            (tx_cost t ~bytes:reply_bytes ~extra:t.p.cost.stage_handoff_ns)
-          send_reply)
-  else
-    Cpu.exec cpu
-      ~cost:
-        (t.p.cost.app_per_op_ns + exec_cost
-        + tx_cost t ~bytes:reply_bytes ~extra:0)
-      send_reply
+  let bytes = R2p2.header_bytes + Op.reply_bytes op result in
+  Cpu.exec (local_exec_cpu t op)
+    ~cost:(t.p.cost.app_per_op_ns + exec_cost + app_reply_tx t ~bytes)
+    (fun () ->
+      hand_off_reply t ~bytes (fun () ->
+          Metrics.incr t.c_replies;
+          send_response t ~dst:rid.R2p2.src_addr ~bytes ?credit:feedback rid))
 
 (* A retransmitted request that already completed is answered from the
    completion record (exactly-once); one that is in flight (ordered but not
-   applied) is ignored — its reply is coming. *)
+   applied) is ignored — its reply is coming. On the monolithic net the
+   replay rides the footprint-spread app CPU, not a hardwired apps.(0). *)
 let replay_completion t rid op =
   match Rid_tbl.find_opt t.completions rid with
   | Some (result, _) ->
-      let reply_bytes = R2p2.header_bytes + Op.reply_bytes op result in
-      (* Replays are pure tx (no execution): under a pipelined net they
-         belong to the replier stage; on the monolithic path they ride an
-         app CPU — the footprint-spread one, not a hardwired apps.(0). *)
-      let cpu, extra =
-        if staged t then (stage_handoff t stage_replier, t.p.cost.stage_handoff_ns)
-        else (local_exec_cpu t op, 0)
-      in
-      transmit_on t cpu ~dst:rid.R2p2.src_addr ~bytes:reply_bytes ~extra
-        (Protocol.Response { rid });
-      if t.p.features.flow_control then
-        transmit_on t cpu ~dst:Addr.Middlebox
-          ~bytes:
-            (Protocol.payload_bytes ~with_bodies:false
-               (Protocol.Feedback { rid }))
-          ~extra:0
-          (Protocol.Feedback { rid });
+      let cpu, extra = reply_tx_cpu t ~app:(local_exec_cpu t op) in
+      transmit_on t cpu ~dst:rid.R2p2.src_addr
+        ~bytes:(R2p2.header_bytes + Op.reply_bytes op result)
+        ~extra (Protocol.Response { rid });
+      credit_on t cpu rid;
       true
   | None -> false
 
@@ -1467,22 +1416,11 @@ let replay_completion t rid op =
 let shard_rejects t rid op =
   match t.shard_filter with
   | Some owns when not (owns op) ->
-      let payload = Protocol.Wrong_shard { rid; version = t.shard_version } in
-      let cpu = stage_handoff t stage_replier in
-      let extra = if staged t then t.p.cost.stage_handoff_ns else 0 in
-      transmit_on t cpu ~dst:rid.R2p2.src_addr
-        ~bytes:(Protocol.payload_bytes ~with_bodies:false payload)
-        ~extra payload;
-      (* The flow-control middlebox charged this rid on admission and only
-         a completion credit refunds it; without one, wrong-shard retries
-         during a migration would wedge the in-flight cap. *)
-      if t.p.features.flow_control then
-        transmit_on t cpu ~dst:Addr.Middlebox
-          ~bytes:
-            (Protocol.payload_bytes ~with_bodies:false
-               (Protocol.Feedback { rid }))
-          ~extra:0
-          (Protocol.Feedback { rid });
+      transmit_stage t stage_replier ~dst:rid.R2p2.src_addr
+        (Protocol.Wrong_shard { rid; version = t.shard_version });
+      (* Without the credit, wrong-shard retries during a migration would
+         wedge the middlebox's in-flight cap. *)
+      credit_on t (stage_cpu t stage_replier) rid;
       true
   | Some _ | None -> false
 
@@ -1667,21 +1605,18 @@ let on_packet t pkt =
       (* Pre-interned per-tag counter: no name allocation, no registry
          probe on the hottest path in the simulator. *)
       Metrics.incr t.c_rx.(Protocol.tag_index pkt.Fabric.payload);
-      if not (staged t) then
-        Cpu.exec t.net_cpus.(0) ~cost:(rx_cost t pkt) (fun () -> dispatch t pkt)
-      else begin
-        let role = rx_stage_of pkt.Fabric.payload in
-        if role = stage_ingress then
-          (* Handled (or dropped) at decode; no handoff. *)
-          Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_cost t pkt) (fun () ->
-              dispatch t pkt)
-        else
-          Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_decode_cost t pkt)
-            (fun () ->
-              Cpu.exec (stage_handoff t role)
-                ~cost:(rx_proto_cost t pkt + t.p.cost.stage_handoff_ns)
-                (fun () -> dispatch t pkt))
-      end
+      let role = rx_stage_of pkt.Fabric.payload in
+      if role = stage_ingress || not (staged t) then
+        (* Handled (or dropped) at decode, or the monolithic net, where
+           every role is the one net CPU: no handoff. *)
+        Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_cost t pkt) (fun () ->
+            dispatch t pkt)
+      else
+        Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_decode_cost t pkt)
+          (fun () ->
+            Cpu.exec (stage_handoff t role)
+              ~cost:(rx_proto_cost t pkt + t.p.cost.stage_handoff_ns)
+              (fun () -> dispatch t pkt))
     end
   end
 
@@ -1812,12 +1747,7 @@ let on_raft_event t = function
          is a deadlock broken only by an election. *)
       (match t.raft with
       | Some raft when t.p.mode = Hover_pp && is_leader t && t.alive ->
-          let term = Rnode.term raft in
-          transmit_net t ~dst:Addr.Netagg
-            (Protocol.Reconfig { term; members = Array.of_list ms });
-          t.probe_sent_term <- term;
-          transmit_net t ~dst:Addr.Netagg
-            (Protocol.Probe { term; leader = t.id })
+          rearm_aggregator t ~term:(Rnode.term raft) (Array.of_list ms)
       | Some _ | None -> ())
   | Rnode.Obs_transfer_sent target ->
       Metrics.incr t.c_transfers;
@@ -1927,7 +1857,6 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       last_activity = 0;
       election_timeout = 0;
       hb_gen = 0;
-      apply_busy = false;
       applied_ptr = 0;
       apply_inflight = 0;
       apply_done = Hashtbl.create 64;
@@ -2226,7 +2155,6 @@ let restart t =
     Unordered.create
       ~now:(fun () -> Engine.now t.engine)
       ~gc_unordered:t.p.timing.gc_unordered ~gc_ordered:t.p.timing.gc_ordered ();
-  t.apply_busy <- false;
   t.announce_stalled <- false;
   t.ack_override <- None;
   t.probe_sent_term <- -1;
@@ -2244,7 +2172,7 @@ let restart t =
       t.applied_ptr <- Rb.applied_index rb;
       t.last_snap <- Rb.snapshot_index rb
   | None, None -> ());
-  (* The parallel dispatcher restarts with nothing in flight; its
+  (* The dispatcher restarts with nothing in flight; its
      watermark and round-robin pointer are recomputed from the durable
      applied prefix so a replayed log redispatches identically. *)
   t.apply_inflight <- 0;

@@ -89,16 +89,17 @@ type timing_params = {
 (** Protocol variants and their knobs. *)
 type feature_params = {
   apply_threads : int;
-      (** Simulated application threads per node (K, 1..64). 1 keeps the
-          paper's serial apply loop. K > 1 replaces it with a
-          dependency-aware dispatcher: committed entries with disjoint
-          footprints ({!Hovercraft_apps.Op.footprint}) run on separate
-          simulated CPUs — same-key operations hash to a fixed thread and
-          serialize in log order; global-footprint operations, config
-          entries and checkpoint cuts barrier the whole scheduler. State
-          mutation stays at dispatch time in log order, so replicas
-          remain byte-identical and exactly-once is unaffected; only the
-          CPU timing model (throughput, reply latency) parallelizes. *)
+      (** Simulated application threads per node (K, 1..64). The apply
+          loop is a dependency-aware dispatcher: committed entries with
+          disjoint footprints ({!Hovercraft_apps.Op.footprint}) run on
+          separate simulated CPUs — same-key operations hash to a fixed
+          thread and serialize in log order; global-footprint operations,
+          config entries and checkpoint cuts barrier the whole scheduler.
+          At K = 1 its in-flight window is one entry, which is the
+          paper's serial apply loop. State mutation stays at dispatch
+          time in log order, so replicas remain byte-identical and
+          exactly-once is unaffected; only the CPU timing model
+          (throughput, reply latency) parallelizes. *)
   net_stages : int;
       (** Simulated CPUs for the network hot path (1..4). 1 keeps the
           paper's monolithic net thread byte for byte. Higher settings

@@ -1,9 +1,9 @@
 (* Tests for the compartmentalized net path (features.net_stages): knob
    validation, determinism of replica state across stage counts (alone
    and crossed with apply_threads), chaos replay and snapshot installs
-   under the pipelined net, the per-stage census — and the two hot-path
-   regressions this PR fixes: local executions pinned to app CPU 0, and
-   the per-packet rx-counter name allocation. *)
+   under the pipelined net, the per-stage census, cross-version golden
+   per-node timing — and two hot-path regressions: local executions
+   pinned to app CPU 0, and the per-packet rx-counter name allocation. *)
 
 open Hovercraft_sim
 open Hovercraft_core
@@ -333,6 +333,236 @@ let test_snapshot_pipelined () =
   check "consistent" true o.Chaos.consistent;
   check "compaction ran" true (o.Chaos.max_log_base > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Cross-version golden: per-node timing                               *)
+
+(* The tests above compare runs against each other (same run twice,
+   replica against replica, stage count against stage count), so a cost
+   that moves from one CPU to another, or an apply-loop rewrite that
+   shifts an event, trips none of them. These pin small fixed-seed runs
+   against captured values instead: every node's net and app busy time,
+   reply count, applied index and state fingerprint, and the client
+   report. *)
+
+type node_timing = {
+  net_busy : int;
+  app_busy : int;
+  replies : int;
+  applied : int;
+  fingerprint : int;
+}
+
+type timing = {
+  nodes : node_timing list;
+  sent : int;
+  completed : int;
+  nacked : int;
+  lost : int;
+  p50_us : float;
+  p99_us : float;
+}
+
+let pp_node_timing ppf n =
+  Format.fprintf ppf
+    "{ net_busy = %d; app_busy = %d; replies = %d; applied = %d; \
+     fingerprint = %d }"
+    n.net_busy n.app_busy n.replies n.applied n.fingerprint
+
+let pp_timing ppf g =
+  Format.fprintf ppf
+    "@[<v 2>{@ nodes =@ [ %a ];@ sent = %d; completed = %d; nacked = %d; \
+     lost = %d;@ p50_us = %h; p99_us = %h }@]"
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
+       pp_node_timing)
+    g.nodes g.sent g.completed g.nacked g.lost g.p50_us g.p99_us
+
+let timing = Alcotest.testable pp_timing ( = )
+
+let timing_of (deploy : Deploy.t) (r : Loadgen.report) =
+  {
+    nodes =
+      Array.to_list
+        (Array.map
+           (fun n ->
+             {
+               net_busy = Hnode.net_busy_time n;
+               app_busy = Hnode.app_busy_time n;
+               replies = Hnode.replies_sent n;
+               applied = Hnode.applied_index n;
+               fingerprint = Hnode.app_fingerprint n;
+             })
+           deploy.Deploy.nodes);
+    sent = r.Loadgen.sent;
+    completed = r.Loadgen.completed;
+    nacked = r.Loadgen.nacked;
+    lost = r.Loadgen.lost;
+    p50_us = r.Loadgen.p50_us;
+    p99_us = r.Loadgen.p99_us;
+  }
+
+(* Hover++ with flow control, 2% rx loss (client retransmissions reach
+   the completion-record replay), checkpoints every 150 entries over a
+   50-entry log and a follower down for 30 ms: it comes back through a
+   snapshot install. *)
+let churn_cell ~net_stages ~apply_threads =
+  let p = Hnode.params ~mode:Hnode.Hover_pp ~n:3 () in
+  let p =
+    {
+      p with
+      Hnode.seed = 71;
+      features =
+        {
+          p.Hnode.features with
+          Hnode.net_stages;
+          apply_threads;
+          loss_prob = 0.02;
+          flow_control = true;
+          snapshot_interval = 150;
+          log_retain = 50;
+        };
+    }
+  in
+  let deploy = Deploy.create (Deploy.config ~flow_cap:64 p) in
+  let engine = deploy.Deploy.engine in
+  Engine.after engine (Timebase.ms 20) (fun () -> Deploy.kill_node deploy 2);
+  Engine.after engine (Timebase.ms 50) (fun () -> Deploy.restart_node deploy 2);
+  let gen =
+    Loadgen.create deploy ~clients:4 ~rate_rps:60_000. ~workload:kv_workload
+      ~retry:(Timebase.ms 1, 4) ~seed:71 ()
+  in
+  let r = Loadgen.run gen ~warmup:(Timebase.ms 2) ~duration:(Timebase.ms 80) () in
+  Deploy.quiesce deploy ();
+  check "retransmissions sent" true (Loadgen.retried gen > 0);
+  check "the restarted follower installed a snapshot" true
+    (Hnode.installs_received deploy.Deploy.nodes.(2) > 0);
+  timing_of deploy r
+
+(* Read-heavy keyed load under leader leases: most requests execute
+   locally on the leader, never ordered. *)
+let lease_cell ~net_stages =
+  let p = params ~net_stages ~seed:73 () in
+  let p =
+    {
+      p with
+      Hnode.features =
+        {
+          p.Hnode.features with
+          Hnode.read_mode = Hnode.Leader_leases;
+          flow_control = true;
+        };
+    }
+  in
+  let deploy = Deploy.create (Deploy.config ~flow_cap:64 p) in
+  let workload rng =
+    let k = Printf.sprintf "user%06d" (Rng.int rng 500) in
+    if Rng.bool rng 0.9 then Op.Kv (Kvstore.Get k)
+    else Op.Kv (Kvstore.Put (k, "v"))
+  in
+  let gen =
+    Loadgen.create deploy ~clients:4 ~rate_rps:60_000. ~workload ~seed:73 ()
+  in
+  let r = Loadgen.run gen ~warmup:(Timebase.ms 2) ~duration:(Timebase.ms 50) () in
+  Deploy.quiesce deploy ();
+  timing_of deploy r
+
+let node net_busy app_busy replies applied fingerprint =
+  { net_busy; app_busy; replies; applied; fingerprint }
+
+(* Captured before the K=1 serial apply loop and the per-site reply-tx
+   code were folded into the dispatcher and the shared reply helpers;
+   the refactored node must reproduce them exactly. *)
+let golden_cases =
+  [
+    ( "churn S=1 K=1",
+      (fun () -> churn_cell ~net_stages:1 ~apply_threads:1),
+      {
+        nodes =
+          [
+            node 4258661 6031940 2420 4885 184613487;
+            node 5029424 5741710 1515 4885 184613487;
+            node 3638474 3562902 919 4885 184613487;
+          ];
+        sent = 4884;
+        completed = 4763;
+        nacked = 0;
+        lost = 0;
+        p50_us = 0x1.df1a9fbe76c8bp+3;
+        p99_us = 0x1.fc08f5c28f5c3p+9;
+      } );
+    ( "churn S=2 K=1",
+      (fun () -> churn_cell ~net_stages:2 ~apply_threads:1),
+      {
+        nodes =
+          [
+            node 4798974 5934700 2442 4885 184613487;
+            node 5784325 5677700 1515 4885 184613487;
+            node 4105635 3533480 894 4885 184613487;
+          ];
+        sent = 4884;
+        completed = 4763;
+        nacked = 0;
+        lost = 0;
+        p50_us = 0x1.ce76c8b439581p+3;
+        p99_us = 0x1.0014083126e98p+10;
+      } );
+    ( "churn S=4 K=4",
+      (fun () -> churn_cell ~net_stages:4 ~apply_threads:4),
+      {
+        nodes =
+          [
+            node 4726824 5936700 2430 4885 184613487;
+            node 5637203 5690700 1540 4885 184613487;
+            node 4120610 3520480 885 4885 184613487;
+          ];
+        sent = 4884;
+        completed = 4763;
+        nacked = 0;
+        lost = 0;
+        p50_us = 0x1.c883126e978d5p+3;
+        p99_us = 0x1.049ac083126e9p+10;
+      } );
+    ( "leases S=1 K=1",
+      (fun () -> lease_cell ~net_stages:1),
+      {
+        nodes =
+          [
+            node 1213904 3321162 2799 333 354283250;
+            node 1002474 508232 94 333 354283250;
+            node 1002516 508308 96 333 354283250;
+          ];
+        sent = 2989;
+        completed = 2871;
+        nacked = 0;
+        lost = 0;
+        p50_us = 0x1.21fbe76c8b439p+2;
+        p99_us = 0x1.6947ae147ae14p+3;
+      } );
+    ( "leases S=2 K=1",
+      (fun () -> lease_cell ~net_stages:2),
+      {
+        nodes =
+          [
+            node 1662106 3214800 2799 333 354283250;
+            node 1184604 504660 95 333 354283250;
+            node 1184646 504660 95 333 354283250;
+          ];
+        sent = 2989;
+        completed = 2871;
+        nacked = 0;
+        lost = 0;
+        p50_us = 0x1.271a9fbe76c8bp+2;
+        p99_us = 0x1.6ced916872b02p+3;
+      } );
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, run, expected) ->
+      Alcotest.test_case ("timing golden: " ^ name) `Quick (fun () ->
+          Alcotest.check timing name expected (run ())))
+    golden_cases
+
 let suite =
   [
     Alcotest.test_case "net_stages validation" `Quick test_net_stages_validation;
@@ -351,3 +581,4 @@ let suite =
     Alcotest.test_case "snapshot install under pipelined net" `Slow
       test_snapshot_pipelined;
   ]
+  @ golden_tests
