@@ -2,7 +2,7 @@
 # and `dune runtest` directly, then several of the smoke targets below;
 # `make check` is the local equivalent of its first two steps.
 
-.PHONY: all build test check obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check golden-cell obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
 all: build
 
@@ -13,6 +13,16 @@ test:
 	dune runtest
 
 check: build test
+
+# The benchmark's synth-hover cell at its reference rate, pinned byte for
+# byte: stdout and the --metrics snapshot must match test/golden/. A
+# simulator change that is meant to leave the model alone must pass this
+# untouched; one that moves it regenerates both files deliberately.
+golden-cell:
+	dune exec bin/hovercraft.exe -- run -m hover -n 3 -r 800000 -d 300 \
+	  --metrics hover-cell.json > hover-cell.out
+	cmp hover-cell.out test/golden/hover-cell.out
+	cmp hover-cell.json test/golden/hover-cell.json
 
 # End-to-end observability smoke: a lossy HovercRaft run that must
 # converge and emit hovercraft_snapshot.json.

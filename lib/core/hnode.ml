@@ -287,11 +287,10 @@ type t = {
          actions pump again) must not start a second loop. *)
   pending_recovery : (int * Timebase.t) Rid_tbl.t;  (* rid -> retries, issued-at *)
   lease_heard : (int, Timebase.t) Hashtbl.t;  (* leader: last contact per node *)
-  completions : (Op.result * Timebase.t) Rid_tbl.t;
+  completions : Completions.t;
       (* RIFL-style completion records, built deterministically during
          apply on every replica; replays answer retransmitted requests
          without re-execution. *)
-  completion_fifo : (R2p2.req_id * Timebase.t) Queue.t;
   mutable ack_override : Addr.t option;
   mutable probe_sent_term : int;
   mutable last_transfer : int option;
@@ -375,14 +374,7 @@ let with_bodies t = t.p.mode = Vanilla
 
 (* The live completion records in FIFO (insertion/expiry) order — the
    form both checkpoints and shard-migration exports ship them in. *)
-let completion_records t =
-  List.rev
-    (Queue.fold
-       (fun acc (rid, _) ->
-         match Rid_tbl.find_opt t.completions rid with
-         | Some (result, at) -> (rid, result, at) :: acc
-         | None -> acc)
-       [] t.completion_fifo)
+let completion_records t = Completions.records t.completions
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages of the network hot path                             *)
@@ -533,15 +525,17 @@ let tr t sev ~kind detail =
    multicast delivery. All paths funnel through here so issued = resolved +
    still-pending always holds. *)
 let resolve_recovery t rid =
-  match Rid_tbl.find_opt t.pending_recovery rid with
-  | None -> ()
-  | Some (retries, issued_at) ->
-      Rid_tbl.remove t.pending_recovery rid;
-      Metrics.incr t.c_recoveries_resolved;
-      Metrics.observe t.h_recovery_ns (Engine.now t.engine - issued_at);
-      tr t Trace.Info ~kind:"recovery_resolved" (fun () ->
-          Format.asprintf "%a after %d retries, %dns" R2p2.pp_req_id rid retries
-            (Engine.now t.engine - issued_at))
+  (* Runs on every apply; on a loss-free run the table is empty. *)
+  if Rid_tbl.length t.pending_recovery > 0 then
+    match Rid_tbl.find_opt t.pending_recovery rid with
+    | None -> ()
+    | Some (retries, issued_at) ->
+        Rid_tbl.remove t.pending_recovery rid;
+        Metrics.incr t.c_recoveries_resolved;
+        Metrics.observe t.h_recovery_ns (Engine.now t.engine - issued_at);
+        tr t Trace.Info ~kind:"recovery_resolved" (fun () ->
+            Format.asprintf "%a after %d retries, %dns" R2p2.pp_req_id rid retries
+              (Engine.now t.engine - issued_at))
 
 (* Power the node down (crash, or retirement after removal from the
    configuration). Needed by the apply path, so it lives before it;
@@ -748,7 +742,7 @@ and on_rabia_appended t lo hi =
           if idx > t.applied_ptr then
             if
               (not (Unordered.mark_ordered t.store meta.rid))
-              && not (Rid_tbl.mem t.completions meta.rid)
+              && not (Completions.mem t.completions meta.rid)
             then request_recovery t meta.rid
         end
       done
@@ -886,7 +880,7 @@ and pump t =
       let entry = Rlog.get (consensus_log t) idx in
       let cmd = entry.Rtypes.cmd in
       match body_for t cmd with
-      | None when Rid_tbl.mem t.completions cmd.meta.rid ->
+      | None when Completions.mem t.completions cmd.meta.rid ->
           (* A re-ordered duplicate of an already-applied command (a
              leaderless backend can decide the same rid at two slots
              after a snapshot catch-up): the body may be gone everywhere,
@@ -923,7 +917,7 @@ and apply_thread_of t op =
    nothing. *)
 and apply_quiesce t =
   let horizon =
-    Array.fold_left (fun acc c -> max acc (Cpu.horizon c)) 0 t.apps
+    Array.fold_left (fun acc c -> Int.max acc (Cpu.horizon c)) 0 t.apps
   in
   Array.iter
     (fun c ->
@@ -967,7 +961,7 @@ and dispatch_one t idx (cmd : Protocol.cmd) op =
    only out-of-order ones wait in [apply_done]. *)
 and apply_completed t idx (cmd : Protocol.cmd) ~should_reply ~reply_bytes =
   apply_visible t cmd ~should_reply ~reply_bytes;
-  t.apply_inflight <- max 0 (t.apply_inflight - 1);
+  t.apply_inflight <- Int.max 0 (t.apply_inflight - 1);
   let before = t.apply_watermark in
   if idx > before then begin
     if idx = before + 1 then t.apply_watermark <- idx
@@ -1032,10 +1026,10 @@ and on_snapshot_installed t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta)
        strictly covers the image; overwriting would roll executed entries
        back and diverge the replicas. Keep the state, record the
        checkpoint. *)
-    t.last_snap <- max t.last_snap meta.Hovercraft_raft.Snapshot.last_idx;
+    t.last_snap <- Int.max t.last_snap meta.Hovercraft_raft.Snapshot.last_idx;
     Metrics.incr t.c_installs_recv;
     Metrics.set t.g_snap_index
-      (max meta.Hovercraft_raft.Snapshot.last_idx
+      (Int.max meta.Hovercraft_raft.Snapshot.last_idx
          (Metrics.gauge_value t.g_snap_index));
     tr t Trace.Info ~kind:"snapshot_skipped" (fun () ->
         Printf.sprintf "idx=%d already applied (applied=%d)"
@@ -1046,23 +1040,17 @@ and on_snapshot_installed t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta)
 and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta)
     (s : Protocol.snap) =
   Op.install t.app_state s.Protocol.s_app;
-  Rid_tbl.reset t.completions;
-  Queue.clear t.completion_fifo;
-  List.iter
-    (fun (rid, result, at) ->
-      Rid_tbl.replace t.completions rid (result, at);
-      Queue.push (rid, at) t.completion_fifo)
-    s.Protocol.s_completions;
+  Completions.install t.completions s.Protocol.s_completions;
   Rid_tbl.reset t.pending_recovery;
   t.members <- meta.Hovercraft_raft.Snapshot.members;
-  t.applied_ptr <- max t.applied_ptr meta.Hovercraft_raft.Snapshot.last_idx;
+  t.applied_ptr <- Int.max t.applied_ptr meta.Hovercraft_raft.Snapshot.last_idx;
   t.apply_watermark <-
-    max t.apply_watermark meta.Hovercraft_raft.Snapshot.last_idx;
+    Int.max t.apply_watermark meta.Hovercraft_raft.Snapshot.last_idx;
   (* The preload counter is part of the applied-prefix state: the checker
      computes consensus-driven executions as [executed - preloaded], and
      the image's execution counter includes the source's preloads. *)
   t.preloaded <- s.Protocol.s_preloaded;
-  t.last_snap <- max t.last_snap meta.Hovercraft_raft.Snapshot.last_idx;
+  t.last_snap <- Int.max t.last_snap meta.Hovercraft_raft.Snapshot.last_idx;
   Metrics.incr t.c_installs_recv;
   Metrics.set t.g_snap_index meta.Hovercraft_raft.Snapshot.last_idx;
   tr t Trace.Info ~kind:"snapshot_installed" (fun () ->
@@ -1078,7 +1066,7 @@ and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta
   (match t.rabia with
   | Some rb ->
       Rb.filter_pending rb ~keep:(fun (c : Protocol.cmd) ->
-          not (Rid_tbl.mem t.completions c.Protocol.meta.rid))
+          not (Completions.mem t.completions c.Protocol.meta.rid))
   | None -> ());
   if not (List.mem t.id t.members) then retire_if_still_removed t
   else if is_leader t then Replier.set_nodes t.replier t.members
@@ -1124,9 +1112,11 @@ and take_snapshot t idx =
 and apply_atomic t idx (cmd : Protocol.cmd) op =
   let meta = cmd.Protocol.meta in
   let is_replier = meta.replier = t.id in
-  let duplicate = (not meta.internal) && Rid_tbl.mem t.completions meta.rid in
+  let recorded =
+    if meta.internal then None else Completions.find t.completions meta.rid
+  in
   let execute =
-    (not meta.internal) && (not duplicate)
+    (not meta.internal) && Option.is_none recorded
     &&
     match t.p.mode with
     | Vanilla -> (not meta.read_only) || is_leader t
@@ -1135,8 +1125,7 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
   in
   let result, exec_cost =
     if execute then Op.apply t.app_state op
-    else if duplicate then (fst (Rid_tbl.find t.completions meta.rid), 0)
-    else (Op.Done, 0)
+    else match recorded with Some r -> (r, 0) | None -> (Op.Done, 0)
   in
   let should_reply =
     (not meta.internal)
@@ -1172,19 +1161,12 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
   | Op.Merge { completions; _ } ->
       List.iter
         (fun { Op.c_rid; c_result; c_at } ->
-          if not (Rid_tbl.mem t.completions c_rid) then begin
-            Rid_tbl.replace t.completions c_rid (c_result, c_at);
-            Queue.push (c_rid, c_at) t.completion_fifo
-          end)
+          Completions.record t.completions c_rid c_result ~at:c_at)
         completions
   | _ -> ());
-  if not meta.internal then begin
-    let now = Engine.now t.engine in
-    if not (Rid_tbl.mem t.completions meta.rid) then begin
-      Rid_tbl.replace t.completions meta.rid (result, now);
-      Queue.push (meta.rid, now) t.completion_fifo
-    end
-  end;
+  if not meta.internal then
+    Completions.record t.completions meta.rid result
+      ~at:(Engine.now t.engine);
   (match cmd.Protocol.config with
   | Some ms -> on_config_applied t ms
   | None -> ());
@@ -1279,7 +1261,7 @@ and send_recovery t rid retries =
     | None -> ());
     let backoff =
       min
-        (t.p.timing.recovery_timeout * (1 lsl min retries 6))
+        (t.p.timing.recovery_timeout * (1 lsl Int.min retries 6))
         (Timebase.ms 10)
     in
     Engine.after t.engine backoff (fun () ->
@@ -1396,8 +1378,8 @@ let execute_locally ?feedback t rid op =
    applied) is ignored — its reply is coming. On the monolithic net the
    replay rides the footprint-spread app CPU, not a hardwired apps.(0). *)
 let replay_completion t rid op =
-  match Rid_tbl.find_opt t.completions rid with
-  | Some (result, _) ->
+  match Completions.find t.completions rid with
+  | Some result ->
       let cpu, extra = reply_tx_cpu t ~app:(local_exec_cpu t op) in
       transmit_on t cpu ~dst:rid.R2p2.src_addr
         ~bytes:(R2p2.header_bytes + Op.reply_bytes op result)
@@ -1684,15 +1666,8 @@ let start_gc_loop t =
                       (Format.asprintf "%a" R2p2.pp_req_id rid))
           in
           ignore (Unordered.gc ?keep t.store);
-          let now = Engine.now t.engine in
-          let expired (_, recorded) = now - recorded > t.p.timing.gc_ordered in
-          while
-            (not (Queue.is_empty t.completion_fifo))
-            && expired (Queue.peek t.completion_fifo)
-          do
-            let rid, _ = Queue.pop t.completion_fifo in
-            Rid_tbl.remove t.completions rid
-          done;
+          Completions.expire t.completions ~now:(Engine.now t.engine)
+            ~retain:t.p.timing.gc_ordered;
           (match (t.raft, t.rabia) with
           | Some raft, _ ->
               let base = Rnode.compact raft ~retain:t.p.features.log_retain in
@@ -1865,8 +1840,7 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       pumping = false;
       pending_recovery = Rid_tbl.create 64;
       lease_heard = Hashtbl.create 16;
-      completions = Rid_tbl.create 1024;
-      completion_fifo = Queue.create ();
+      completions = Completions.create ();
       ack_override = None;
       probe_sent_term = -1;
       last_transfer = None;

@@ -24,7 +24,7 @@ let fresh_state () =
 let create policy ~bound ~nodes ~rng =
   if bound <= 0 then invalid_arg "Replier.create: bound must be positive";
   if nodes = [] then invalid_arg "Replier.create: need at least one node";
-  let nodes = Array.of_list (List.sort_uniq compare nodes) in
+  let nodes = Array.of_list (List.sort_uniq Int.compare nodes) in
   let tbl = Hashtbl.create (Array.length nodes) in
   Array.iter (fun i -> Hashtbl.replace tbl i (fresh_state ())) nodes;
   { policy; bound; tbl; nodes; rng }
@@ -39,7 +39,7 @@ let state_opt t i = Hashtbl.find_opt t.tbl i
    crashed one — and joiners start fresh. *)
 let set_nodes t nodes =
   if nodes = [] then invalid_arg "Replier.set_nodes: need at least one node";
-  let nodes = Array.of_list (List.sort_uniq compare nodes) in
+  let nodes = Array.of_list (List.sort_uniq Int.compare nodes) in
   let keep = Array.to_list nodes in
   let stale =
     Hashtbl.fold (fun i _ acc -> if List.mem i keep then acc else i :: acc) t.tbl []

@@ -17,7 +17,7 @@ let exec t ~cost k =
   if cost < 0 then invalid_arg "Cpu.exec: negative cost";
   if not t.halted then begin
     let now = Engine.now t.engine in
-    let start = max now t.free_at in
+    let start = Int.max now t.free_at in
     t.free_at <- start + cost;
     t.busy <- t.busy + cost;
     let gen = t.gen in
@@ -26,9 +26,9 @@ let exec t ~cost k =
 
 let backlog t =
   let now = Engine.now t.engine in
-  max 0 (t.free_at - now)
+  Int.max 0 (t.free_at - now)
 
-let horizon t = max (Engine.now t.engine) t.free_at
+let horizon t = Int.max (Engine.now t.engine) t.free_at
 
 let advance_to t at =
   (* Idle wait: push the next-free instant forward without charging busy

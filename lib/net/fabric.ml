@@ -24,10 +24,12 @@ type 'a port = {
 
 type fault = { drop : float; delay : Timebase.t }
 
+module Addr_tbl = Hashtbl.Make (Addr)
+
 type 'a t = {
   engine : Engine.t;
   latency : Timebase.t;
-  ports : (Addr.t, 'a port) Hashtbl.t;
+  ports : 'a port Addr_tbl.t;
   groups : (int, Addr.t list ref) Hashtbl.t;
   (* Fault injection: per-link impairments and island partitions. The
      dedicated rng keeps fault-free runs byte-identical to the pre-fault
@@ -43,7 +45,7 @@ let create engine ?(latency = Timebase.us 1) ?(fault_seed = 0x5eed) () =
   {
     engine;
     latency;
-    ports = Hashtbl.create 32;
+    ports = Addr_tbl.create 32;
     groups = Hashtbl.create 8;
     faults = Hashtbl.create 8;
     islands = Hashtbl.create 8;
@@ -68,7 +70,7 @@ let attach t ~addr ~rate_gbps ~handler =
       dropped = 0;
     }
   in
-  Hashtbl.replace t.ports addr port;
+  Addr_tbl.replace t.ports addr port;
   port
 
 let members t group =
@@ -110,6 +112,8 @@ let partitioned t = Hashtbl.length t.islands > 0
 (* Two endpoints can talk unless both sit in distinct islands; endpoints
    not named by the partition (clients, middleboxes, ...) reach everyone. *)
 let reachable t a b =
+  Hashtbl.length t.islands = 0
+  ||
   match (Hashtbl.find_opt t.islands a, Hashtbl.find_opt t.islands b) with
   | Some ia, Some ib -> ia = ib
   | Some _, None | None, Some _ | None, None -> true
@@ -122,7 +126,7 @@ let partition_drops t = t.partition_drops
 (* Clock the packet off the receiver's link, then hand it up. *)
 let deliver t pkt arrival dst_port =
   let wire = Wire.wire_bytes ~payload:pkt.bytes in
-  let start = max arrival dst_port.rx_free in
+  let start = Int.max arrival dst_port.rx_free in
   dst_port.rx_free <- start + Wire.serialize_ns ~rate_gbps:dst_port.rate_gbps ~bytes:wire;
   let done_at = dst_port.rx_free in
   Engine.at t.engine done_at (fun () ->
@@ -137,7 +141,7 @@ let send t src_port ~dst ~bytes payload =
   let now = Engine.now t.engine in
   let pkt = { src = src_port.addr; dst; bytes; payload; sent_at = now } in
   let wire = Wire.wire_bytes ~payload:bytes in
-  let start = max now src_port.tx_free in
+  let start = Int.max now src_port.tx_free in
   src_port.tx_free <- start + Wire.serialize_ns ~rate_gbps:src_port.rate_gbps ~bytes:wire;
   src_port.tx_packets <- src_port.tx_packets + 1;
   src_port.tx_wire_bytes <- src_port.tx_wire_bytes + wire;
@@ -146,15 +150,19 @@ let send t src_port ~dst ~bytes payload =
     if not (reachable t src_port.addr addr) then
       t.partition_drops <- t.partition_drops + 1
     else begin
+      let fault =
+        if Hashtbl.length t.faults = 0 then None
+        else Hashtbl.find_opt t.faults (src_port.addr, addr)
+      in
       let extra_delay, dropped =
-        match Hashtbl.find_opt t.faults (src_port.addr, addr) with
+        match fault with
         | None -> (0, false)
         | Some f ->
             (f.delay, f.drop > 0. && Rng.bool t.fault_rng f.drop)
       in
       if dropped then t.injected_drops <- t.injected_drops + 1
       else
-        match Hashtbl.find_opt t.ports addr with
+        match Addr_tbl.find_opt t.ports addr with
         | Some p -> deliver t pkt (arrival + extra_delay) p
         | None -> src_port.dropped <- src_port.dropped + 1
     end
@@ -176,11 +184,11 @@ let dropped p = p.dropped
 
 (* How far ahead of the clock the link is booked: the serialization
    backlog, i.e. the queue depth expressed in time. *)
-let tx_backlog_ns p ~now = max 0 (p.tx_free - now)
-let rx_backlog_ns p ~now = max 0 (p.rx_free - now)
+let tx_backlog_ns p ~now = Int.max 0 (p.tx_free - now)
+let rx_backlog_ns p ~now = Int.max 0 (p.rx_free - now)
 
 let ports t =
-  Hashtbl.fold (fun addr p acc -> (addr, p) :: acc) t.ports []
+  Addr_tbl.fold (fun addr p acc -> (addr, p) :: acc) t.ports []
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
 
 let port_snapshot t p =

@@ -12,9 +12,9 @@ let frames ~payload =
 
 let wire_bytes ~payload =
   let n = frames ~payload in
-  max payload 0 + (n * frame_overhead)
+  Int.max payload 0 + (n * frame_overhead)
 
 let serialize_ns ~rate_gbps ~bytes =
   (* bits / (Gbit/s) = ns *)
   let ns = float_of_int (bytes * 8) /. rate_gbps in
-  max 1 (int_of_float (Float.round ns))
+  Int.max 1 (int_of_float (Float.round ns))

@@ -127,7 +127,7 @@ let create cfg ~noop =
   let members =
     List.sort_uniq compare (cfg.id :: Array.to_list cfg.peers)
   in
-  let peers_tbl = Hashtbl.create (max (Array.length cfg.peers) 1) in
+  let peers_tbl = Hashtbl.create (Int.max (Array.length cfg.peers) 1) in
   Array.iter (fun p -> Hashtbl.replace peers_tbl p (fresh_peer ())) cfg.peers;
   {
     cfg;
@@ -388,9 +388,9 @@ let replicate_peer t ~force p st emit =
   if needs_snapshot t st then send_snapshot t ~force p st emit
   else if (not st.p_in_flight) || force then begin
     let nx = st.p_next in
-    let hi = min t.announced (nx + t.cfg.batch_max - 1) in
+    let hi = Int.min t.announced (nx + t.cfg.batch_max - 1) in
     if hi >= nx || force then begin
-      let hi = max hi (nx - 1) in
+      let hi = Int.max hi (nx - 1) in
       let seq = next_seq t in
       st.p_sent_seq <- seq;
       emit (Send (p, make_append_entries t ~lo:nx ~hi ~seq));
@@ -401,9 +401,9 @@ let replicate_peer t ~force p st emit =
 let replicate_agg t ~force emit =
   if (not t.agg_in_flight) || force then begin
     let nx = t.agg_next in
-    let hi = min t.announced (nx + t.cfg.batch_max - 1) in
+    let hi = Int.min t.announced (nx + t.cfg.batch_max - 1) in
     if hi >= nx || force then begin
-      let hi = max hi (nx - 1) in
+      let hi = Int.max hi (nx - 1) in
       emit (Send_aggregate (make_append_entries t ~lo:nx ~hi ~seq:(next_seq t)));
       t.agg_in_flight <- true;
       t.agg_pending_end <- hi
@@ -451,7 +451,7 @@ let broadcast_commit_hint t emit =
 
 let try_advance_commit t emit =
   if t.role = Leader then begin
-    let hi = min t.announced (Log.last_index t.log) in
+    let hi = Int.min t.announced (Log.last_index t.log) in
     let found = ref 0 in
     let i = ref hi in
     while !found = 0 && !i > t.commit do
@@ -627,8 +627,8 @@ let on_append_entries t ~term ~leader ~prev_idx ~prev_term ~entries ~commit ~seq
           end)
         entries;
       let new_match = prev_idx + Array.length entries in
-      t.verified <- max t.verified new_match;
-      set_commit t (min commit t.verified) emit;
+      t.verified <- Int.max t.verified new_match;
+      set_commit t (Int.min commit t.verified) emit;
       (* Claim at least our commit index: committed entries are immutable
          and present in every current leader's log (Leader Completeness),
          so the leader may fast-forward its next-index past them. Without
@@ -644,7 +644,7 @@ let on_append_entries t ~term ~leader ~prev_idx ~prev_term ~entries ~commit ~seq
                  from = t.cfg.id;
                  success = true;
                  seq;
-                 match_idx = max new_match t.commit;
+                 match_idx = Int.max new_match t.commit;
                  applied_idx = t.applied;
                } ))
     end
@@ -653,7 +653,7 @@ let on_append_entries t ~term ~leader ~prev_idx ~prev_term ~entries ~commit ~seq
 let on_append_ack t ~term ~from ~success ~seq ~match_idx ~applied_idx emit =
   match (t.role, peer_opt t from) with
   | Leader, Some st when term = t.term ->
-      st.p_applied <- max st.p_applied applied_idx;
+      st.p_applied <- Int.max st.p_applied applied_idx;
       (* Only acks of the latest transmission drive pacing; acks of
          superseded (retransmitted) sends still contribute their match and
          applied knowledge but must not spawn extra in-flight streams. The
@@ -668,8 +668,8 @@ let on_append_ack t ~term ~from ~success ~seq ~match_idx ~applied_idx emit =
         st.p_in_flight <- false
       end;
       if success then begin
-        st.p_match <- max st.p_match match_idx;
-        st.p_next <- max st.p_next (st.p_match + 1);
+        st.p_match <- Int.max st.p_match match_idx;
+        st.p_next <- Int.max st.p_next (st.p_match + 1);
         if t.use_agg && st.p_direct && st.p_match >= Log.last_index t.log
         then st.p_direct <- false;
         (match t.transfer_target with
@@ -681,8 +681,8 @@ let on_append_ack t ~term ~from ~success ~seq ~match_idx ~applied_idx emit =
         if current then replicate t ~force:false emit
       end
       else if current then begin
-        let bounded = min match_idx (st.p_next - 1) in
-        st.p_next <- max 1 (min bounded (Log.last_index t.log + 1));
+        let bounded = Int.min match_idx (st.p_next - 1) in
+        st.p_next <- Int.max 1 (Int.min bounded (Log.last_index t.log + 1));
         if t.use_agg then st.p_direct <- true;
         replicate_peer t ~force:true from st emit
       end
@@ -710,8 +710,8 @@ let install_received t snap emit =
   sync_peers t;
   notify t (Obs_config_changed (config_index t, members t));
   t.snapshot <- Some snap;
-  t.applied <- max t.applied idx;
-  t.verified <- max t.verified idx;
+  t.applied <- Int.max t.applied idx;
+  t.verified <- Int.max t.verified idx;
   (* Tell the embedder to load the image *before* it sees the commit
      advance, so the apply loop never tries to execute entries the
      snapshot already covers. *)
@@ -777,7 +777,7 @@ let on_install_snapshot t ~term ~leader ~snap ~offset ~len ~last:_ ~seq emit =
 let on_install_ack t ~term ~from ~snap_idx ~next_offset ~seq ~applied_idx emit =
   match (t.role, peer_opt t from) with
   | Leader, Some st when term = t.term -> (
-      st.p_applied <- max st.p_applied applied_idx;
+      st.p_applied <- Int.max st.p_applied applied_idx;
       let current = seq >= st.p_sent_seq in
       if current then begin
         st.p_sent_seq <- seq;
@@ -790,8 +790,8 @@ let on_install_ack t ~term ~from ~snap_idx ~next_offset ~seq ~applied_idx emit =
               (* Image complete and installed: the follower now matches
                  the covered prefix; resume entry replication after it. *)
               st.p_snap <- None;
-              st.p_match <- max st.p_match snap.Snapshot.last_idx;
-              st.p_next <- max st.p_next (snap.Snapshot.last_idx + 1);
+              st.p_match <- Int.max st.p_match snap.Snapshot.last_idx;
+              st.p_next <- Int.max st.p_next (snap.Snapshot.last_idx + 1);
               notify t (Obs_install_completed (from, snap.Snapshot.last_idx));
               try_advance_commit t emit;
               if current then replicate t ~force:false emit
@@ -812,14 +812,14 @@ let on_install_ack t ~term ~from ~snap_idx ~next_offset ~seq ~applied_idx emit =
 let on_commit_to t ~term ~commit emit =
   if term = t.term && t.role = Follower then begin
     emit Leader_activity;
-    set_commit t (min commit t.verified) emit
+    set_commit t (Int.min commit t.verified) emit
   end
 
 let on_agg_ack t ~term ~commit emit =
   if t.role = Leader && term = t.term && t.use_agg then begin
     t.agg_in_flight <- false;
-    t.agg_next <- max t.agg_next (t.agg_pending_end + 1);
-    set_commit t (min commit t.announced) emit;
+    t.agg_next <- Int.max t.agg_next (t.agg_pending_end + 1);
+    set_commit t (Int.min commit t.announced) emit;
     replicate t ~force:false emit
   end
 
@@ -899,7 +899,7 @@ let handle t input =
             if quorum t = 1 then try_advance_commit t emit
       end
   | Applied_up_to i ->
-      t.applied <- max t.applied (min i t.commit);
+      t.applied <- Int.max t.applied (Int.min i t.commit);
       if t.role = Leader then replicate t ~force:false emit
   | Announce_kick ->
       (* The embedder learned that a previously ineligible replier queue
@@ -939,13 +939,13 @@ let compaction_bound t =
   | None ->
       if t.role = Leader then
         List.fold_left
-          (fun acc p -> min acc (match_index_of t p))
+          (fun acc p -> Int.min acc (match_index_of t p))
           t.applied (current_peers t)
       else t.applied
 
 let compact t ~retain =
   if retain < 0 then invalid_arg "Node.compact: negative retention";
-  let target = min (compaction_bound t) (Log.last_index t.log - retain) in
+  let target = Int.min (compaction_bound t) (Log.last_index t.log - retain) in
   if target > Log.base t.log then begin
     Log.compact_to t.log target;
     (* Configs at or below the new base are committed and immutable; fold

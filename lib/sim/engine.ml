@@ -1,9 +1,10 @@
-type event = { run : unit -> unit; mutable cancelled : bool }
-type timer = event
+(* The queue holds bare closures; only cancellable timers pay for a guard
+   record, so dispatching an event allocates nothing. *)
+type timer = { mutable cancelled : bool }
 
 type t = {
   mutable now : Timebase.t;
-  queue : event Heap.t;
+  queue : (unit -> unit) Heap.t;
   mutable seq : int;
   mutable stopping : bool;
 }
@@ -14,40 +15,47 @@ let create () =
 let now t = t.now
 let pending t = Heap.length t.queue
 
-let schedule t time f =
+let at t time f =
   if time < t.now then
     invalid_arg
       (Printf.sprintf "Engine.at: time %d is before now %d" time t.now);
-  let ev = { run = f; cancelled = false } in
-  Heap.push t.queue ~key:time ~seq:t.seq ev;
-  t.seq <- t.seq + 1;
-  ev
+  Heap.push t.queue ~key:time ~seq:t.seq f;
+  t.seq <- t.seq + 1
 
-let at t time f = ignore (schedule t time f)
-let after t delay f = ignore (schedule t (t.now + delay) f)
-let timer_after t delay f = schedule t (t.now + delay) f
-let cancel ev = ev.cancelled <- true
+let after t delay f = at t (t.now + delay) f
+
+let timer_after t delay f =
+  let tm = { cancelled = false } in
+  after t delay (fun () -> if not tm.cancelled then f ());
+  tm
+
+let cancel tm = tm.cancelled <- true
 
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, _, ev) ->
-      t.now <- time;
-      if not ev.cancelled then ev.run ();
-      true
+  let q = t.queue in
+  if Heap.is_empty q then false
+  else begin
+    t.now <- Heap.min_key q;
+    (Heap.pop_min q) ();
+    true
+  end
 
 let run ?until t =
   t.stopping <- false;
   let horizon = match until with None -> max_int | Some u -> u in
+  let q = t.queue in
   let rec loop () =
-    if t.stopping then ()
-    else
-      match Heap.peek_key t.queue with
-      | None -> if horizon < max_int then t.now <- max t.now horizon
-      | Some k when k > horizon -> t.now <- max t.now horizon
-      | Some _ ->
-          ignore (step t);
-          loop ()
+    if not t.stopping then begin
+      let k = Heap.min_key q in
+      if k > horizon || Heap.is_empty q then begin
+        if horizon < max_int then t.now <- Int.max t.now horizon
+      end
+      else begin
+        t.now <- k;
+        (Heap.pop_min q) ();
+        loop ()
+      end
+    end
   in
   loop ()
 

@@ -3,7 +3,12 @@
     The engine owns the simulated clock and a priority queue of pending
     events. Components schedule closures at absolute or relative times;
     [run] pops events in (time, insertion-order) order and executes them.
-    Everything is single-threaded and deterministic. *)
+    Everything is single-threaded and deterministic.
+
+    The queue stores the scheduled closures themselves: scheduling with
+    {!at}/{!after} and dispatching an event allocate nothing beyond the
+    caller's closure. Only {!timer_after} adds a small guard record, which
+    is what {!cancel} flips. *)
 
 type t
 

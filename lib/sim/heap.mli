@@ -23,5 +23,15 @@ val pop : 'a t -> (int * int * 'a) option
 val peek_key : 'a t -> int option
 (** Key of the minimum element without removing it. O(1). *)
 
+val min_key : 'a t -> int
+(** Key of the minimum element, or [max_int] when the heap is empty
+    (test {!is_empty} to tell an empty heap from a [max_int] key).
+    O(1); allocates nothing. *)
+
+val pop_min : 'a t -> 'a
+(** Remove the minimum element and return its value; read {!min_key}
+    first for its key. O(log n); allocates nothing. Raises
+    [Invalid_argument] on an empty heap. *)
+
 val clear : 'a t -> unit
 (** Remove all elements (does not shrink the backing array). *)

@@ -38,7 +38,7 @@ let max_sample t =
 let ensure_sorted t =
   if not t.sorted then begin
     let live = Array.sub t.samples 0 t.size in
-    Array.sort compare live;
+    Array.sort Int.compare live;
     Array.blit live 0 t.samples 0 t.size;
     t.sorted <- true
   end

@@ -8,6 +8,7 @@ let () =
       ("apps", Test_apps.suite);
       ("obs", Test_obs.suite);
       ("core", Test_core.suite);
+      ("retention", Test_retention.suite);
       ("cluster", Test_cluster.suite);
       ("client", Test_client.suite);
       ("chaos", Test_chaos.suite);

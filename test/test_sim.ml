@@ -56,6 +56,49 @@ let prop_heap_sorts =
       in
       drain min_int)
 
+(* Interleaved pushes (few distinct keys, so many ties) and pops against
+   a sorted-list model: every pop, through [pop] or through
+   [min_key]/[pop_min], yields the least (key, seq) pair. *)
+let prop_heap_key_seq_order =
+  QCheck.Test.make ~name:"heap pops in (key, seq) order via pop and pop_min"
+    ~count:300
+    QCheck.(pair bool (list_of_size (Gen.int_range 0 300) (option (int_bound 7))))
+    (fun (via_pop_min, ops) ->
+      let h = Heap.create ~capacity:4 () in
+      let model = ref [] and seq = ref 0 in
+      let pop_one () =
+        if via_pop_min then begin
+          let k = Heap.min_key h in
+          let v = Heap.pop_min h in
+          (k, v)
+        end
+        else
+          match Heap.pop h with
+          | Some (k, s, v) ->
+              if s <> v then QCheck.Test.fail_reportf "seq %d carries value %d" s v;
+              (k, v)
+          | None -> QCheck.Test.fail_report "pop on a non-empty heap"
+      in
+      let check_pop () =
+        match !model with
+        | [] ->
+            Heap.is_empty h && Heap.min_key h = max_int && Heap.pop h = None
+        | (k, s) :: rest ->
+            model := rest;
+            Heap.peek_key h = Some k && pop_one () = (k, s)
+      in
+      List.for_all
+        (function
+          | Some k ->
+              Heap.push h ~key:k ~seq:!seq !seq;
+              model := List.merge compare !model [ (k, !seq) ];
+              incr seq;
+              Heap.length h = List.length !model
+          | None -> check_pop ())
+        ops
+      && List.for_all (fun _ -> check_pop ()) !model
+      && Heap.is_empty h)
+
 (* --- engine -------------------------------------------------------- *)
 
 let test_engine_ordering () =
@@ -310,12 +353,38 @@ let test_timebase_units () =
   check_int "of_us_f rounds" 1_500 (Timebase.of_us_f 1.5);
   check "to_us_f" true (abs_float (Timebase.to_us_f 2_500 -. 2.5) < 1e-9)
 
+(* Allocation regression: dispatching an event allocates nothing. The
+   closures are preallocated and reschedule themselves, so a per-event
+   wrapper record, a popped option/tuple or a peeked key option would
+   each show up as words per event. *)
+let test_engine_dispatch_allocation () =
+  let e = Engine.create () in
+  let events = 100_000 in
+  let left = ref events in
+  let rec tick () =
+    decr left;
+    if !left > 0 then Engine.after e 1 tick
+  in
+  for i = 1 to 64 do
+    Engine.after e i tick
+  done;
+  (* Let the backing arrays reach their working size first. *)
+  Engine.run ~until:64 e;
+  let before = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. before in
+  check "every event ran" true (!left <= 0);
+  if words >= float_of_int events then
+    Alcotest.failf "engine dispatch allocates: %.0f minor words / %d events"
+      words events
+
 let suite =
   [
     Alcotest.test_case "heap pops in order" `Quick test_heap_order;
     Alcotest.test_case "heap FIFO on ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap grows and clears" `Quick test_heap_growth_and_clear;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
+    QCheck_alcotest.to_alcotest prop_heap_key_seq_order;
     Alcotest.test_case "engine time ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine FIFO at same instant" `Quick
       test_engine_fifo_same_instant;
@@ -324,6 +393,8 @@ let suite =
     Alcotest.test_case "engine nested scheduling" `Quick test_engine_nested_scheduling;
     Alcotest.test_case "engine rejects past" `Quick test_engine_past_rejected;
     Alcotest.test_case "engine stop/resume" `Quick test_engine_stop;
+    Alcotest.test_case "engine dispatch allocates nothing" `Quick
+      test_engine_dispatch_allocation;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     QCheck_alcotest.to_alcotest prop_rng_int_bounds;
