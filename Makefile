@@ -2,7 +2,7 @@
 # and `dune runtest` directly, then several of the smoke targets below;
 # `make check` is the local equivalent of its first two steps.
 
-.PHONY: all build test check golden-cell obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check golden-cell golden-control obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
 all: build
 
@@ -23,6 +23,17 @@ golden-cell:
 	  --metrics hover-cell.json > hover-cell.out
 	cmp hover-cell.out test/golden/hover-cell.out
 	cmp hover-cell.json test/golden/hover-cell.json
+
+# The sharded stack and the control plane pinned byte for byte: three
+# co-located groups each lose a replica and the controller repairs them
+# (membership change, snapshot catch-up of the added nodes, completion
+# records shipped in checkpoints). The outcome JSON must match
+# test/golden/; like golden-cell, a change meant to leave the model alone
+# passes it untouched.
+golden-control:
+	dune exec bin/hovercraft.exe -- control correlated-failure --seed 11 \
+	  --out control-correlated.json
+	cmp control-correlated.json test/golden/control-correlated.json
 
 # End-to-end observability smoke: a lossy HovercRaft run that must
 # converge and emit hovercraft_snapshot.json.

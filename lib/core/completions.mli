@@ -21,6 +21,10 @@ val record : t -> R2p2.req_id -> Op.result -> at:Timebase.t -> unit
 (** Append a record stamped [at] (the apply time, or an older time
     carried by a Merge). A no-op when the id already has one. *)
 
+val record_absent : t -> R2p2.req_id -> Op.result -> at:Timebase.t -> unit
+(** {!record} for an id the caller has just looked up and found absent,
+    without looking it up again. *)
+
 val expire : t -> now:Timebase.t -> retain:Timebase.t -> unit
 (** Drop records from the oldest while [now - at > retain]; stops at the
     first record still inside the window. *)

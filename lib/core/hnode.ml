@@ -1162,11 +1162,16 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
       List.iter
         (fun { Op.c_rid; c_result; c_at } ->
           Completions.record t.completions c_rid c_result ~at:c_at)
-        completions
-  | _ -> ());
-  if not meta.internal then
-    Completions.record t.completions meta.rid result
-      ~at:(Engine.now t.engine);
+        completions;
+      if not meta.internal then
+        Completions.record t.completions meta.rid result
+          ~at:(Engine.now t.engine)
+  | _ ->
+      (* Nothing was seeded since the lookup above: a miss there is
+         still a miss. *)
+      if (not meta.internal) && Option.is_none recorded then
+        Completions.record_absent t.completions meta.rid result
+          ~at:(Engine.now t.engine));
   (match cmd.Protocol.config with
   | Some ms -> on_config_applied t ms
   | None -> ());
@@ -1462,8 +1467,7 @@ and on_client_request_ordered t rid op =
         feed_raft t (Rnode.Client_command (Protocol.client_cmd ~rid op))
       else Metrics.incr t.c_rejected
   | Hover | Hover_pp -> (
-      let already_ordered = Unordered.status t.store rid = `Ordered in
-      Unordered.add t.store rid op;
+      let already_ordered = Unordered.ingest t.store rid op in
       resolve_recovery t rid;
       match t.rabia with
       | Some _ ->

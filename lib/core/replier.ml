@@ -2,7 +2,8 @@ open Hovercraft_sim
 open Hovercraft_r2p2
 
 (* Per-node assignment state. Nodes join and leave with the cluster
-   configuration, so state lives in a table keyed by node id. *)
+   configuration; state lives in an array indexed by node id that grows
+   when a higher id joins. *)
 type node_state = {
   mutable applied : int;
   assigned : int Queue.t;  (* assigned entry indices, ascending *)
@@ -13,25 +14,16 @@ type node_state = {
 type t = {
   policy : Jbsq.policy;
   bound : int;
-  tbl : (int, node_state) Hashtbl.t;
+  mutable states : node_state option array;  (* by node id *)
   mutable nodes : int array;  (* current members, sorted (deterministic picks) *)
+  mutable scratch : int array;  (* [pick]'s candidates, one slot per member *)
   rng : Rng.t;
 }
 
 let fresh_state () =
   { applied = 0; assigned = Queue.create (); last_assigned = 0; excluded = false }
 
-let create policy ~bound ~nodes ~rng =
-  if bound <= 0 then invalid_arg "Replier.create: bound must be positive";
-  if nodes = [] then invalid_arg "Replier.create: need at least one node";
-  let nodes = Array.of_list (List.sort_uniq Int.compare nodes) in
-  let tbl = Hashtbl.create (Array.length nodes) in
-  Array.iter (fun i -> Hashtbl.replace tbl i (fresh_state ())) nodes;
-  { policy; bound; tbl; nodes; rng }
-
-let bound t = t.bound
-let nodes t = Array.to_list t.nodes
-let state_opt t i = Hashtbl.find_opt t.tbl i
+let state_opt t i = if i >= 0 && i < Array.length t.states then t.states.(i) else None
 
 (* Membership change: retained nodes keep their queues (their in-flight
    assignments are still outstanding), leavers are dropped — at most
@@ -40,15 +32,27 @@ let state_opt t i = Hashtbl.find_opt t.tbl i
 let set_nodes t nodes =
   if nodes = [] then invalid_arg "Replier.set_nodes: need at least one node";
   let nodes = Array.of_list (List.sort_uniq Int.compare nodes) in
-  let keep = Array.to_list nodes in
-  let stale =
-    Hashtbl.fold (fun i _ acc -> if List.mem i keep then acc else i :: acc) t.tbl []
-  in
-  List.iter (Hashtbl.remove t.tbl) stale;
+  if nodes.(0) < 0 then invalid_arg "Replier.set_nodes: negative node id";
+  let top = nodes.(Array.length nodes - 1) in
+  let states = Array.make (Int.max (top + 1) (Array.length t.states)) None in
   Array.iter
-    (fun i -> if not (Hashtbl.mem t.tbl i) then Hashtbl.replace t.tbl i (fresh_state ()))
+    (fun i ->
+      states.(i) <-
+        (match state_opt t i with Some _ as st -> st | None -> Some (fresh_state ())))
     nodes;
-  t.nodes <- nodes
+  t.states <- states;
+  t.nodes <- nodes;
+  t.scratch <- Array.make (Array.length nodes) 0
+
+let create policy ~bound ~nodes ~rng =
+  if bound <= 0 then invalid_arg "Replier.create: bound must be positive";
+  if nodes = [] then invalid_arg "Replier.create: need at least one node";
+  let t = { policy; bound; states = [||]; nodes = [||]; scratch = [||]; rng } in
+  set_nodes t nodes;
+  t
+
+let bound t = t.bound
+let nodes t = Array.to_list t.nodes
 
 let prune st =
   while (not (Queue.is_empty st.assigned)) && Queue.peek st.assigned <= st.applied do
@@ -77,20 +81,18 @@ let eligible t i =
 let any_eligible t = Array.exists (fun i -> eligible t i) t.nodes
 
 let pick t () =
-  let scratch = Array.make (Array.length t.nodes) 0 in
-  match t.policy with
+  let scratch = t.scratch and count = ref 0 in
+  (match t.policy with
   | Jbsq.Random_choice ->
-      let count = ref 0 in
       Array.iter
         (fun i ->
           if eligible t i then begin
             scratch.(!count) <- i;
             incr count
           end)
-        t.nodes;
-      if !count = 0 then None else Some scratch.(Rng.int t.rng !count)
+        t.nodes
   | Jbsq.Jbsq ->
-      let best = ref max_int and count = ref 0 in
+      let best = ref max_int in
       Array.iter
         (fun i ->
           if eligible t i then begin
@@ -105,8 +107,8 @@ let pick t () =
               incr count
             end
           end)
-        t.nodes;
-      if !count = 0 then None else Some scratch.(Rng.int t.rng !count)
+        t.nodes);
+  if !count = 0 then None else Some scratch.(Rng.int t.rng !count)
 
 let assign t ~node ~index =
   match state_opt t node with
@@ -121,10 +123,12 @@ let set_excluded t i flag =
   match state_opt t i with Some st -> st.excluded <- flag | None -> ()
 
 let reset t =
-  Hashtbl.iter
-    (fun _ st ->
-      st.applied <- 0;
-      st.last_assigned <- 0;
-      st.excluded <- false;
-      Queue.clear st.assigned)
-    t.tbl
+  Array.iter
+    (function
+      | Some st ->
+          st.applied <- 0;
+          st.last_assigned <- 0;
+          st.excluded <- false;
+          Queue.clear st.assigned
+      | None -> ())
+    t.states

@@ -1,36 +1,63 @@
-open Hovercraft_sim
 open Hovercraft_r2p2
 
-type 'a node =
-  | Nil
-  | Node of {
-      rid : R2p2.req_id;
-      value : 'a;
-      hash : int;
-      mutable stamp : Timebase.t;
-      mutable tag : int;
-      mutable chain : 'a node;
-      mutable prev : 'a node;
-      mutable next : 'a node;
-    }
+(* Entries live in chunks of [chunk] slots; handle [h] is slot
+   [h land chunk_mask] of chunk [h lsr chunk_bits]. Each chunk is three
+   arrays: the ids, the values and one int block holding, per slot,
+   [stride] consecutive words — so an entry's stamp, tag and list links
+   share a cache line, and relinking one is plain int writes. Chunks are
+   added, never resized, so the table never copies its entries; small
+   chunks keep a lightly used table small. *)
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
+let chunk_mask = chunk - 1
+let stride = 4
+let f_stamp = 0
+let f_tag = 1
+let f_prev = 2
+let f_next = 3
+let nil = -1
+
+(* A tag packs the entry's insertion order above the number of the list
+   it is on. *)
+let list_bits = 2
+let list_mask = (1 lsl list_bits) - 1
+let free_tag = -1
+
+(* An index slot is 0 when empty, otherwise the entry's 31-bit hash above
+   [handle + 1]: the hash is both the fingerprint a probe compares and
+   the home slot, so probing, growing and shifting the index never touch
+   the entries. An entry's [f_prev] word has the same layout, with its
+   predecessor's handle: removing the entry rebuilds its index slot from
+   that word, without hashing the id again. *)
+let entry_bits = 32
+let entry_mask = (1 lsl entry_bits) - 1
+let hash_bits = lnot entry_mask
+let hash31 rid = R2p2.req_id_hash rid land 0x7FFF_FFFF
+let vacant = { R2p2.id = -1; src_addr = Hovercraft_net.Addr.Router; src_port = -1 }
 
 type 'a t = {
   initial : int;
-  mutable buckets : 'a node array;
+  mutable index : int array;
   mutable size : int;
-  heads : 'a node array;
-  tails : 'a node array;
+  mutable rids : R2p2.req_id array array;
+  mutable values : 'a array array;
+  mutable fills : 'a array;  (* per chunk: what a freed value slot holds *)
+  mutable ints : int array array;
+  mutable chunks : int;
+  mutable fresh : int;  (* lowest handle never used *)
+  mutable free : int;  (* freed handles, threaded through [f_next] *)
+  heads : int array;
+  tails : int array;
   counts : int array;
   mutable order : int;
 }
 
-(* A node's [tag] packs its insertion order above the number of the list
-   it is on: one word instead of two, in a table that holds hundreds of
-   thousands of nodes. *)
-let list_bits = 2
-let list_mask = (1 lsl list_bits) - 1
-
 let rec pow2_at_least n x = if x >= n then x else pow2_at_least n (x * 2)
+
+(* The index of every table that has not added yet: one empty slot, never
+   written (the first add grows the index first). A table that stays
+   empty costs no index. *)
+let no_index = [| 0 |]
 
 let create ~capacity ~lists () =
   if lists < 1 || lists > list_mask + 1 then
@@ -38,160 +65,273 @@ let create ~capacity ~lists () =
   let initial = pow2_at_least (Int.max capacity 1) 1 in
   {
     initial;
-    buckets = Array.make initial Nil;
+    index = no_index;
     size = 0;
-    heads = Array.make lists Nil;
-    tails = Array.make lists Nil;
+    rids = [||];
+    values = [||];
+    fills = [||];
+    ints = [||];
+    chunks = 0;
+    fresh = 0;
+    free = nil;
+    heads = Array.make lists nil;
+    tails = Array.make lists nil;
     counts = Array.make lists 0;
     order = 0;
   }
 
-let is_nil node = node == Nil
-let nil () = invalid_arg "Rid_table: Nil has no fields"
-let rid = function Nil -> nil () | Node n -> n.rid
-let value = function Nil -> nil () | Node n -> n.value
-let stamp = function Nil -> nil () | Node n -> n.stamp
-let list = function Nil -> nil () | Node n -> n.tag land list_mask
-let order = function Nil -> nil () | Node n -> n.tag lsr list_bits
+let is_nil h = h < 0
+let block t h = t.ints.(h lsr chunk_bits)
+let base h = (h land chunk_mask) * stride
+let get t h f = (block t h).(base h + f)
+let set t h f v = (block t h).(base h + f) <- v
+let rid t h = t.rids.(h lsr chunk_bits).(h land chunk_mask)
+let value t h = t.values.(h lsr chunk_bits).(h land chunk_mask)
+let stamp t h = get t h f_stamp
+let list t h = get t h f_tag land list_mask
+let order t h = get t h f_tag lsr list_bits
 let length t = t.size
 let count t l = t.counts.(l)
 
-(* Bucket counts are powers of two, so masking the hash picks a bucket.
-   Nodes keep their hash: a chain walk compares it before touching the
-   key record, and rehashing or removing a node never recomputes it. *)
-let index buckets hash = hash land (Array.length buckets - 1)
+(* --- the index -------------------------------------------------------- *)
 
-let rec find_chain rid hash = function
-  | Nil -> Nil
-  | Node n as node ->
-      if n.hash = hash && R2p2.req_id_equal n.rid rid then node
-      else find_chain rid hash n.chain
+let rec probe t idx mask key h i =
+  let s = Array.unsafe_get idx i in
+  if s = 0 then nil
+  else if s lsr entry_bits = h && R2p2.req_id_equal (rid t ((s land entry_mask) - 1)) key
+  then (s land entry_mask) - 1
+  else probe t idx mask key h ((i + 1) land mask)
 
-let find t rid =
-  let hash = R2p2.req_id_hash rid in
-  find_chain rid hash (Array.unsafe_get t.buckets (index t.buckets hash))
+let find t key =
+  let h = hash31 key in
+  let mask = Array.length t.index - 1 in
+  probe t t.index mask key h (h land mask)
 
-let mem t rid = not (is_nil (find t rid))
+let mem t key = find t key >= 0
 
-(* --- expiry lists ---------------------------------------------------- *)
+let rec place idx mask s i =
+  if Array.unsafe_get idx i = 0 then Array.unsafe_set idx i s
+  else place idx mask s ((i + 1) land mask)
 
-let append t node l =
-  match node with
-  | Nil -> ()
-  | Node n ->
-      let tail = t.tails.(l) in
-      n.tag <- n.tag land lnot list_mask lor l;
-      n.prev <- tail;
-      n.next <- Nil;
-      (match tail with Nil -> t.heads.(l) <- node | Node p -> p.next <- node);
-      t.tails.(l) <- node;
-      t.counts.(l) <- t.counts.(l) + 1
+let home s mask = (s lsr entry_bits) land mask
 
-let unlink t = function
-  | Nil -> ()
-  | Node n ->
-      let l = n.tag land list_mask in
-      (match n.prev with Nil -> t.heads.(l) <- n.next | Node p -> p.next <- n.next);
-      (match n.next with Nil -> t.tails.(l) <- n.prev | Node q -> q.prev <- n.prev);
-      n.prev <- Nil;
-      n.next <- Nil;
-      t.counts.(l) <- t.counts.(l) - 1
+let grow_index t =
+  let idx = Array.make (Int.max t.initial (2 * Array.length t.index)) 0 in
+  let mask = Array.length idx - 1 in
+  Array.iter (fun s -> if s <> 0 then place idx mask s (home s mask)) t.index;
+  t.index <- idx
 
-let move t node ~list ~stamp =
-  match node with
-  | Nil -> invalid_arg "Rid_table.move: Nil"
-  | Node n ->
-      unlink t node;
-      n.stamp <- stamp;
-      append t node list
+let rec slot_of idx mask s i =
+  if Array.unsafe_get idx i = s then i else slot_of idx mask s ((i + 1) land mask)
 
-let rec iter_from f = function
-  | Nil -> ()
-  | Node n as node ->
-      (* Read the successor first: [f] may take its node off the list. *)
-      let next = n.next in
-      f node;
-      iter_from f next
+(* Backward-shift deletion: close the hole at [hole] by pulling back each
+   later slot of its probe run that may legally sit there — one whose
+   home is not cyclically inside (hole, j]. *)
+let rec shift idx mask hole j =
+  let j = (j + 1) land mask in
+  let s = Array.unsafe_get idx j in
+  if s = 0 then Array.unsafe_set idx hole 0
+  else if (j - home s mask) land mask >= (j - hole) land mask then begin
+    Array.unsafe_set idx hole s;
+    shift idx mask j j
+  end
+  else shift idx mask hole j
 
-let iter_list t l f = iter_from f t.heads.(l)
+(* --- expiry lists ------------------------------------------------------ *)
+
+let set_prev b o p = b.(o + f_prev) <- b.(o + f_prev) land hash_bits lor (p + 1)
+
+let append t h l =
+  let b = block t h and o = base h in
+  let tail = t.tails.(l) in
+  b.(o + f_tag) <- b.(o + f_tag) land lnot list_mask lor l;
+  set_prev b o tail;
+  b.(o + f_next) <- nil;
+  if tail < 0 then t.heads.(l) <- h else set t tail f_next h;
+  t.tails.(l) <- h;
+  t.counts.(l) <- t.counts.(l) + 1
+
+let unlink t h =
+  let b = block t h and o = base h in
+  let l = b.(o + f_tag) land list_mask in
+  let prev = (b.(o + f_prev) land entry_mask) - 1 and next = b.(o + f_next) in
+  if prev < 0 then t.heads.(l) <- next else set t prev f_next next;
+  if next < 0 then t.tails.(l) <- prev else set_prev (block t next) (base next) prev;
+  t.counts.(l) <- t.counts.(l) - 1
+
+let move t h ~list ~stamp =
+  if h < 0 then invalid_arg "Rid_table.move: absent entry";
+  unlink t h;
+  set t h f_stamp stamp;
+  append t h list
+
+let rec iter_from t f h =
+  if h >= 0 then begin
+    (* Read the successor first: [f] may take its entry off the list. *)
+    let next = get t h f_next in
+    f h;
+    iter_from t f next
+  end
+
+let iter_list t l f = iter_from t f t.heads.(l)
 
 let rec expire t l ~now ~limit f =
-  match t.heads.(l) with
-  | Node n as node when now - n.stamp > limit ->
-      f node;
-      if t.heads.(l) == node then
-        invalid_arg "Rid_table.expire: callback left its node on the list";
-      expire t l ~now ~limit f
-  | Nil | Node _ -> ()
+  let h = t.heads.(l) in
+  if h >= 0 && now - get t h f_stamp > limit then begin
+    f h;
+    if t.heads.(l) = h then
+      invalid_arg "Rid_table.expire: callback left its entry on the list";
+    expire t l ~now ~limit f
+  end
 
-(* --- hash chains ------------------------------------------------------ *)
+(* --- entry storage ----------------------------------------------------- *)
 
-let rec rechain buckets = function
-  | Nil -> ()
-  | Node n as node ->
-      let next = n.chain in
-      let i = index buckets n.hash in
-      n.chain <- buckets.(i);
-      buckets.(i) <- node;
-      rechain buckets next
+let grown dir fill =
+  let d = Array.make (Int.max 4 (2 * Array.length dir)) fill in
+  Array.blit dir 0 d 0 (Array.length dir);
+  d
 
-(* Double once the load passes one. Most lookups are misses (a new id
-   checked against both tables), and a miss walks its whole chain of
-   long-untouched nodes, a cache miss each: half [Hashtbl]'s load of
-   two costs one pointer per entry and buys back about a tenth of the
-   simulator's time at 800 kRPS. *)
-let resize t =
-  let buckets = Array.make (2 * Array.length t.buckets) Nil in
-  Array.iter (rechain buckets) t.buckets;
-  t.buckets <- buckets
+(* A new chunk is filled with the value that opens it: freed slots are
+   reset to it, so they never hold on to a removed value. *)
+let add_chunk t value =
+  let rids = Array.make chunk vacant
+  and values = Array.make chunk value
+  and ints = Array.make (chunk * stride) 0 in
+  if t.chunks = Array.length t.ints then begin
+    t.rids <- grown t.rids rids;
+    t.values <- grown t.values values;
+    t.fills <- grown t.fills value;
+    t.ints <- grown t.ints ints
+  end;
+  t.rids.(t.chunks) <- rids;
+  t.values.(t.chunks) <- values;
+  t.fills.(t.chunks) <- value;
+  t.ints.(t.chunks) <- ints;
+  t.chunks <- t.chunks + 1
+
+let alloc t value =
+  if t.free >= 0 then begin
+    let h = t.free in
+    t.free <- get t h f_next;
+    h
+  end
+  else begin
+    let h = t.fresh in
+    if h lsr chunk_bits = t.chunks then add_chunk t value;
+    t.fresh <- h + 1;
+    h
+  end
 
 let add t rid value ~stamp ~list =
-  if t.size > Array.length t.buckets then resize t;
+  if (t.size + 1) * 4 > Array.length t.index * 3 then grow_index t;
+  let h = alloc t value in
+  let c = h lsr chunk_bits and i = h land chunk_mask in
+  t.rids.(c).(i) <- rid;
+  t.values.(c).(i) <- value;
   t.order <- t.order + 1;
-  let hash = R2p2.req_id_hash rid in
-  let i = index t.buckets hash in
-  let node =
-    Node
-      {
-        rid;
-        value;
-        hash;
-        stamp;
-        tag = t.order lsl list_bits;
-        chain = t.buckets.(i);
-        prev = Nil;
-        next = Nil;
-      }
-  in
-  t.buckets.(i) <- node;
+  let hash = hash31 rid in
+  let b = t.ints.(c) and o = i * stride in
+  b.(o + f_prev) <- hash lsl entry_bits;
+  b.(o + f_stamp) <- stamp;
+  b.(o + f_tag) <- t.order lsl list_bits;
+  let mask = Array.length t.index - 1 in
+  place t.index mask ((hash lsl entry_bits) lor (h + 1)) (hash land mask);
   t.size <- t.size + 1;
-  append t node list;
-  node
+  append t h list;
+  h
 
-(* Unhook [target] from bucket [i], found by identity. *)
-let rec unchain t i target prev = function
-  | Nil -> ()
-  | Node n as node ->
-      if node == target then
-        match prev with
-        | Nil -> t.buckets.(i) <- n.chain
-        | Node p -> p.chain <- n.chain
-      else unchain t i target node n.chain
-
-let remove_node t = function
-  | Nil -> ()
-  | Node n as node ->
-      let i = index t.buckets n.hash in
-      unchain t i node Nil t.buckets.(i);
-      n.chain <- Nil;
-      t.size <- t.size - 1;
-      unlink t node
+let remove_node t h =
+  if h >= 0 then begin
+    let c = h lsr chunk_bits and i = h land chunk_mask in
+    let key = t.ints.(c).((i * stride) + f_prev) land hash_bits lor (h + 1) in
+    let mask = Array.length t.index - 1 in
+    let hole = slot_of t.index mask key (home key mask) in
+    shift t.index mask hole hole;
+    unlink t h;
+    t.rids.(c).(i) <- vacant;
+    t.values.(c).(i) <- t.fills.(c);
+    set t h f_tag free_tag;
+    set t h f_next t.free;
+    t.free <- h;
+    t.size <- t.size - 1
+  end
 
 let remove t rid = remove_node t (find t rid)
 
+(* --- giving storage back ---------------------------------------------- *)
+
+(* Move the entry in slot [h] to the free slot [dst]: its words, its
+   neighbours' links and its index slot follow it. *)
+let relocate t h dst =
+  let b = block t h and o = base h in
+  let b' = block t dst and o' = base dst in
+  Array.blit b o b' o' stride;
+  t.rids.(dst lsr chunk_bits).(dst land chunk_mask) <- rid t h;
+  t.values.(dst lsr chunk_bits).(dst land chunk_mask) <- value t h;
+  let l = b.(o + f_tag) land list_mask in
+  let prev = (b.(o + f_prev) land entry_mask) - 1 and next = b.(o + f_next) in
+  if prev < 0 then t.heads.(l) <- dst else set t prev f_next dst;
+  if next < 0 then t.tails.(l) <- dst else set_prev (block t next) (base next) dst;
+  let key = b.(o + f_prev) land hash_bits lor (h + 1) in
+  let mask = Array.length t.index - 1 in
+  t.index.(slot_of t.index mask key (home key mask)) <- key land hash_bits lor (dst + 1)
+
+(* Free slots are [fresh - size]. An expiry pass in steady state frees
+   a small share of what is retained, and adds soon reuse it; a quarter
+   or more means the table has shrunk. Then pack the entries into the
+   fewest chunks and drop the rest, so a drain or a burst does not pin
+   its peak storage. *)
+let trim t =
+  let spare = t.fresh - t.size in
+  if spare > chunk && 4 * spare > t.size then begin
+    let keep = (t.size + chunk_mask) lsr chunk_bits in
+    let bound = keep lsl chunk_bits in
+    (* Free slots below [bound] receive the entries above it. *)
+    let rec low h acc =
+      if h < 0 then acc
+      else
+        let next = get t h f_next in
+        if h < bound then begin
+          set t h f_next acc;
+          low next h
+        end
+        else low next acc
+    in
+    t.free <- low t.free nil;
+    for h = bound to t.fresh - 1 do
+      if get t h f_tag <> free_tag then begin
+        let dst = t.free in
+        t.free <- get t dst f_next;
+        relocate t h dst
+      end
+    done;
+    if keep = 0 then begin
+      t.rids <- [||];
+      t.values <- [||];
+      t.fills <- [||];
+      t.ints <- [||]
+    end
+    else
+      for c = keep to t.chunks - 1 do
+        t.rids.(c) <- [||];
+        t.values.(c) <- [||];
+        t.ints.(c) <- [||];
+        t.fills.(c) <- t.fills.(0)
+      done;
+    t.chunks <- keep;
+    t.fresh <- bound
+  end
+
 let reset t =
-  t.buckets <- Array.make t.initial Nil;
+  t.index <- no_index;
   t.size <- 0;
-  Array.fill t.heads 0 (Array.length t.heads) Nil;
-  Array.fill t.tails 0 (Array.length t.tails) Nil;
+  t.rids <- [||];
+  t.values <- [||];
+  t.fills <- [||];
+  t.ints <- [||];
+  t.chunks <- 0;
+  t.fresh <- 0;
+  t.free <- nil;
+  Array.fill t.heads 0 (Array.length t.heads) nil;
+  Array.fill t.tails 0 (Array.length t.tails) nil;
   Array.fill t.counts 0 (Array.length t.counts) 0

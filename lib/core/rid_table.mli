@@ -1,76 +1,100 @@
 (** Request-id tables whose entries expire in time order.
 
-    An intrusive chained hash table keyed by {!R2p2.req_id}: each entry is
-    one node that is both the bucket-chain link and a link in one of up to
-    four doubly linked {e lists}. A list is kept in the order its nodes
-    were appended, and a node is appended with the current time as its
-    stamp, so on a monotone clock every list is sorted by stamp and
-    expiring it means popping heads until the first one still alive —
-    O(expired), however much state is retained.
+    Flat storage keyed by {!R2p2.req_id}. An entry is an [int] {e handle}
+    into parallel per-chunk arrays: the ids, the values, and an int block
+    holding each entry's stamp, tag and list links side by side. Each
+    entry sits on one of up to four doubly linked {e lists}. A list is
+    kept in the order its entries were appended, and an entry is appended
+    with the current time as its stamp, so on a monotone clock every list
+    is sorted by stamp and expiring it means popping heads until the
+    first one still alive — O(expired), however much state is retained.
 
-    Lookup, insert, remove and moving a node to a list's tail are O(1)
-    expected and allocate nothing beyond the inserted node. *)
+    Entries are found through a separate open-addressed index of one
+    [int] per slot (linear probing, load at most 3/4, backward-shift
+    deletion) packing the id's 31-bit hash with the handle: a miss reads
+    one index line, and growing the index never touches an entry. Entry
+    storage grows by adding fixed-size chunks, never by copying; freed
+    handles are reused, and {!trim} gives chunks back once the table has
+    shrunk.
+
+    Lookup, insert, remove and moving an entry to a list's tail are O(1)
+    expected. Once the table has reached its working size they allocate
+    nothing, and relinking an entry is plain int writes. *)
 
 open Hovercraft_sim
 open Hovercraft_r2p2
 
 type 'a t
 
-type 'a node
-(** An entry, or the absent entry [Nil] (see {!is_nil}). The accessors
-    below raise [Invalid_argument] on [Nil]. *)
+(** An entry is an [int] handle, negative for the absent entry (see
+    {!is_nil}). A handle stays valid until its entry is removed or the
+    table is {!reset}. The accessors below raise [Invalid_argument] on
+    the absent entry and are unspecified on a removed one. *)
 
-val is_nil : 'a node -> bool
-val rid : 'a node -> R2p2.req_id
-val value : 'a node -> 'a
+val is_nil : int -> bool
+val rid : 'a t -> int -> R2p2.req_id
+val value : 'a t -> int -> 'a
 
-val stamp : 'a node -> Timebase.t
-(** When the node was last appended to a list. *)
+val stamp : 'a t -> int -> Timebase.t
+(** When the entry was last appended to a list. *)
 
-val list : 'a node -> int
-(** The list the node is on. *)
+val list : 'a t -> int -> int
+(** The list the entry is on. *)
 
-val order : 'a node -> int
+val order : 'a t -> int -> int
 (** Insertion order: increases with every {!add} to the table. *)
 
 val create : capacity:int -> lists:int -> unit -> 'a t
 (** An empty table with [lists] (1 to 4) expiry lists, numbered from 0.
-    [capacity] (rounded up to a power of two) is the initial bucket
-    count; the table doubles it once it holds more entries than
-    buckets. *)
+    [capacity] (rounded up to a power of two) is the index size the
+    first {!add} allocates; the index doubles whenever it would pass 3/4
+    full. Nothing is allocated for the index or the entries until that
+    first add. *)
 
 val length : 'a t -> int
 
 val count : 'a t -> int -> int
-(** Number of nodes on one list. O(1). *)
+(** Number of entries on one list. O(1). *)
 
-val find : 'a t -> R2p2.req_id -> 'a node
-(** The entry for an id, or [Nil]. Allocates nothing. *)
+val find : 'a t -> R2p2.req_id -> int
+(** The entry for an id, or a negative handle. Allocates nothing. *)
 
 val mem : 'a t -> R2p2.req_id -> bool
 
-val add : 'a t -> R2p2.req_id -> 'a -> stamp:Timebase.t -> list:int -> 'a node
+val add : 'a t -> R2p2.req_id -> 'a -> stamp:Timebase.t -> list:int -> int
 (** Insert a new entry at the tail of [list]. The id must be absent. *)
 
-val move : 'a t -> 'a node -> list:int -> stamp:Timebase.t -> unit
-(** Restamp a node and move it to the tail of [list] (its own list
+val move : 'a t -> int -> list:int -> stamp:Timebase.t -> unit
+(** Restamp an entry and move it to the tail of [list] (its own list
     included). *)
 
 val remove : 'a t -> R2p2.req_id -> unit
 (** Drop an entry, if present. *)
 
-val remove_node : 'a t -> 'a node -> unit
-(** Drop an entry already in hand, without looking its id up again. *)
+val remove_node : 'a t -> int -> unit
+(** Drop an entry already in hand, without looking its id up again. A
+    negative handle is ignored. *)
 
-val iter_list : 'a t -> int -> ('a node -> unit) -> unit
-(** Visit a list from its head. The callback may remove its node or move
-    it to another list. *)
+val iter_list : 'a t -> int -> (int -> unit) -> unit
+(** Visit a list from its head. The callback may remove its entry or
+    move it to another list. *)
 
 val expire :
-  'a t -> int -> now:Timebase.t -> limit:Timebase.t -> ('a node -> unit) -> unit
+  'a t -> int -> now:Timebase.t -> limit:Timebase.t -> (int -> unit) -> unit
 (** [expire t l ~now ~limit f] hands [f] each head of list [l] with
     [now - stamp > limit], stopping at the first one that is not. [f]
-    must take its node off [l] (remove it, or move it to another list). *)
+    must take its entry off [l] (remove it, or move it to another
+    list). *)
+
+val trim : 'a t -> unit
+(** Give back entry storage the table no longer needs: when more than a
+    chunk's worth of slots and more than a quarter of the live count sit
+    free, move the entries into the lowest slots and drop the emptied
+    chunks. Invalidates every handle. Meant to follow an expiry pass:
+    one that frees a collection interval's worth of a much longer
+    retention window stays under the quarter, so only a table that has
+    really shrunk (a drain, or the tail of a burst) is packed. *)
 
 val reset : 'a t -> unit
-(** Drop every entry and shrink back to the initial capacity. *)
+(** Drop every entry and release the index and the entry storage, as
+    at {!create}. *)

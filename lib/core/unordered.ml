@@ -22,22 +22,29 @@ let create ~now ~gc_unordered ~gc_ordered () =
     table = Rid_table.create ~capacity:4096 ~lists:3 ();
   }
 
-let add t rid op =
+let ingest t rid op =
   let node = Rid_table.find t.table rid in
-  if Rid_table.is_nil node then
-    ignore (Rid_table.add t.table rid op ~stamp:(t.now ()) ~list:unordered)
-  else
-    let list = if Rid_table.list node = ordered then ordered else unordered in
-    Rid_table.move t.table node ~list ~stamp:(t.now ())
+  if Rid_table.is_nil node then begin
+    ignore (Rid_table.add t.table rid op ~stamp:(t.now ()) ~list:unordered);
+    false
+  end
+  else begin
+    let was_ordered = Rid_table.list t.table node = ordered in
+    let list = if was_ordered then ordered else unordered in
+    Rid_table.move t.table node ~list ~stamp:(t.now ());
+    was_ordered
+  end
+
+let add t rid op = ignore (ingest t rid op)
 
 let find t rid =
   let node = Rid_table.find t.table rid in
-  if Rid_table.is_nil node then None else Some (Rid_table.value node)
+  if Rid_table.is_nil node then None else Some (Rid_table.value t.table node)
 
 let status t rid =
   let node = Rid_table.find t.table rid in
   if Rid_table.is_nil node then `Absent
-  else if Rid_table.list node = ordered then `Ordered
+  else if Rid_table.list t.table node = ordered then `Ordered
   else `Unordered
 
 let mark_ordered t rid =
@@ -51,12 +58,12 @@ let mark_ordered t rid =
 let remove t rid = Rid_table.remove t.table rid
 
 let unordered_bindings t =
-  let acc = ref [] in
+  let acc = ref [] and tbl = t.table in
   let collect node =
-    acc := (Rid_table.order node, Rid_table.rid node, Rid_table.value node) :: !acc
+    acc := (Rid_table.order tbl node, Rid_table.rid tbl node, Rid_table.value tbl node) :: !acc
   in
-  Rid_table.iter_list t.table unordered collect;
-  Rid_table.iter_list t.table pinned collect;
+  Rid_table.iter_list tbl unordered collect;
+  Rid_table.iter_list tbl pinned collect;
   List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !acc
   |> List.map (fun (_, rid, op) -> (rid, op))
 
@@ -70,12 +77,14 @@ let gc ?(keep = fun _ -> false) t =
   (* A pinned body is already past its timeout: it goes as soon as [keep]
      lets go of it. Bodies pinned below are first re-checked next tick. *)
   Rid_table.iter_list t.table pinned (fun node ->
-      if not (keep (Rid_table.rid node)) then drop node);
+      if not (keep (Rid_table.rid t.table node)) then drop node);
   Rid_table.expire t.table unordered ~now ~limit:t.gc_unordered (fun node ->
-      if keep (Rid_table.rid node) then
-        Rid_table.move t.table node ~list:pinned ~stamp:(Rid_table.stamp node)
+      if keep (Rid_table.rid t.table node) then
+        Rid_table.move t.table node ~list:pinned
+          ~stamp:(Rid_table.stamp t.table node)
       else drop node);
   Rid_table.expire t.table ordered ~now ~limit:t.gc_ordered drop;
+  Rid_table.trim t.table;
   !dropped
 
 let size t = Rid_table.length t.table

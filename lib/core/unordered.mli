@@ -33,6 +33,10 @@ val add : t -> R2p2.req_id -> Hovercraft_apps.Op.t -> unit
 (** Insert a freshly received multicast body (unordered). Re-adding an
     existing id refreshes its timestamp but keeps its ordered state. *)
 
+val ingest : t -> R2p2.req_id -> Hovercraft_apps.Op.t -> bool
+(** {!add}, returning whether the id was already ordered: the duplicate
+    check a retransmission needs, from the same lookup. *)
+
 val find : t -> R2p2.req_id -> Hovercraft_apps.Op.t option
 (** Look up a body regardless of state. *)
 

@@ -6,7 +6,7 @@ let equal a b =
   | Netagg, Netagg | Middlebox, Middlebox | Router, Router -> true
   | (Node _ | Client _ | Netagg | Middlebox | Router | Group _), _ -> false
 
-let tag = function
+let kind = function
   | Node _ -> 0
   | Client _ -> 1
   | Netagg -> 2
@@ -14,15 +14,17 @@ let tag = function
   | Router -> 4
   | Group _ -> 5
 
+let kinds = 6
+
 let index = function
   | Node i | Client i | Group i -> i
   | Netagg | Middlebox | Router -> 0
 
 let compare a b =
-  let c = compare (tag a) (tag b) in
+  let c = compare (kind a) (kind b) in
   if c <> 0 then c else compare (index a) (index b)
 
-let hash t = (tag t * 1_000_003) + index t
+let hash t = (kind t * 1_000_003) + index t
 
 let to_string = function
   | Node i -> Printf.sprintf "node%d" i

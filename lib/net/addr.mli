@@ -15,7 +15,20 @@ type t =
   | Group of int  (** IP multicast group. *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** By {!kind}, then by {!index}. *)
+
+val kind : t -> int
+(** The constructor's number, [0] to [kinds - 1], in declaration
+    order. *)
+
+val kinds : int
+
+val index : t -> int
+(** The constructor's argument; [0] for [Netagg], [Middlebox] and
+    [Router]. [kind] and [index] together determine the address. *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -24,13 +24,11 @@ type 'a port = {
 
 type fault = { drop : float; delay : Timebase.t }
 
-module Addr_tbl = Hashtbl.Make (Addr)
-
 type 'a t = {
   engine : Engine.t;
   latency : Timebase.t;
-  ports : 'a port Addr_tbl.t;
-  groups : (int, Addr.t list ref) Hashtbl.t;
+  ports : 'a port option array array;  (* by [Addr.kind], then [Addr.index] *)
+  mutable groups : Addr.t list array;  (* members by group id, latest join first *)
   (* Fault injection: per-link impairments and island partitions. The
      dedicated rng keeps fault-free runs byte-identical to the pre-fault
      fabric (it is only drawn when a lossy fault is installed). *)
@@ -41,12 +39,22 @@ type 'a t = {
   mutable partition_drops : int;
 }
 
+(* [a], or a copy grown (padded with [pad]) until [i] is in range. *)
+let covering a i pad =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let b = Array.make (Int.max (i + 1) (2 * n)) pad in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
 let create engine ?(latency = Timebase.us 1) ?(fault_seed = 0x5eed) () =
   {
     engine;
     latency;
-    ports = Addr_tbl.create 32;
-    groups = Hashtbl.create 8;
+    ports = Array.make Addr.kinds [||];
+    groups = [||];
     faults = Hashtbl.create 8;
     islands = Hashtbl.create 8;
     fault_rng = Rng.create fault_seed;
@@ -70,21 +78,28 @@ let attach t ~addr ~rate_gbps ~handler =
       dropped = 0;
     }
   in
-  Addr_tbl.replace t.ports addr port;
+  let k = Addr.kind addr and i = Addr.index addr in
+  if i < 0 then invalid_arg "Fabric.attach: negative address index";
+  t.ports.(k) <- covering t.ports.(k) i None;
+  t.ports.(k).(i) <- Some port;
   port
 
+let port_opt t addr =
+  let row = Array.unsafe_get t.ports (Addr.kind addr) and i = Addr.index addr in
+  if i >= 0 && i < Array.length row then Array.unsafe_get row i else None
+
 let members t group =
-  match Hashtbl.find_opt t.groups group with None -> [] | Some l -> !l
+  if group >= 0 && group < Array.length t.groups then t.groups.(group) else []
 
 let join t ~group addr =
-  match Hashtbl.find_opt t.groups group with
-  | Some l -> if not (List.exists (Addr.equal addr) !l) then l := addr :: !l
-  | None -> Hashtbl.replace t.groups group (ref [ addr ])
+  if group < 0 then invalid_arg "Fabric.join: negative group";
+  t.groups <- covering t.groups group [];
+  let l = t.groups.(group) in
+  if not (List.exists (Addr.equal addr) l) then t.groups.(group) <- addr :: l
 
 let leave t ~group addr =
-  match Hashtbl.find_opt t.groups group with
-  | None -> ()
-  | Some l -> l := List.filter (fun a -> not (Addr.equal a addr)) !l
+  if group >= 0 && group < Array.length t.groups then
+    t.groups.(group) <- List.filter (fun a -> not (Addr.equal a addr)) t.groups.(group)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -162,7 +177,7 @@ let send t src_port ~dst ~bytes payload =
       in
       if dropped then t.injected_drops <- t.injected_drops + 1
       else
-        match Addr_tbl.find_opt t.ports addr with
+        match port_opt t addr with
         | Some p -> deliver t pkt (arrival + extra_delay) p
         | None -> src_port.dropped <- src_port.dropped + 1
     end
@@ -187,9 +202,14 @@ let dropped p = p.dropped
 let tx_backlog_ns p ~now = Int.max 0 (p.tx_free - now)
 let rx_backlog_ns p ~now = Int.max 0 (p.rx_free - now)
 
+(* Kind-major, index-minor: [Addr.compare]'s order. *)
 let ports t =
-  Addr_tbl.fold (fun addr p acc -> (addr, p) :: acc) t.ports []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+  Array.fold_right
+    (fun row acc ->
+      Array.fold_right
+        (fun p acc -> match p with Some p -> (p.addr, p) :: acc | None -> acc)
+        row acc)
+    t.ports []
 
 let port_snapshot t p =
   let now = Engine.now t.engine in

@@ -47,8 +47,8 @@ type obs_event =
   | Obs_install_completed of Types.node_id * int
 
 (* Leader-side replication state for one peer. Peers come and go with the
-   cluster configuration, so this lives in a table keyed by node id rather
-   than in fixed arrays sized at creation. *)
+   cluster configuration, so this lives in an array indexed by node id
+   that grows when a higher id joins, not in one sized at creation. *)
 type peer = {
   mutable p_vote : bool;
   mutable p_next : int;
@@ -67,7 +67,7 @@ type ('cmd, 'snap) t = {
   cfg : config;
   noop : 'cmd;
   log : 'cmd Log.t;
-  peers_tbl : (Types.node_id, peer) Hashtbl.t;
+  mutable peers : peer option array;  (* by node id *)
   mutable configs : (int * Types.node_id list) list;
       (* Membership history as a stack of (config entry index, members),
          newest first; the bottom element is (0, bootstrap members). The
@@ -76,7 +76,13 @@ type ('cmd, 'snap) t = {
          above the commit index can still be truncated away by a new
          leader, which pops the stack back. The stack is persistent state:
          it is derivable from the log plus the bootstrap config, so a
-         crash-restart keeps it (see [recover]). *)
+         crash-restart keeps it (see [recover]). Assigned only through
+         [set_configs], which keeps [peer_ids] in step. *)
+  mutable peer_ids : Types.node_id list;
+      (* The current members other than self, in member order. A
+         removed-but-still-leading node (self outside the config,
+         finishing the removal entry's commit) replicates to every
+         member. *)
   mutable decoder : 'cmd -> Types.node_id array option;
       (* Recognizes configuration entries inside the opaque command type.
          Default: none (static membership, the pre-reconfiguration
@@ -127,14 +133,17 @@ let create cfg ~noop =
   let members =
     List.sort_uniq compare (cfg.id :: Array.to_list cfg.peers)
   in
-  let peers_tbl = Hashtbl.create (Int.max (Array.length cfg.peers) 1) in
-  Array.iter (fun p -> Hashtbl.replace peers_tbl p (fresh_peer ())) cfg.peers;
+  if List.exists (fun m -> m < 0) members then
+    invalid_arg "Node.create: negative node id";
+  let peers = Array.make (List.fold_left Int.max 0 members + 1) None in
+  Array.iter (fun p -> peers.(p) <- Some (fresh_peer ())) cfg.peers;
   {
     cfg;
     noop;
     log = Log.create ();
-    peers_tbl;
+    peers;
     configs = [ (0, members) ];
+    peer_ids = List.filter (fun m -> m <> cfg.id) members;
     decoder = (fun _ -> None);
     transfer_target = None;
     term = 0;
@@ -172,20 +181,33 @@ let cluster_size t = List.length (members t)
 let quorum t = (cluster_size t / 2) + 1
 let transfer_target t = t.transfer_target
 
-(* Current peers: members other than self. A removed-but-still-leading
-   node (self outside the config, finishing the removal entry's commit)
-   replicates to every member. *)
-let current_peers t =
-  List.filter (fun m -> m <> t.cfg.id) (members t)
+let current_peers t = t.peer_ids
 
-let peer_opt t p = Hashtbl.find_opt t.peers_tbl p
+let set_configs t configs =
+  t.configs <- configs;
+  t.peer_ids <- List.filter (fun m -> m <> t.cfg.id) (members t)
+
+let peer_opt t p =
+  if p >= 0 && p < Array.length t.peers then Array.unsafe_get t.peers p else None
+
+let set_peer t p st =
+  if p < 0 then invalid_arg "Node: negative node id";
+  let n = Array.length t.peers in
+  if p >= n then begin
+    let peers = Array.make (Int.max (p + 1) (2 * n)) None in
+    Array.blit t.peers 0 peers 0 n;
+    t.peers <- peers
+  end;
+  t.peers.(p) <- st
+
+let clear_peers t = Array.fill t.peers 0 (Array.length t.peers) None
 
 let ensure_peer t p =
-  match Hashtbl.find_opt t.peers_tbl p with
+  match peer_opt t p with
   | Some st -> st
   | None ->
       let st = fresh_peer ~next:(Log.last_index t.log + 1) () in
-      Hashtbl.replace t.peers_tbl p st;
+      set_peer t p (Some st);
       st
 
 let applied_index_of t p =
@@ -227,16 +249,13 @@ let set_snapshot t snap =
 
 (* --- configuration bookkeeping ------------------------------------- *)
 
-(* Drop table entries of departed nodes (a re-added node starts fresh) and
+(* Drop the state of departed nodes (a re-added node starts fresh) and
    make sure every current peer has replication state. *)
 let sync_peers t =
   let ms = members t in
-  let stale =
-    Hashtbl.fold
-      (fun p _ acc -> if List.mem p ms then acc else p :: acc)
-      t.peers_tbl []
-  in
-  List.iter (Hashtbl.remove t.peers_tbl) stale;
+  Array.iteri
+    (fun p st -> if Option.is_some st && not (List.mem p ms) then t.peers.(p) <- None)
+    t.peers;
   List.iter (fun m -> ignore (ensure_peer t m)) (current_peers t)
 
 (* A configuration entry just landed in the log at [idx]: it governs from
@@ -245,7 +264,7 @@ let sync_peers t =
    replication; the embedder re-probes once the entry commits. *)
 let apply_config t ~idx ms =
   let ms = List.sort_uniq compare (Array.to_list ms) in
-  t.configs <- (idx, ms) :: t.configs;
+  set_configs t ((idx, ms) :: t.configs);
   sync_peers t;
   if t.role = Leader then begin
     t.use_agg <- false;
@@ -262,7 +281,7 @@ let rollback_configs t ~from =
   in
   let stack' = pop t.configs in
   if stack' != t.configs then begin
-    t.configs <- stack';
+    set_configs t stack';
     sync_peers t;
     notify t (Obs_config_changed (config_index t, members t))
   end
@@ -487,10 +506,8 @@ let become_leader t emit =
   t.agg_in_flight <- false;
   t.transfer_target <- None;
   let last = Log.last_index t.log in
-  Hashtbl.reset t.peers_tbl;
-  List.iter
-    (fun p -> Hashtbl.replace t.peers_tbl p (fresh_peer ~next:(last + 1) ()))
-    (current_peers t);
+  clear_peers t;
+  List.iter (fun p -> set_peer t p (Some (fresh_peer ~next:(last + 1) ()))) (current_peers t);
   (* Entries inherited from previous terms were announced by their leader;
      only entries appended from here on pass through the gate. *)
   t.announced <- last;
@@ -511,7 +528,7 @@ let start_election t emit =
     t.use_agg <- false;
     t.transfer_target <- None;
     notify t (Obs_election_started t.term);
-    Hashtbl.iter (fun _ st -> st.p_vote <- false) t.peers_tbl;
+    Array.iter (function Some st -> st.p_vote <- false | None -> ()) t.peers;
     if quorum t = 1 then become_leader t emit
     else
       List.iter
@@ -706,7 +723,7 @@ let install_received t snap emit =
   let above =
     if suffix_kept then List.filter (fun (ci, _) -> ci > idx) t.configs else []
   in
-  t.configs <- above @ [ (0, snap.Snapshot.members) ];
+  set_configs t (above @ [ (0, snap.Snapshot.members) ]);
   sync_peers t;
   notify t (Obs_config_changed (config_index t, members t));
   t.snapshot <- Some snap;
@@ -954,7 +971,7 @@ let compact t ~retain =
     let above, below = List.partition (fun (ci, _) -> ci > base) t.configs in
     match below with
     | [] -> ()
-    | (_, ms) :: _ -> t.configs <- above @ [ (0, ms) ]
+    | (_, ms) :: _ -> set_configs t (above @ [ (0, ms) ])
   end;
   Log.base t.log
 
@@ -986,6 +1003,27 @@ type ('cmd, 'snap) dump = {
   d_agg_pending_end : int;
 }
 
+(* By ascending id: walking down from the top conses the lowest last. *)
+let dump_peers t =
+  let acc = ref [] in
+  for p = Array.length t.peers - 1 downto 0 do
+    match t.peers.(p) with
+    | Some st ->
+        acc :=
+          ( p,
+            ( st.p_vote,
+              st.p_next,
+              st.p_match,
+              st.p_applied,
+              st.p_in_flight,
+              st.p_direct,
+              st.p_sent_seq,
+              st.p_snap ) )
+          :: !acc
+    | None -> ()
+  done;
+  !acc
+
 let dump t =
   {
     d_term = t.term;
@@ -1006,21 +1044,7 @@ let dump t =
       (match t.incoming with
       | Some p -> Some (Snapshot.meta_of p, Snapshot.received p)
       | None -> None);
-    d_peers =
-      Hashtbl.fold
-        (fun p st acc ->
-          ( p,
-            ( st.p_vote,
-              st.p_next,
-              st.p_match,
-              st.p_applied,
-              st.p_in_flight,
-              st.p_direct,
-              st.p_sent_seq,
-              st.p_snap ) )
-          :: acc)
-        t.peers_tbl []
-      |> List.sort compare;
+    d_peers = dump_peers t;
     d_configs = t.configs;
     d_transfer = t.transfer_target;
     d_announced = t.announced;
@@ -1047,22 +1071,23 @@ let restore cfg ~noop d =
     (match d.d_incoming with
     | Some (meta, got) -> Some (Snapshot.resume meta ~got)
     | None -> None);
-  Hashtbl.reset t.peers_tbl;
+  clear_peers t;
   List.iter
     (fun (p, (v, nx, m, a, inf, dir, seq, snap)) ->
-      Hashtbl.replace t.peers_tbl p
-        {
-          p_vote = v;
-          p_next = nx;
-          p_match = m;
-          p_applied = a;
-          p_in_flight = inf;
-          p_direct = dir;
-          p_sent_seq = seq;
-          p_snap = snap;
-        })
+      set_peer t p
+        (Some
+           {
+             p_vote = v;
+             p_next = nx;
+             p_match = m;
+             p_applied = a;
+             p_in_flight = inf;
+             p_direct = dir;
+             p_sent_seq = seq;
+             p_snap = snap;
+           }))
     d.d_peers;
-  t.configs <- d.d_configs;
+  set_configs t d.d_configs;
   t.transfer_target <- d.d_transfer;
   t.announced <- d.d_announced;
   t.ae_seq <- d.d_ae_seq;
@@ -1102,7 +1127,7 @@ let recover t =
   t.agg_pending_end <- 0;
   t.announced <- 0;
   t.transfer_target <- None;
-  Hashtbl.reset t.peers_tbl;
+  clear_peers t;
   List.iter (fun p -> ignore (ensure_peer t p)) (current_peers t)
 
 type 'cmd dump_info = {

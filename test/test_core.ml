@@ -66,6 +66,15 @@ let test_unordered_ingest_order () =
   let ids = List.map (fun (r, _) -> r.R2p2.id) (Unordered.unordered_bindings s) in
   Alcotest.(check (list int)) "arrival order, ordered excluded" [ 3; 2 ] ids
 
+let test_unordered_ingest_reports_ordered () =
+  let clock = ref 0 in
+  let s = make_store clock in
+  check "new body" false (Unordered.ingest s (rid ()) Op.Nop);
+  check "unordered duplicate" false (Unordered.ingest s (rid ()) Op.Nop);
+  ignore (Unordered.mark_ordered s (rid ()));
+  check "ordered duplicate" true (Unordered.ingest s (rid ()) Op.Nop);
+  check "stays ordered" true (Unordered.status s (rid ()) = `Ordered)
+
 let test_unordered_readd_keeps_ordered () =
   let clock = ref 0 in
   let s = make_store clock in
@@ -121,6 +130,64 @@ let test_replier_assign_monotone () =
   Alcotest.check_raises "indices must increase"
     (Invalid_argument "Replier.assign: indices must be increasing per node")
     (fun () -> Replier.assign r ~node:0 ~index:5)
+
+(* Per-node state is indexed by node id: a membership that skips ids
+   (grow {0,1,2} by 5, then drop 1) must pick, prune and forget exactly
+   as the id-keyed table it replaced. The expected traces were recorded
+   from that table: each phase lists its picks ("-" when nobody is
+   eligible), then every id's applied index and queue depth. *)
+let replier_trace policy =
+  let r = Replier.create policy ~bound:3 ~nodes:[ 2; 0; 1 ] ~rng:(Rng.create 7) in
+  let buf = Buffer.create 256 in
+  let idx = ref 0 in
+  let phase name steps =
+    Buffer.add_string buf name;
+    for s = 1 to steps do
+      (match Replier.pick r () with
+      | Some n ->
+          incr idx;
+          Replier.assign r ~node:n ~index:!idx;
+          Buffer.add_string buf (Printf.sprintf " %d" n)
+      | None -> Buffer.add_string buf " -");
+      if s mod 3 = 0 then
+        List.iter
+          (fun n -> Replier.note_applied r ~node:n ~applied:(!idx - 2 - n))
+          (Replier.nodes r)
+    done;
+    List.iter
+      (fun n ->
+        Buffer.add_string buf
+          (Printf.sprintf " [%d:%d/%d]" n (Replier.applied_of r n) (Replier.depth r n)))
+      [ 0; 1; 2; 3; 4; 5; 6 ];
+    Buffer.add_char buf ';'
+  in
+  phase "start" 10;
+  Replier.set_nodes r [ 0; 1; 2; 5 ];
+  phase " add5" 12;
+  Replier.set_excluded r 2 true;
+  Replier.set_nodes r [ 5; 2; 0 ];
+  phase " rm1" 12;
+  Replier.reset r;
+  phase " reset" 6;
+  Buffer.contents buf
+
+let test_replier_sparse_ids () =
+  Alcotest.(check string)
+    "jbsq"
+    "start 1 2 0 2 1 0 1 0 2 1 [0:7/1] [1:6/2] [2:5/1] [3:0/0] [4:0/0] [5:0/0] \
+     [6:0/0]; add5 5 2 5 0 1 1 0 2 2 0 1 5 [0:20/0] [1:19/1] [2:18/1] [3:0/0] \
+     [4:0/0] [5:15/1] [6:0/0]; rm1 0 0 5 0 5 0 0 0 - 0 5 - [0:30/1] [1:0/0] \
+     [2:28/0] [3:0/0] [4:0/0] [5:25/2] [6:0/0]; reset 0 2 5 0 2 0 [0:36/1] \
+     [1:0/0] [2:34/1] [3:0/0] [4:0/0] [5:31/1] [6:0/0];"
+    (replier_trace Jbsq.Jbsq);
+  Alcotest.(check string)
+    "random"
+    "start 1 0 2 2 1 0 1 0 0 1 [0:7/2] [1:6/2] [2:5/0] [3:0/0] [4:0/0] [5:0/0] \
+     [6:0/0]; add5 1 2 5 0 2 2 0 2 1 2 0 5 [0:20/1] [1:19/0] [2:18/1] [3:0/0] \
+     [4:0/0] [5:15/1] [6:0/0]; rm1 5 0 5 0 0 - 0 - - 0 - - [0:27/2] [1:0/0] \
+     [2:25/0] [3:0/0] [4:0/0] [5:22/2] [6:0/0]; reset 2 2 2 5 0 5 [0:33/1] \
+     [1:0/0] [2:31/1] [3:0/0] [4:0/0] [5:28/2] [6:0/0];"
+    (replier_trace Jbsq.Random_choice)
 
 (* --- protocol sizing ---------------------------------------------------- *)
 
@@ -455,6 +522,8 @@ let suite =
     Alcotest.test_case "unordered mark/remove" `Quick test_unordered_mark_and_remove;
     Alcotest.test_case "unordered gc windows" `Quick test_unordered_gc_windows;
     Alcotest.test_case "unordered ingest order" `Quick test_unordered_ingest_order;
+    Alcotest.test_case "unordered ingest reports ordered" `Quick
+      test_unordered_ingest_reports_ordered;
     Alcotest.test_case "unordered re-add keeps ordered" `Quick
       test_unordered_readd_keeps_ordered;
     Alcotest.test_case "replier bound and applied" `Quick
@@ -462,6 +531,7 @@ let suite =
     Alcotest.test_case "replier caps dead node" `Quick test_replier_dead_node_bounded;
     Alcotest.test_case "replier reset" `Quick test_replier_reset;
     Alcotest.test_case "replier assign monotone" `Quick test_replier_assign_monotone;
+    Alcotest.test_case "replier with non-contiguous ids" `Quick test_replier_sparse_ids;
     Alcotest.test_case "protocol AE sizing" `Quick test_protocol_ae_bytes;
     Alcotest.test_case "protocol metadata" `Quick test_protocol_meta;
     Alcotest.test_case "protocol request sizing" `Quick test_protocol_request_bytes;

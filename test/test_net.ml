@@ -179,6 +179,35 @@ let test_fabric_leave_group () =
   check_int "member kept" 1 (List.length p1.got);
   check_int "left member skipped" 0 (List.length p2.got)
 
+(* Ports sit in arrays by address kind and index: attached out of order
+   with gaps, they still list in [Addr.compare] order, a re-attached
+   address replaces its port, and a multicast reaches its members
+   latest-join first (the order fault draws and deliveries follow). *)
+let test_fabric_port_order () =
+  let e = Engine.create () in
+  let fabric = Fabric.create e () in
+  let addrs =
+    Addr.[ Group 3; Client 7; Router; Node 5; Middlebox; Client 0; Node 1; Netagg; Node 5 ]
+  in
+  List.iter (fun a -> ignore (attach_probe fabric a { got = [] })) addrs;
+  Alcotest.(check (list string))
+    "sorted, one port per address"
+    (List.map Addr.to_string (List.sort_uniq Addr.compare addrs))
+    (List.map (fun (a, _) -> Addr.to_string a) (Fabric.ports fabric));
+  let order = ref [] in
+  let src = attach_probe fabric (Addr.Node 0) { got = [] } in
+  List.iter
+    (fun a ->
+      ignore
+        (Fabric.attach fabric ~addr:a ~rate_gbps:10. ~handler:(fun _ ->
+             order := Addr.to_string a :: !order));
+      Fabric.join fabric ~group:9 a)
+    Addr.[ Node 5; Client 7; Node 1 ];
+  Fabric.send fabric src ~dst:(Addr.Group 9) ~bytes:0 ();
+  Engine.run e;
+  Alcotest.(check (list string)) "latest join first" [ "node1"; "client7"; "node5" ]
+    (List.rev !order)
+
 let test_fabric_byte_counters () =
   let e = Engine.create () in
   let fabric = Fabric.create e () in
@@ -300,6 +329,7 @@ let suite =
     Alcotest.test_case "fabric down port" `Quick test_fabric_down_port;
     Alcotest.test_case "fabric leave group" `Quick test_fabric_leave_group;
     Alcotest.test_case "fabric byte counters" `Quick test_fabric_byte_counters;
+    Alcotest.test_case "fabric port order and group order" `Quick test_fabric_port_order;
     Alcotest.test_case "fabric link drop fault" `Quick test_fabric_link_drop;
     Alcotest.test_case "fabric link delay fault" `Quick
       test_fabric_link_delay_directional;

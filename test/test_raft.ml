@@ -444,6 +444,82 @@ let compaction_props =
     QCheck_alcotest.to_alcotest prop_compaction_under_load;
   ]
 
+(* Leader-side peer state is indexed by node id: grow {0,1,2} by 5, then
+   drop 1, and the sends, commits and per-peer match/applied knowledge
+   must come out exactly as with the id-keyed table it replaced (the
+   expected trace was recorded from it). The state survives a dump and
+   restore, the model checker's round trip. *)
+let test_sparse_peer_ids () =
+  let cfg =
+    { Node.id = 0; peers = [| 1; 2 |]; batch_max = 4; eager_commit_notify = true;
+      snap_chunk_bytes = 64 }
+  in
+  let nd = Node.create cfg ~noop:0 in
+  let decode = function
+    | 1000 -> Some [| 0; 1; 2; 5 |]
+    | 1001 -> Some [| 0; 2; 5 |]
+    | _ -> None
+  in
+  Node.set_config_decoder nd decode;
+  let buf = Buffer.create 256 in
+  let seq = ref 1_000_000 in
+  let feed input =
+    List.iter
+      (function
+        | Node.Send (dst, _) -> Buffer.add_string buf (Printf.sprintf " >%d" dst)
+        | Node.Commit_advanced c -> Buffer.add_string buf (Printf.sprintf " c%d" c)
+        | Node.Reject_command _ -> Buffer.add_string buf " rej"
+        | _ -> ())
+      (Node.handle nd input)
+  in
+  let ack from m =
+    incr seq;
+    feed
+      (Node.Receive
+         (Types.Append_ack
+            { term = Node.term nd; from; success = true; seq = !seq; match_idx = m;
+              applied_idx = m - 1 }))
+  in
+  let state name =
+    Buffer.add_string buf (" |" ^ name);
+    List.iter
+      (fun p ->
+        Buffer.add_string buf
+          (Printf.sprintf " %d:%d/%d" p (Node.match_index_of nd p) (Node.applied_index_of nd p)))
+      [ 0; 1; 2; 3; 4; 5; 6 ];
+    Buffer.add_string buf
+      (Printf.sprintf " members=%s;"
+         (String.concat "," (List.map string_of_int (Node.members nd))))
+  in
+  feed Node.Election_timeout;
+  feed (Node.Receive (Types.Vote { term = 1; from = 2; granted = true }));
+  List.iter (fun c -> feed (Node.Client_command c)) [ 1; 2; 3 ];
+  ack 1 3;
+  ack 2 4;
+  state "start";
+  feed (Node.Client_command 1000);
+  feed Node.Heartbeat_timeout;
+  ack 5 5;
+  ack 2 5;
+  feed (Node.Client_command 4);
+  state "add5";
+  feed (Node.Client_command 1001);
+  feed Node.Heartbeat_timeout;
+  ack 5 7;
+  ack 2 7;
+  ack 1 7;
+  feed (Node.Client_command 5);
+  feed Node.Heartbeat_timeout;
+  state "rm1";
+  Alcotest.(check string)
+    "trace"
+    " >1 >2 >1 >2 c3 >1 >2 >1 c4 >1 >2 |start 0:0/0 1:3/2 2:4/3 3:0/0 4:0/0 \
+     5:0/0 6:0/0 members=0,1,2; >2 >1 >2 >5 c5 >1 >2 >5 >2 >5 |add5 0:0/0 \
+     1:3/2 2:5/4 3:0/0 4:0/0 5:5/4 6:0/0 members=0,1,2,5; >2 >5 c7 >2 >5 >2 \
+     >5 >2 >5 |rm1 0:0/0 1:0/0 2:7/6 3:0/0 4:0/0 5:7/6 6:0/0 members=0,2,5;"
+    (Buffer.contents buf);
+  let d = Node.dump nd in
+  check_int "dump round-trips" 0 (Node.compare_dump (Node.dump (Node.restore cfg ~noop:0 d)) d)
 
 let suite =
   [
@@ -469,6 +545,7 @@ let suite =
       test_agg_failure_ack_triggers_direct;
     Alcotest.test_case "duplicate acks bounded" `Quick
       test_duplicate_acks_no_stream_storm;
+    Alcotest.test_case "peer state with non-contiguous ids" `Quick test_sparse_peer_ids;
     QCheck_alcotest.to_alcotest prop_random_schedules;
     QCheck_alcotest.to_alcotest prop_liveness;
   ]

@@ -294,14 +294,312 @@ let test_rid_table_growth () =
     Alcotest.(check bool) "mem" (i mod 4 <> 0) (Rid_table.mem t (big i))
   done;
   let seen = ref [] in
-  Rid_table.iter_list t 1 (fun node -> seen := Rid_table.stamp node :: !seen);
+  Rid_table.iter_list t 1 (fun node -> seen := Rid_table.stamp t node :: !seen);
   Alcotest.(check (list int)) "list 1 in append order"
     (List.init (n / 2) (fun k -> (2 * k) + 1))
     (List.rev !seen)
+
+(* --- the flat table against a model ----------------------------------- *)
+
+(* Ids whose 31-bit hashes collide outright, in groups of eight, so
+   probes compare fingerprints that match and must fall back to the id.
+   Half the groups home to the last index slot at every index size the
+   test reaches, so their probe runs wrap round to slot 0; the rest home
+   to slot 0. The remaining ids hash normally. [req_id_hash] is
+   [(id * a) lxor (port * b) lxor addr_hash] and [b] is odd, so a port
+   giving any wanted low 31 bits is [wanted * b^-1] mod 2^31. *)
+let m31 = 0x7FFF_FFFF
+
+let inverse_mod_2_31 b =
+  let x = ref b in
+  for _ = 1 to 5 do
+    x := !x * (2 - (b * !x)) land m31
+  done;
+  !x
+
+let colliding_rid ~group ~member =
+  let addr = Addr.Client 1 in
+  let base = { R2p2.id = member; src_addr = addr; src_port = 0 } in
+  let target = (group lsl 20) lor if group mod 2 = 0 then 0xF_FFFF else 0 in
+  let want = target lxor R2p2.req_id_hash base land m31 in
+  let port = want * inverse_mod_2_31 0x85EBCA77 land m31 in
+  { base with src_port = port }
+
+let pool_size = 600
+let colliding = 32
+
+let pool =
+  Array.init pool_size (fun i ->
+      if i < colliding then colliding_rid ~group:(i / 8) ~member:i
+      else { R2p2.id = i; src_addr = Addr.Client (i mod 5); src_port = 7 })
+
+let test_forced_collisions () =
+  let h i = R2p2.req_id_hash pool.(i) land m31 in
+  for i = 0 to colliding - 1 do
+    Alcotest.(check int) "same 31-bit hash as its group" (h (i / 8 * 8)) (h i)
+  done
+
+module Ref_table = struct
+  type entry = { value : int; mutable stamp : int; mutable list : int; order : int }
+
+  type t = {
+    tbl : entry Rtbl.t;
+    lists : R2p2.req_id list array;  (* each in append order *)
+    mutable order : int;
+  }
+
+  let create lists = { tbl = Rtbl.create 16; lists = Array.make lists []; order = 0 }
+
+  let unlink t rid =
+    let e = Rtbl.find t.tbl rid in
+    t.lists.(e.list) <- List.filter (fun r -> not (R2p2.req_id_equal r rid)) t.lists.(e.list)
+
+  let append t rid l = t.lists.(l) <- t.lists.(l) @ [ rid ]
+
+  let add t rid value ~stamp ~list =
+    t.order <- t.order + 1;
+    Rtbl.replace t.tbl rid { value; stamp; list; order = t.order };
+    append t rid list
+
+  let move t rid ~list ~stamp =
+    unlink t rid;
+    let e = Rtbl.find t.tbl rid in
+    e.stamp <- stamp;
+    e.list <- list;
+    append t rid list
+
+  let remove t rid =
+    if Rtbl.mem t.tbl rid then begin
+      unlink t rid;
+      Rtbl.remove t.tbl rid
+    end
+
+  let reset t =
+    Rtbl.reset t.tbl;
+    Array.fill t.lists 0 (Array.length t.lists) []
+end
+
+type table_op =
+  | T_add of int * int  (* first pool id, how many ids on from it *)
+  | T_move of int * int
+  | T_remove of int * int  (* first pool id, how many ids on from it *)
+  | T_expire of int * int  (* list, age limit *)
+  | T_sweep of int * int  (* list, remove values divisible by this *)
+  | T_trim
+  | T_reset
+  | T_tick of int
+
+let pp_table_op = function
+  | T_add (i, k) -> Printf.sprintf "add %d+%d" i k
+  | T_move (i, l) -> Printf.sprintf "move %d to %d" i l
+  | T_remove (i, k) -> Printf.sprintf "remove %d+%d" i k
+  | T_expire (l, limit) -> Printf.sprintf "expire %d > %d" l limit
+  | T_sweep (l, m) -> Printf.sprintf "sweep %d mod %d" l m
+  | T_trim -> "trim"
+  | T_reset -> "reset"
+  | T_tick d -> Printf.sprintf "tick %d" d
+
+let table_lists = 3
+
+let table_op_gen =
+  let open QCheck.Gen in
+  let id = int_bound (pool_size - 1) and l = int_bound (table_lists - 1) in
+  frequency
+    [
+      (4, map (fun i -> T_add (i, 1)) (int_bound (colliding - 1)));
+      (3, map (fun i -> T_add (i, 1)) id);
+      (2, map2 (fun i k -> T_add (i, k)) id (int_range 20 320));
+      (3, map2 (fun i l -> T_move (i, l)) id l);
+      (2, map (fun i -> T_remove (i, 1)) (int_bound (colliding - 1)));
+      (2, map (fun i -> T_remove (i, 1)) id);
+      (2, map2 (fun i k -> T_remove (i, k)) id (int_range 20 320));
+      (2, map2 (fun l limit -> T_expire (l, limit)) l (int_bound 40));
+      (1, map2 (fun l m -> T_sweep (l, m)) l (int_range 1 4));
+      (2, return T_trim);
+      (1, return T_reset);
+      (3, map (fun d -> T_tick d) (int_bound 20));
+    ]
+
+let table_ops =
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pp_table_op l))
+    QCheck.Gen.(list_size (int_range 0 60) table_op_gen)
+
+(* From an index of one slot, so it grows many times; big runs of adds
+   cross entry-chunk boundaries; removals, expiry and sweeps free slots
+   that later adds reuse and shift colliding runs back across the wrap,
+   and that trims pack entries out of. *)
+let prop_rid_table_matches_model =
+  QCheck.Test.make ~name:"flat rid table matches the table+lists model" ~count:300
+    table_ops (fun ops ->
+      let t = Rid_table.create ~capacity:1 ~lists:table_lists () in
+      let m = Ref_table.create table_lists in
+      let now = ref 0 in
+      let same what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s differs at t=%d" what !now
+      in
+      let agree () =
+        same "length" (Rid_table.length t) (Rtbl.length m.tbl);
+        for l = 0 to table_lists - 1 do
+          same "count" (Rid_table.count t l) (List.length m.lists.(l));
+          let seen = ref [] in
+          Rid_table.iter_list t l (fun h -> seen := Rid_table.rid t h :: !seen);
+          same "list order" (List.rev !seen) m.lists.(l)
+        done;
+        Array.iter
+          (fun rid ->
+            let h = Rid_table.find t rid in
+            match Rtbl.find_opt m.tbl rid with
+            | None -> same "absent" (Rid_table.is_nil h) true
+            | Some e ->
+                same "present" (Rid_table.is_nil h) false;
+                same "rid" (Rid_table.rid t h) rid;
+                same "value" (Rid_table.value t h) e.value;
+                same "stamp" (Rid_table.stamp t h) e.stamp;
+                same "list" (Rid_table.list t h) e.list;
+                same "order" (Rid_table.order t h) e.order)
+          pool
+      in
+      List.iteri
+        (fun step o ->
+          (match o with
+          | T_add (i, k) ->
+              for j = i to Int.min (pool_size - 1) (i + k - 1) do
+                let rid = pool.(j) in
+                if not (Rtbl.mem m.tbl rid) then begin
+                  let list = (step + j) mod table_lists in
+                  ignore (Rid_table.add t rid (step * 1000 + j) ~stamp:!now ~list);
+                  Ref_table.add m rid (step * 1000 + j) ~stamp:!now ~list
+                end
+              done
+          | T_move (i, list) ->
+              let h = Rid_table.find t pool.(i) in
+              if not (Rid_table.is_nil h) then begin
+                Rid_table.move t h ~list ~stamp:!now;
+                Ref_table.move m pool.(i) ~list ~stamp:!now
+              end
+          | T_remove (i, k) ->
+              for j = i to Int.min (pool_size - 1) (i + k - 1) do
+                Rid_table.remove t pool.(j);
+                Ref_table.remove m pool.(j)
+              done
+          | T_expire (l, limit) ->
+              (* Even values are dropped, odd ones move to the next list. *)
+              let next = (l + 1) mod table_lists in
+              Rid_table.expire t l ~now:!now ~limit (fun h ->
+                  if Rid_table.value t h mod 2 = 0 then Rid_table.remove_node t h
+                  else Rid_table.move t h ~list:next ~stamp:!now);
+              let rec expire_model () =
+                match m.lists.(l) with
+                | rid :: _ when !now - (Rtbl.find m.tbl rid).stamp > limit ->
+                    if (Rtbl.find m.tbl rid).value mod 2 = 0 then Ref_table.remove m rid
+                    else Ref_table.move m rid ~list:next ~stamp:!now;
+                    expire_model ()
+                | _ -> ()
+              in
+              expire_model ()
+          | T_sweep (l, d) ->
+              Rid_table.iter_list t l (fun h ->
+                  if Rid_table.value t h mod d = 0 then Rid_table.remove_node t h);
+              List.iter
+                (fun rid ->
+                  if (Rtbl.find m.tbl rid).value mod d = 0 then Ref_table.remove m rid)
+                m.lists.(l)
+          | T_trim -> Rid_table.trim t
+          | T_reset ->
+              Rid_table.reset t;
+              Ref_table.reset m
+          | T_tick d -> now := !now + d);
+          agree ())
+        ops;
+      true)
+
+(* A table that shrank gives its spare chunks back: entries above the
+   packed size move down, keeping their lists' order, their index slots
+   and their fields, and the table keeps working after it. *)
+let test_rid_table_trim () =
+  let t = Rid_table.create ~capacity:4 ~lists:2 () in
+  let r i = pool.(i) in
+  for i = 0 to pool_size - 1 do
+    ignore (Rid_table.add t (r i) i ~stamp:i ~list:(i mod 2))
+  done;
+  (* Keep every seventh id below 500 and all of those above. *)
+  for i = 0 to 499 do
+    if i mod 7 <> 0 then Rid_table.remove t (r i)
+  done;
+  let kept = List.filter (fun i -> i >= 500 || i mod 7 = 0) (List.init pool_size Fun.id) in
+  let check_all what =
+    Alcotest.(check int) (what ^ ": length") (List.length kept) (Rid_table.length t);
+    List.iter
+      (fun i ->
+        let h = Rid_table.find t (r i) in
+        Alcotest.(check bool) (what ^ ": found") false (Rid_table.is_nil h);
+        Alcotest.(check int) (what ^ ": value") i (Rid_table.value t h);
+        Alcotest.(check int) (what ^ ": stamp") i (Rid_table.stamp t h);
+        Alcotest.(check int) (what ^ ": list") (i mod 2) (Rid_table.list t h);
+        Alcotest.(check int) (what ^ ": order") (i + 1) (Rid_table.order t h))
+      kept;
+    for l = 0 to 1 do
+      let seen = ref [] in
+      Rid_table.iter_list t l (fun h -> seen := Rid_table.value t h :: !seen);
+      Alcotest.(check (list int)) (what ^ ": list order")
+        (List.filter (fun i -> i mod 2 = l) kept)
+        (List.rev !seen)
+    done
+  in
+  check_all "before";
+  Rid_table.trim t;
+  check_all "after trim";
+  (* Removing and re-adding after the trim reuses the packed storage. *)
+  Rid_table.remove t (r 0);
+  ignore (Rid_table.add t (r 0) 0 ~stamp:0 ~list:0);
+  Alcotest.(check int) "re-added goes last" 0
+    (let last = ref (-1) in
+     Rid_table.iter_list t 0 (fun h -> last := Rid_table.value t h);
+     !last);
+  Alcotest.(check bool) "colliding ids still found" true
+    (List.for_all (fun i -> Rid_table.mem t (r i)) (List.filter (fun i -> i < colliding) kept))
+
+(* Once the table has reached its working size, the hot cycle of a
+   retention table — add a new id, look one up, restamp it onto another
+   list, drop the oldest — allocates nothing. *)
+let test_rid_table_steady_state_allocation () =
+  let n = 4096 and live = 2000 and ops = 20_000 in
+  let rids =
+    Array.init n (fun i -> { R2p2.id = i; src_addr = Addr.Client (i mod 3); src_port = 1 })
+  in
+  let t = Rid_table.create ~capacity:16 ~lists:2 () in
+  for i = 0 to live - 1 do
+    ignore (Rid_table.add t rids.(i) i ~stamp:i ~list:0)
+  done;
+  let step k =
+    ignore (Rid_table.add t rids.((k + live) mod n) k ~stamp:k ~list:0);
+    let h = Rid_table.find t rids.((k + (live / 2)) mod n) in
+    Rid_table.move t h ~list:1 ~stamp:k;
+    Rid_table.remove_node t (Rid_table.find t rids.(k mod n))
+  in
+  (* One full lap of the id space first: chunks and index at full size. *)
+  for k = 0 to n - 1 do
+    step k
+  done;
+  let before = Gc.minor_words () in
+  for k = n to n + ops - 1 do
+    step k
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "steady size" live (Rid_table.length t);
+  (* Any allocation in the cycle is at least two words per cycle. *)
+  if words >= float_of_int ops /. 100. then
+    Alcotest.failf "rid table cycle allocates: %.0f minor words / %d cycles" words ops
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_unordered_matches_full_scan;
     QCheck_alcotest.to_alcotest prop_completions_match_fifo;
     Alcotest.test_case "rid table growth and removal" `Quick test_rid_table_growth;
+    Alcotest.test_case "forced hash collisions" `Quick test_forced_collisions;
+    QCheck_alcotest.to_alcotest prop_rid_table_matches_model;
+    Alcotest.test_case "rid table trim packs a shrunken table" `Quick test_rid_table_trim;
+    Alcotest.test_case "rid table steady cycle allocates nothing" `Quick
+      test_rid_table_steady_state_allocation;
   ]
