@@ -2,7 +2,7 @@
 # and `dune runtest` directly, then several of the smoke targets below;
 # `make check` is the local equivalent of its first two steps.
 
-.PHONY: all build test check golden-cell golden-control obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check golden-cell golden-control golden-modes obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
 all: build
 
@@ -34,6 +34,28 @@ golden-control:
 	dune exec bin/hovercraft.exe -- control correlated-failure --seed 11 \
 	  --out control-correlated.json
 	cmp control-correlated.json test/golden/control-correlated.json
+
+# One cell per ordering arm pinned byte for byte: unreplicated, vanilla
+# Raft, Hover++ with flow control, and HovercRaft over the Rabia backend
+# with checkpoints. Stdout and the --metrics snapshot of each must match
+# test/golden/modes-*; outputs go under _build/golden-modes/.
+GOLDEN_MODES = _build/golden-modes
+RUN_MODE = dune exec bin/hovercraft.exe -- run -d 300
+
+golden-modes:
+	mkdir -p $(GOLDEN_MODES)
+	$(RUN_MODE) -m unrep -n 1 -r 400000 \
+	  --metrics $(GOLDEN_MODES)/unrep.json > $(GOLDEN_MODES)/unrep.out
+	$(RUN_MODE) -m vanilla -n 3 -r 200000 \
+	  --metrics $(GOLDEN_MODES)/vanilla.json > $(GOLDEN_MODES)/vanilla.out
+	$(RUN_MODE) -m hoverpp -n 3 -r 400000 --flow-cap 64 \
+	  --metrics $(GOLDEN_MODES)/hoverpp.json > $(GOLDEN_MODES)/hoverpp.out
+	$(RUN_MODE) -m hover -n 3 --backend rabia -r 100000 --snapshot-interval 1000 \
+	  --metrics $(GOLDEN_MODES)/rabia.json > $(GOLDEN_MODES)/rabia.out
+	for c in unrep vanilla hoverpp rabia; do \
+	  cmp $(GOLDEN_MODES)/$$c.out test/golden/modes-$$c.out || exit 1; \
+	  cmp $(GOLDEN_MODES)/$$c.json test/golden/modes-$$c.json || exit 1; \
+	done
 
 # End-to-end observability smoke: a lossy HovercRaft run that must
 # converge and emit hovercraft_snapshot.json.

@@ -28,25 +28,6 @@ module Core = Hovercraft_core
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)
 
-let bench_heap () =
-  let h = Heap.create () in
-  let rng = Rng.create 1 in
-  Bechamel.Staged.stage (fun () ->
-      for i = 0 to 63 do
-        Heap.push h ~key:(Rng.int rng 1_000_000) ~seq:i i
-      done;
-      for _ = 0 to 63 do
-        ignore (Heap.pop h)
-      done)
-
-let bench_engine_event () =
-  Bechamel.Staged.stage (fun () ->
-      let e = Engine.create () in
-      for i = 1 to 64 do
-        Engine.at e i ignore
-      done;
-      Engine.run e)
-
 let bench_rng () =
   let rng = Rng.create 2 in
   Bechamel.Staged.stage (fun () -> ignore (Rng.int rng 1000))
@@ -148,8 +129,6 @@ let microbenchmarks () =
   let test =
     Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
       [
-        Test.make ~name:"heap push+pop x64" (bench_heap ());
-        Test.make ~name:"engine 64 events" (bench_engine_event ());
         Test.make ~name:"rng int" (bench_rng ());
         Test.make ~name:"raft log append+slice x64" (bench_log_append ());
         Test.make ~name:"unordered add/mark/remove" (bench_unordered ());

@@ -219,6 +219,22 @@ module Rid_tbl = Hashtbl.Make (struct
   let hash = R2p2.req_id_hash
 end)
 
+(* The ordering layer under the dataplane, chosen once at creation from
+   (mode, backend). Everything below it (apply loop, recovery, replier
+   accounting, snapshots) is shared; the Raft-only duties (leadership,
+   terms, the announce gate, the aggregator, reconfiguration, transfer)
+   take the concrete node from the [Raft] arm. *)
+type ordering =
+  | Local  (* unreplicated: no consensus, the node acts as its own leader *)
+  | Raft of (Protocol.cmd, Protocol.snap) Rnode.t
+  | Rabia of {
+      rb : (Protocol.cmd, Protocol.snap) Rb.t;
+      members : int array;
+          (* Sorted static membership (reconfig is leader-shaped and
+             rejected under rabia): drives the deterministic replier
+             rotation and the replay-ownership hash. *)
+    }
+
 type t = {
   p : params;
   id : int;
@@ -236,15 +252,7 @@ type t = {
          mode) both spread work over them by footprint; apply barriers
          run on index 0. *)
   rng : Rng.t;
-  raft : (Protocol.cmd, Protocol.snap) Rnode.t option;
-  rabia : (Protocol.cmd, Protocol.snap) Rb.t option;
-      (* At most one of [raft]/[rabia] is [Some] — the ordering backend.
-         Everything below the ordering layer (apply loop, recovery,
-         replier accounting, snapshots) is shared between them. *)
-  rabia_members : int array;
-      (* Sorted static membership under the rabia backend (reconfig is
-         leader-shaped and rejected there): drives the deterministic
-         replier rotation and the replay-ownership hash. Empty for raft. *)
+  order : ordering;
   mutable store : Unordered.t;
       (* The body store is RAM: a crash empties it (bodies for unapplied
          entries come back via the recovery path after restart). *)
@@ -360,15 +368,16 @@ type t = {
          replication (the gated-announce stall fix). *)
 }
 
-let debug_recovery = ref false
-
 let commit_index_internal t =
-  match (t.raft, t.rabia) with
-  | Some r, _ -> Rnode.commit_index r
-  | None, Some rb -> Rb.commit_index rb
-  | None, None -> 0
+  match t.order with
+  | Local -> 0
+  | Raft r -> Rnode.commit_index r
+  | Rabia { rb; _ } -> Rb.commit_index rb
 
-let has_consensus t = t.raft <> None || t.rabia <> None
+let has_consensus t =
+  match t.order with Local -> false | Raft _ | Rabia _ -> true
+
+let term t = match t.order with Raft r -> Rnode.term r | Local | Rabia _ -> 0
 
 let with_bodies t = t.p.mode = Vanilla
 
@@ -555,9 +564,7 @@ let halt t =
     t.apply_inflight <- 0;
     Hashtbl.reset t.apply_done;
     tr t Trace.Warn ~kind:"killed" (fun () ->
-        Printf.sprintf "term=%d applied=%d"
-          (match t.raft with Some r -> Rnode.term r | None -> 0)
-          t.applied_ptr);
+        Printf.sprintf "term=%d applied=%d" (term t) t.applied_ptr);
     match t.port with Some p -> Fabric.set_down p true | None -> ()
   end
 
@@ -568,9 +575,9 @@ let halt t =
    current apply finishes cleanly. *)
 let retire_if_still_removed t =
   let still_removed =
-    match t.raft with
-    | Some raft -> not (Rnode.is_member raft t.id)
-    | None -> true
+    match t.order with
+    | Raft raft -> not (Rnode.is_member raft t.id)
+    | Local | Rabia _ -> true
   in
   if still_removed then Engine.after t.engine 0 (fun () -> halt t)
 
@@ -578,9 +585,10 @@ let retire_if_still_removed t =
 (* Raft plumbing                                                       *)
 
 let is_leader t =
-  match t.raft with
-  | Some r -> Rnode.role r = Rnode.Leader
-  | None -> t.rabia = None (* unreplicated acts as its own leader *)
+  match t.order with
+  | Local -> true
+  | Raft r -> Rnode.role r = Rnode.Leader
+  | Rabia _ -> false
 
 (* Which node answers retransmissions of completed requests (and fences
    disowned shard keys). Leader-based backends: the leader. Leaderless:
@@ -588,17 +596,14 @@ let is_leader t =
    request id over the static membership — exactly one live responder
    per rid, same on every replica. *)
 let replays_here t rid =
-  match t.rabia with
-  | Some _ ->
-      let n = Array.length t.rabia_members in
-      n > 0 && t.rabia_members.(R2p2.req_id_hash rid land max_int mod n) = t.id
-  | None -> is_leader t
+  match t.order with
+  | Rabia { members; _ } ->
+      let n = Array.length members in
+      n > 0 && members.(R2p2.req_id_hash rid land max_int mod n) = t.id
+  | Local | Raft _ -> is_leader t
 
-let leader_addr t =
-  match t.raft with
-  | Some r -> (
-      match Rnode.leader_hint r with Some l -> Some (Addr.Node l) | None -> None)
-  | None -> None
+let leader_hint t =
+  match t.order with Raft r -> Rnode.leader_hint r | Local | Rabia _ -> None
 
 let raft_send_extra t = function
   | Rtypes.Append_entries { entries; _ } ->
@@ -649,14 +654,14 @@ let rabia_send_extra t = function
   | msg -> t.p.cost.per_entry_tx_ns * rabia_msg_entries msg
 
 let rec feed_raft t input =
-  match t.raft with
-  | None -> ()
-  | Some raft ->
+  match t.order with
+  | Raft raft ->
       if t.alive then
         let actions = Rnode.handle raft input in
-        List.iter (perform t) actions
+        List.iter (perform t raft) actions
+  | Local | Rabia _ -> ()
 
-and perform t action =
+and perform t raft action =
   match action with
   | Rnode.Send (peer, msg) ->
       let dst =
@@ -682,41 +687,38 @@ and perform t action =
         (Protocol.Raft msg)
   | Rnode.Commit_advanced _ -> pump t
   | Rnode.Snapshot_installed meta -> on_snapshot_installed t meta
-  | Rnode.Appended idx -> on_appended t idx
-  | Rnode.Became_leader -> on_became_leader t
+  | Rnode.Appended idx -> on_appended t raft idx
+  | Rnode.Became_leader -> on_became_leader t raft
   | Rnode.Became_follower _ -> on_became_follower t
   | Rnode.Leader_activity ->
       t.passive <- false;
       t.last_activity <- Engine.now t.engine
   | Rnode.Reject_command _ -> Metrics.incr t.c_rejected
 
-and on_appended t idx =
+and on_appended t raft idx =
   (* The leader just ordered a request: its body is now bound to the log. *)
-  match t.raft with
-  | None -> ()
-  | Some raft ->
-      let entry = Rlog.get (Rnode.log raft) idx in
-      if not entry.cmd.Protocol.meta.internal then
-        (match t.p.mode with
-        | Hover | Hover_pp ->
-            ignore (Unordered.mark_ordered t.store entry.cmd.Protocol.meta.rid)
-        | Vanilla | Unreplicated -> ())
+  let entry = Rlog.get (Rnode.log raft) idx in
+  if not entry.cmd.Protocol.meta.internal then
+    match t.p.mode with
+    | Hover | Hover_pp ->
+        ignore (Unordered.mark_ordered t.store entry.cmd.Protocol.meta.rid)
+    | Vanilla | Unreplicated -> ()
 
 and feed_rabia t input =
-  match t.rabia with
-  | None -> ()
-  | Some rb ->
+  match t.order with
+  | Rabia { rb; members } ->
       if t.alive then
         let actions = Rb.handle rb input in
-        List.iter (perform_rabia t) actions
+        List.iter (perform_rabia t rb members) actions
+  | Local | Raft _ -> ()
 
-and perform_rabia t action =
+and perform_rabia t rb members action =
   match action with
   | Rb.Send (peer, msg) ->
       transmit_net t ~dst:(Addr.Node peer) ~extra:(rabia_send_extra t msg)
         (Protocol.Rabia msg)
   | Rb.Commit_advanced _ -> pump t
-  | Rb.Appended_range (lo, hi) -> on_rabia_appended t lo hi
+  | Rb.Appended_range (lo, hi) -> on_rabia_appended t rb members lo hi
   | Rb.Snapshot_installed meta -> on_snapshot_installed t meta
 
 (* A decided slot (or a repair) just entered the log. Two leader duties
@@ -724,28 +726,24 @@ and perform_rabia t action =
    deterministic rotation over the static membership, same on every
    replica, replacing the leader's JBSQ pick — and the ordered-mark /
    body-recovery step the raft path runs in [bind_bodies]. *)
-and on_rabia_appended t lo hi =
-  match t.rabia with
-  | None -> ()
-  | Some rb ->
-      let log = Rb.log rb in
-      let n = Array.length t.rabia_members in
-      for idx = lo to hi do
-        let entry = Rlog.get log idx in
-        let meta = entry.Rtypes.cmd.Protocol.meta in
-        if not meta.internal then begin
-          (* The cmd value is shared across replicas (simulated wire):
-             first appender assigns; the rule is index-determined, so
-             every replica computes the same node. *)
-          if meta.replier < 0 && n > 0 then
-            meta.replier <- t.rabia_members.(idx mod n);
-          if idx > t.applied_ptr then
-            if
-              (not (Unordered.mark_ordered t.store meta.rid))
-              && not (Completions.mem t.completions meta.rid)
-            then request_recovery t meta.rid
-        end
-      done
+and on_rabia_appended t rb members lo hi =
+  let log = Rb.log rb in
+  let n = Array.length members in
+  for idx = lo to hi do
+    let entry = Rlog.get log idx in
+    let meta = entry.Rtypes.cmd.Protocol.meta in
+    if not meta.internal then begin
+      (* The cmd value is shared across replicas (simulated wire): first
+         appender assigns; the rule is index-determined, so every replica
+         computes the same node. *)
+      if meta.replier < 0 && n > 0 then meta.replier <- members.(idx mod n);
+      if idx > t.applied_ptr then
+        if
+          (not (Unordered.mark_ordered t.store meta.rid))
+          && not (Completions.mem t.completions meta.rid)
+        then request_recovery t meta.rid
+    end
+  done
 
 and gate t idx (cmd : Protocol.cmd) =
   if not t.p.features.reply_lb then begin
@@ -775,29 +773,26 @@ and note_applied t ~node ~applied =
     feed_raft t Rnode.Announce_kick
   end
 
-and on_became_leader t =
-  match t.raft with
-  | None -> ()
-  | Some raft ->
-      Replier.set_nodes t.replier (Rnode.members raft);
-      Replier.reset t.replier;
-      t.announce_stalled <- false;
-      Replier.note_applied t.replier ~node:t.id ~applied:t.applied_ptr;
-      (match t.p.mode with
-      | Hover | Hover_pp ->
-          Rnode.set_announce_gate raft (Some (gate t));
-          (* Ingest requests the previous leader never ordered (§5). *)
-          List.iter
-            (fun (rid, op) ->
-              feed_raft t (Rnode.Client_command (Protocol.client_cmd ~rid op)))
-            (Unordered.unordered_bindings t.store)
-      | Vanilla | Unreplicated -> ());
-      if t.p.mode = Hover_pp then
-        (* Tell the aggregator who is in the cluster before enabling the
-           fast path: its registers and quorum must match our view. *)
-        rearm_aggregator t ~term:(Rnode.term raft)
-          (Array.of_list (Rnode.members raft));
-      start_heartbeats t
+and on_became_leader t raft =
+  Replier.set_nodes t.replier (Rnode.members raft);
+  Replier.reset t.replier;
+  t.announce_stalled <- false;
+  Replier.note_applied t.replier ~node:t.id ~applied:t.applied_ptr;
+  (match t.p.mode with
+  | Hover | Hover_pp ->
+      Rnode.set_announce_gate raft (Some (gate t));
+      (* Ingest requests the previous leader never ordered (§5). *)
+      List.iter
+        (fun (rid, op) ->
+          feed_raft t (Rnode.Client_command (Protocol.client_cmd ~rid op)))
+        (Unordered.unordered_bindings t.store)
+  | Vanilla | Unreplicated -> ());
+  if t.p.mode = Hover_pp then
+    (* Tell the aggregator who is in the cluster before enabling the
+       fast path: its registers and quorum must match our view. *)
+    rearm_aggregator t ~term:(Rnode.term raft)
+      (Array.of_list (Rnode.members raft));
+  start_heartbeats t
 
 and on_became_follower t =
   t.hb_gen <- t.hb_gen + 1;
@@ -829,28 +824,30 @@ and body_for t (cmd : Protocol.cmd) =
     | Unreplicated -> Some cmd.body
 
 and consensus_log t =
-  match (t.raft, t.rabia) with
-  | Some r, _ -> Rnode.log r
-  | None, Some rb -> Rb.log rb
-  | None, None -> invalid_arg "Hnode: no ordering backend"
+  match t.order with
+  | Local -> invalid_arg "Hnode: no ordering backend"
+  | Raft r -> Rnode.log r
+  | Rabia { rb; _ } -> Rb.log rb
 
-(* Applied-index feedback to whichever ordering backend is live (at most
-   one is): ack piggybacking for raft, checkpoint accounting for both. *)
+(* Applied-index feedback to the ordering backend: ack piggybacking for
+   raft, checkpoint accounting for both. *)
 and feed_applied t idx =
-  feed_raft t (Rnode.Applied_up_to idx);
-  feed_rabia t (Rb.Applied_up_to idx)
+  match t.order with
+  | Local -> ()
+  | Raft _ -> feed_raft t (Rnode.Applied_up_to idx)
+  | Rabia _ -> feed_rabia t (Rb.Applied_up_to idx)
 
-(* Whether a checkpoint may cut at [idx]: raft entries are singletons,
+(* Whether applying [idx] cuts a checkpoint. Raft entries are singletons,
    but a rabia slot appends as one atomic batch — an image cut mid-batch
    could never be named by a slot and would strand repairs. *)
-and slot_final_at t idx =
-  match t.rabia with Some rb -> Rb.slot_final rb idx | None -> true
-
-(* Whether applying [idx] cuts a checkpoint. *)
 and snapshot_due t idx =
   t.p.features.snapshot_interval > 0
   && idx - t.last_snap >= t.p.features.snapshot_interval
-  && has_consensus t && slot_final_at t idx
+  &&
+  match t.order with
+  | Local -> false
+  | Raft _ -> true
+  | Rabia { rb; _ } -> Rb.slot_final rb idx
 
 (* The apply loop: a dependency-aware dispatcher over the K application
    threads. Entries leave the committed prefix strictly in log order and
@@ -1001,12 +998,12 @@ and on_config_applied t ms =
     retire_if_still_removed t
   else if is_leader t then begin
     Replier.set_nodes t.replier ms;
-    match t.raft with
-    | Some raft when t.p.mode = Hover_pp ->
+    match t.order with
+    | Raft raft when t.p.mode = Hover_pp ->
         (* Same soft-state flush as a term change (§4): the aggregated
            path was dropped when the config entry was appended. *)
         rearm_aggregator t ~term:(Rnode.term raft) (Array.of_list ms)
-    | Some _ | None -> ()
+    | Local | Raft _ | Rabia _ -> ()
   end
 
 (* The consensus layer accepted a full snapshot (emitted strictly before
@@ -1063,11 +1060,11 @@ and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta
      cluster decided inside that window; left alone they would be
      re-proposed and ordered a second time. The restored completion
      records say which ones those are. *)
-  (match t.rabia with
-  | Some rb ->
+  (match t.order with
+  | Rabia { rb; _ } ->
       Rb.filter_pending rb ~keep:(fun (c : Protocol.cmd) ->
           not (Completions.mem t.completions c.Protocol.meta.rid))
-  | None -> ());
+  | Local | Raft _ -> ());
   if not (List.mem t.id t.members) then retire_if_still_removed t
   else if is_leader t then Replier.set_nodes t.replier t.members
 
@@ -1075,7 +1072,8 @@ and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta
    the live completion records (in FIFO order, so expiry keeps working
    after an install) and the applied-prefix membership, identified by
    (idx, term-at-idx). Runs inside [apply_atomic], before the entry's CPU
-   delay, so the image is exactly the state after entry [idx]. *)
+   delay, so the image is exactly the state after entry [idx]. Counted
+   here, where both backends cut. *)
 and take_snapshot t idx =
   let completions = completion_records t in
   let data =
@@ -1095,11 +1093,12 @@ and take_snapshot t idx =
      inside the atomic section, so tell it about [idx] first or it would
      reject a snapshot "beyond" what it thinks is applied. *)
   feed_applied t idx;
-  (match (t.raft, t.rabia) with
-  | Some raft, _ -> Rnode.set_snapshot raft meta
-  | None, Some rb -> Rb.set_snapshot rb meta
-  | None, None -> ());
+  (match t.order with
+  | Local -> ()
+  | Raft raft -> Rnode.set_snapshot raft meta
+  | Rabia { rb; _ } -> Rb.set_snapshot rb meta);
   t.last_snap <- idx;
+  Metrics.incr t.c_snapshots;
   Metrics.set t.g_snap_index idx
 
 (* The pre-delay atomic section of applying an entry: the
@@ -1211,17 +1210,13 @@ and recovery_target t retries =
   match others with
   | [] -> None
   | _ -> (
-      match (leader_addr t, retries) with
-      | Some l, 0 when not (Addr.equal l (Addr.Node t.id)) -> Some l
+      match (leader_hint t, retries) with
+      | Some l, 0 when l <> t.id -> Some (Addr.Node l)
       | _ ->
           let arr = Array.of_list others in
           Some (Addr.Node arr.(Rng.int t.rng (Array.length arr))))
 
 and request_recovery t rid =
-  if !debug_recovery then
-    Format.eprintf "t=%dus node%d recovery for %a store=%d applied=%d commit=%d@."
-      (Engine.now t.engine / 1000) t.id R2p2.pp_req_id rid
-      (Unordered.size t.store) t.applied_ptr (commit_index_internal t);
   if not (Rid_tbl.mem t.pending_recovery rid) then begin
     Rid_tbl.replace t.pending_recovery rid (0, Engine.now t.engine);
     tr t Trace.Info ~kind:"recovery_issued" (fun () ->
@@ -1469,15 +1464,15 @@ and on_client_request_ordered t rid op =
   | Hover | Hover_pp -> (
       let already_ordered = Unordered.ingest t.store rid op in
       resolve_recovery t rid;
-      match t.rabia with
-      | Some _ ->
+      match t.order with
+      | Rabia _ ->
           (* Leaderless: every replica ingests the command into its
              proposal pool (the backend dedups by rid); the pools
              converge through proposal adoption. *)
           if not already_ordered then
             feed_rabia t (Rb.Client_command (Protocol.client_cmd ~rid op));
           pump t
-      | None ->
+      | Local | Raft _ ->
           if is_leader t then begin
             (* Duplicate suppression: a retransmission of a request that
                is already in the log must not be ordered twice. *)
@@ -1567,13 +1562,13 @@ let dispatch t (pkt : Protocol.payload Fabric.packet) =
         pump t
       end
   | Protocol.Probe_reply { term } -> (
-      match t.raft with
-      | Some raft
+      match t.order with
+      | Raft raft
         when t.p.mode = Hover_pp && is_leader t && term = Rnode.term raft ->
           Rnode.set_aggregated raft true;
           (* Kick replication so the aggregated path takes over now. *)
           feed_raft t Rnode.Heartbeat_timeout
-      | Some _ | None -> ())
+      | Local | Raft _ | Rabia _ -> ())
   | Protocol.Agg_commit { term; commit; applied } ->
       on_agg_commit t ~term ~commit ~applied
   | Protocol.Rabia msg ->
@@ -1653,37 +1648,56 @@ let start_rabia_ticker t =
   in
   loop ()
 
+(* Body GC, completion-record expiry and log compaction. The three
+   tables are independent, so each backend's arm can run its own body GC
+   and compaction after the shared expiry. *)
 let start_gc_loop t =
   let life = t.life in
+  let retain = t.p.features.log_retain in
   let rec loop () =
     Engine.after t.engine t.p.timing.gc_interval (fun () ->
         if t.alive && t.life = life then begin
-          (* Bodies still in the leaderless proposal pool are pinned:
-             their time-to-order is unbounded (see {!Unordered.gc}). *)
-          let keep =
-            match t.rabia with
-            | None -> None
-            | Some rb ->
-                Some
-                  (fun rid ->
-                    Rb.pending_mem rb
-                      (Format.asprintf "%a" R2p2.pp_req_id rid))
-          in
-          ignore (Unordered.gc ?keep t.store);
           Completions.expire t.completions ~now:(Engine.now t.engine)
             ~retain:t.p.timing.gc_ordered;
-          (match (t.raft, t.rabia) with
-          | Some raft, _ ->
-              let base = Rnode.compact raft ~retain:t.p.features.log_retain in
-              Metrics.set t.g_log_base base
-          | None, Some rb ->
-              let base = Rb.compact rb ~retain:t.p.features.log_retain in
-              Metrics.set t.g_log_base base
-          | None, None -> ());
+          (match t.order with
+          | Local -> ()
+          | Raft raft ->
+              ignore (Unordered.gc t.store);
+              Metrics.set t.g_log_base (Rnode.compact raft ~retain)
+          | Rabia { rb; _ } ->
+              (* Bodies still in the leaderless proposal pool are pinned:
+                 their time-to-order is unbounded (see {!Unordered.gc}). *)
+              ignore
+                (Unordered.gc t.store ~keep:(fun rid ->
+                     Rb.pending_mem rb (Format.asprintf "%a" R2p2.pp_req_id rid)));
+              Metrics.set t.g_log_base (Rb.compact rb ~retain));
           loop ()
         end)
   in
   loop ()
+
+(* The node's timers: none unreplicated; the election clock under raft,
+   the retransmit/status tick under rabia; the GC loop under both. *)
+let start_timers t =
+  match t.order with
+  | Local -> ()
+  | Raft _ ->
+      start_election_clock t;
+      start_gc_loop t
+  | Rabia _ ->
+      start_rabia_ticker t;
+      start_gc_loop t
+
+(* Bring the node onto the network and arm its clocks: shared by
+   [create] and [restart]. *)
+let boot t =
+  t.port <-
+    Some
+      (Fabric.attach t.fabric ~addr:(Addr.Node t.id)
+         ~rate_gbps:t.p.cost.link_gbps ~handler:(on_packet t));
+  Fabric.join t.fabric ~group:Addr.cluster_group (Addr.Node t.id);
+  t.election_timeout <- draw_timeout t;
+  start_timers t
 
 (* ------------------------------------------------------------------ *)
 
@@ -1724,17 +1738,17 @@ let on_raft_event t = function
          learns the new membership, no ack ever reaches the leader and
          the config entry can never commit. Waiting for commit to re-arm
          is a deadlock broken only by an election. *)
-      (match t.raft with
-      | Some raft when t.p.mode = Hover_pp && is_leader t && t.alive ->
+      (match t.order with
+      | Raft raft when t.p.mode = Hover_pp && is_leader t && t.alive ->
           rearm_aggregator t ~term:(Rnode.term raft) (Array.of_list ms)
-      | Some _ | None -> ())
+      | Local | Raft _ | Rabia _ -> ())
   | Rnode.Obs_transfer_sent target ->
       Metrics.incr t.c_transfers;
       t.last_transfer <- Some target;
       tr t Trace.Info ~kind:"transfer_sent" (fun () ->
           Printf.sprintf "target=%d" target)
   | Rnode.Obs_snapshot_taken idx ->
-      Metrics.incr t.c_snapshots;
+      (* Counted by [take_snapshot], which cuts under both backends. *)
       tr t Trace.Info ~kind:"snapshot_taken" (fun () ->
           Printf.sprintf "idx=%d" idx)
   | Rnode.Obs_install_started (peer, idx) ->
@@ -1764,14 +1778,13 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
   if not (List.mem id members) then
     invalid_arg "Hnode.create: id outside membership";
   let rng = Rng.create (p.seed + (id * 7919)) in
-  let raft =
-    match (p.mode, p.backend) with
-    | Unreplicated, _ | _, Rabia -> None
+  let peers = Array.of_list (List.filter (fun i -> i <> id) members) in
+  (* [validate_params] admits rabia only under Hover. *)
+  let order =
+    match (p.mode, (p.backend : backend)) with
+    | Unreplicated, _ -> Local
     | (Vanilla | Hover | Hover_pp), Raft ->
-        let peers =
-          Array.of_list (List.filter (fun i -> i <> id) members)
-        in
-        Some
+        Raft
           (Rnode.create
              {
                Rnode.id;
@@ -1783,25 +1796,24 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
                snap_chunk_bytes = Hovercraft_net.Wire.snap_chunk_bytes;
              }
              ~noop:Protocol.internal_noop)
-  in
-  let rabia =
-    match (p.mode, p.backend) with
-    | Hover, Rabia ->
-        let peers = Array.of_list (List.filter (fun i -> i <> id) members) in
-        Some
-          (Rb.create
-             {
-               Rb.id;
-               peers;
-               batch_max = p.features.batch_max;
-               (* Cluster-wide: the common coin must flip the same way on
-                  every node, so the seed is the shared experiment seed,
-                  not the per-node one. *)
-               coin_seed = p.seed;
-             }
-             ~key_of:(fun (c : Protocol.cmd) ->
-               Format.asprintf "%a" R2p2.pp_req_id c.Protocol.meta.rid))
-    | _ -> None
+    | (Vanilla | Hover | Hover_pp), Rabia ->
+        Rabia
+          {
+            rb =
+              Rb.create
+                {
+                  Rb.id;
+                  peers;
+                  batch_max = p.features.batch_max;
+                  (* Cluster-wide: the common coin must flip the same way
+                     on every node, so the seed is the shared experiment
+                     seed, not the per-node one. *)
+                  coin_seed = p.seed;
+                }
+                ~key_of:(fun (c : Protocol.cmd) ->
+                  Format.asprintf "%a" R2p2.pp_req_id c.Protocol.meta.rid);
+            members = Array.of_list members;
+          }
   in
   let now () = Engine.now engine in
   let metrics = Metrics.create () in
@@ -1818,10 +1830,7 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       net_cpus = Array.init p.features.net_stages (fun _ -> Cpu.create engine);
       apps = Array.init p.features.apply_threads (fun _ -> Cpu.create engine);
       rng;
-      raft;
-      rabia;
-      rabia_members =
-        (if rabia = None then [||] else Array.of_list members);
+      order;
       store =
         Unordered.create ~now ~gc_unordered:p.timing.gc_unordered
           ~gc_ordered:p.timing.gc_ordered ();
@@ -1899,25 +1908,12 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       announce_stalled = false;
     }
   in
-  (match t.raft with
-  | Some raft ->
+  (match order with
+  | Raft raft ->
       Rnode.set_observer raft (Some (on_raft_event t));
       Rnode.set_config_decoder raft (fun (c : Protocol.cmd) -> c.Protocol.config)
-  | None -> ());
-  t.election_timeout <- draw_timeout t;
-  let port =
-    Fabric.attach fabric ~addr:(Addr.Node id) ~rate_gbps:p.cost.link_gbps
-      ~handler:(on_packet t)
-  in
-  t.port <- Some port;
-  Fabric.join fabric ~group:Addr.cluster_group (Addr.Node id);
-  (match p.mode with
-  | Vanilla | Hover | Hover_pp ->
-      (match t.rabia with
-      | Some _ -> start_rabia_ticker t
-      | None -> start_election_clock t);
-      start_gc_loop t
-  | Unreplicated -> ());
+  | Local | Rabia _ -> ());
+  boot t;
   t
 
 let id t = t.id
@@ -1925,7 +1921,6 @@ let alive t = t.alive
 let mode t = t.p.mode
 let backend t = t.p.backend
 
-let term t = match t.raft with Some r -> Rnode.term r | None -> 0
 let commit_index t = commit_index_internal t
 let applied_index t = t.applied_ptr
 
@@ -1935,10 +1930,10 @@ let log_length t =
 let log_base t = if has_consensus t then Rlog.base (consensus_log t) else 0
 
 let snapshot_index t =
-  match (t.raft, t.rabia) with
-  | Some r, _ -> Rnode.snapshot_index r
-  | None, Some rb -> Rb.snapshot_index rb
-  | None, None -> 0
+  match t.order with
+  | Local -> 0
+  | Raft r -> Rnode.snapshot_index r
+  | Rabia { rb; _ } -> Rb.snapshot_index rb
 
 let snapshots_taken t = Metrics.value t.c_snapshots
 let installs_received t = Metrics.value t.c_installs_recv
@@ -1949,10 +1944,11 @@ let replies_sent t = Metrics.value t.c_replies
 let store_size t = Unordered.size t.store
 
 let ordering_pending t =
-  match t.rabia with Some rb -> Rb.pending rb | None -> 0
+  match t.order with Rabia { rb; _ } -> Rb.pending rb | Local | Raft _ -> 0
 
 let ordering_next_slot t =
-  match t.rabia with Some rb -> Rb.next_slot rb | None -> 0
+  match t.order with Rabia { rb; _ } -> Rb.next_slot rb | Local | Raft _ -> 0
+
 let recoveries_sent t = Metrics.value t.c_recoveries
 let recovery_escalations t = Metrics.value t.c_recovery_escalations
 let pending_recoveries t = Rid_tbl.length t.pending_recovery
@@ -1994,7 +1990,7 @@ let iter_log t ~lo ~hi f =
         f idx e.Rtypes.term e.Rtypes.cmd)
 
 let aggregated t =
-  match t.raft with Some r -> Rnode.aggregated r | None -> false
+  match t.order with Raft r -> Rnode.aggregated r | Local | Rabia _ -> false
 
 let metrics t = t.metrics
 let trace t = t.trace
@@ -2004,33 +2000,39 @@ let members t = t.members
 let last_transfer t = t.last_transfer
 
 let config_index t =
-  match t.raft with Some r -> Rnode.config_index r | None -> 0
+  match t.order with Raft r -> Rnode.config_index r | Local | Rabia _ -> 0
 
 let raft_members t =
-  match t.raft with Some r -> Rnode.members r | None -> t.members
+  match t.order with Raft r -> Rnode.members r | Local | Rabia _ -> t.members
 
+(* Leaderless consensus needs no bootstrap election; the first client
+   command starts slot 0. *)
 let bootstrap t =
-  (* Leaderless consensus needs no bootstrap election; the first client
-     command starts slot 0. *)
-  if t.rabia = None then feed_raft t Rnode.Election_timeout
+  match t.order with
+  | Raft _ -> feed_raft t Rnode.Election_timeout
+  | Local | Rabia _ -> ()
 
 let propose_reconfig t ~members:ms =
   if ms = [] then invalid_arg "Hnode.propose_reconfig: empty membership";
-  if t.rabia <> None then
-    invalid_arg
-      "Hnode.propose_reconfig: the rabia backend is fixed-membership \
-       (quorum-intersection over locked proposals assumes a static member \
-       set)";
-  feed_raft t
-    (Rnode.Client_command
-       (Protocol.config_cmd ~members:(Array.of_list (List.sort_uniq compare ms))))
+  match t.order with
+  | Rabia _ ->
+      invalid_arg
+        "Hnode.propose_reconfig: the rabia backend is fixed-membership \
+         (quorum-intersection over locked proposals assumes a static member \
+         set)"
+  | Local | Raft _ ->
+      feed_raft t
+        (Rnode.Client_command
+           (Protocol.config_cmd
+              ~members:(Array.of_list (List.sort_uniq compare ms))))
 
 let transfer_leadership t ~target =
-  if t.rabia <> None then
-    invalid_arg
-      "Hnode.transfer_leadership: the rabia backend is leaderless — there \
-       is no leadership to transfer";
-  feed_raft t (Rnode.Transfer_leadership target)
+  match t.order with
+  | Rabia _ ->
+      invalid_arg
+        "Hnode.transfer_leadership: the rabia backend is leaderless — there \
+         is no leadership to transfer"
+  | Local | Raft _ -> feed_raft t (Rnode.Transfer_leadership target)
 
 let preload t ops =
   List.iter (fun op -> ignore (Op.apply t.app_state op)) ops;
@@ -2111,9 +2113,6 @@ let snapshot t =
   in
   Json.Obj (gauges @ replier @ [ ("metrics", Metrics.snapshot t.metrics) ])
 
-let leader_hint t =
-  match t.raft with Some r -> Rnode.leader_hint r | None -> None
-
 let kill = halt
 
 (* Crash–recovery (DESIGN.md): what survives is the Raft persistent state
@@ -2138,18 +2137,17 @@ let restart t =
   t.probe_sent_term <- -1;
   t.hb_gen <- t.hb_gen + 1;
   Hashtbl.reset t.lease_heard;
-  (match (t.raft, t.rabia) with
-  | Some raft, _ ->
+  (match t.order with
+  | Local -> ()
+  | Raft raft ->
       Rnode.recover raft;
-      t.applied_ptr <- Rnode.applied_index raft;
-      (* The checkpoint is durable (part of the applied state machine's
-         persistence); restart from it rather than re-cutting early. *)
-      t.last_snap <- Rnode.snapshot_index raft
-  | None, Some rb ->
+      t.applied_ptr <- Rnode.applied_index raft
+  | Rabia { rb; _ } ->
       Rb.recover rb;
-      t.applied_ptr <- Rb.applied_index rb;
-      t.last_snap <- Rb.snapshot_index rb
-  | None, None -> ());
+      t.applied_ptr <- Rb.applied_index rb);
+  (* The checkpoint is durable (part of the applied state machine's
+     persistence); restart from it rather than re-cutting early. *)
+  t.last_snap <- snapshot_index t;
   (* The dispatcher restarts with nothing in flight; its
      watermark and round-robin pointer are recomputed from the durable
      applied prefix so a replayed log redispatches identically. *)
@@ -2159,20 +2157,7 @@ let restart t =
   t.apply_rr <- 0;
   t.pumping <- false;
   Hashtbl.reset t.xfer_start;
-  let port =
-    Fabric.attach t.fabric ~addr:(Addr.Node t.id) ~rate_gbps:t.p.cost.link_gbps
-      ~handler:(on_packet t)
-  in
-  t.port <- Some port;
-  Fabric.join t.fabric ~group:Addr.cluster_group (Addr.Node t.id);
   t.last_activity <- Engine.now t.engine;
-  t.election_timeout <- draw_timeout t;
-  (match t.p.mode with
-  | Vanilla | Hover | Hover_pp ->
-      (match t.rabia with
-      | Some _ -> start_rabia_ticker t
-      | None -> start_election_clock t);
-      start_gc_loop t
-  | Unreplicated -> ());
+  boot t;
   tr t Trace.Warn ~kind:"restarted" (fun () ->
       Printf.sprintf "term=%d applied=%d" (term t) t.applied_ptr)

@@ -357,8 +357,9 @@ val redraw_election_timeout : t -> Timebase.t
 
 val bootstrap : t -> unit
 (** Fire an immediate election timeout (used to elect a deterministic
-    initial leader at simulation start). No-op under the leaderless
-    [Rabia] backend — the first client command starts slot 0. *)
+    initial leader at simulation start) when the node's ordering layer is
+    Raft. No-op when it is local (unreplicated) or the leaderless Rabia
+    backend — there the first client command starts slot 0. *)
 
 val propose_reconfig : t -> members:int list -> unit
 (** Leader only: append a single-server membership-change entry carrying
@@ -438,8 +439,3 @@ val restart : t -> unit
     chaos runs extend it accordingly).
 
     Raises [Invalid_argument] if the node is alive. *)
-
-(**/**)
-
-val debug_recovery : bool ref
-(** Internal: verbose tracing of body-recovery triggers. *)

@@ -7,30 +7,3 @@ let kind_of_string = function
 
 let kind_name = function Raft -> "raft" | Rabia -> "rabia"
 let pp_kind fmt k = Format.pp_print_string fmt (kind_name k)
-
-module type BACKEND = sig
-  type ('cmd, 'snap) t
-  type ('cmd, 'snap) input
-  type ('cmd, 'snap) action
-
-  val handle :
-    ('cmd, 'snap) t -> ('cmd, 'snap) input -> ('cmd, 'snap) action list
-
-  val id : ('cmd, 'snap) t -> int
-  val members : ('cmd, 'snap) t -> int list
-  val log : ('cmd, 'snap) t -> 'cmd Hovercraft_raft.Log.t
-  val commit_index : ('cmd, 'snap) t -> int
-  val applied_index : ('cmd, 'snap) t -> int
-
-  val set_snapshot :
-    ('cmd, 'snap) t -> 'snap Hovercraft_raft.Snapshot.meta -> unit
-
-  val snapshot :
-    ('cmd, 'snap) t -> 'snap Hovercraft_raft.Snapshot.meta option
-
-  val snapshot_index : ('cmd, 'snap) t -> int
-  val compact : ('cmd, 'snap) t -> retain:int -> int
-  val recover : ('cmd, 'snap) t -> unit
-end
-
-module Raft_backend = Hovercraft_raft.Node

@@ -1,23 +1,22 @@
-(** The pluggable ordering-backend boundary (HovercRaft §3: ordering is
-    separable from dissemination and execution).
+(** The ordering-backend choice (HovercRaft §3: ordering is separable
+    from dissemination and execution).
 
     A backend is a pure state-transition machine in the [raft_role.ml]
-    idiom: an explicit state record, one [handle] entry point consuming
-    an input (received message, timer, client command, application
-    progress) and returning the actions the embedder must perform, in
-    order. The embedder ([Hnode]) owns clocks, transport, randomized
-    durations and the apply thread; the backend owns ordering and commit
-    safety. Nothing in a backend reads the wall clock or a private RNG —
-    every run is a pure function of the inputs plus the cluster seed, so
-    seeded chaos schedules replay byte-identically.
+    idiom: one [handle] entry point consumes an input (received message,
+    timer, client command, application progress) and returns the actions
+    the embedder must perform, in order. The embedder ([Hnode]) owns
+    clocks, transport, randomized durations and the apply thread; the
+    backend owns ordering and commit safety. Nothing in a backend reads
+    the wall clock or a private RNG, so seeded chaos schedules replay
+    byte-identically.
 
-    Two backends implement the contract:
-
-    - {!Raft_backend} — the existing Raft node, re-exported verbatim so
-      the historical path stays byte-identical at every (S, K) combo;
-    - {!Rabia} — leaderless randomized agreement (Rabia-style weak MVC
-      over a common-case fast path): no leader, no election timeout, and
-      hence no failover latency after a node kill. *)
+    Two backends exist: the Raft node ({!Hovercraft_raft.Node}) and
+    {!Rabia}, leaderless randomized agreement (Rabia-style weak MVC over
+    a common-case fast path) with no leader, no election timeout and
+    hence no failover latency after a node kill. Their inputs, actions
+    and messages differ, so there is no shared signature: [Hnode] holds
+    the live one in its [ordering] variant ([Local | Raft | Rabia]) and
+    matches on it wherever the two differ. *)
 
 (** Which ordering backend a deployment runs. *)
 type kind = Raft | Rabia
@@ -25,42 +24,3 @@ type kind = Raft | Rabia
 val kind_of_string : string -> (kind, string) result
 val kind_name : kind -> string
 val pp_kind : Format.formatter -> kind -> unit
-
-(** What every ordering backend must provide. The signature is the
-    refactor's payload: [Hnode] is written against it, not against
-    [Raft.Node]. Action/input/message types stay backend-specific (their
-    payloads differ), so the contract is the shape — pure transitions,
-    explicit actions — plus the common observers below. *)
-module type BACKEND = sig
-  type ('cmd, 'snap) t
-  type ('cmd, 'snap) input
-  type ('cmd, 'snap) action
-
-  val handle :
-    ('cmd, 'snap) t -> ('cmd, 'snap) input -> ('cmd, 'snap) action list
-  (** Process one input; returns the actions in the order they must be
-      performed. Pure with respect to time and IO. *)
-
-  val id : ('cmd, 'snap) t -> int
-  val members : ('cmd, 'snap) t -> int list
-  val log : ('cmd, 'snap) t -> 'cmd Hovercraft_raft.Log.t
-  val commit_index : ('cmd, 'snap) t -> int
-  val applied_index : ('cmd, 'snap) t -> int
-
-  val set_snapshot :
-    ('cmd, 'snap) t -> 'snap Hovercraft_raft.Snapshot.meta -> unit
-
-  val snapshot :
-    ('cmd, 'snap) t -> 'snap Hovercraft_raft.Snapshot.meta option
-
-  val snapshot_index : ('cmd, 'snap) t -> int
-  val compact : ('cmd, 'snap) t -> retain:int -> int
-  val recover : ('cmd, 'snap) t -> unit
-end
-
-(** The Raft backend: the existing implementation, unchanged. Aliasing
-    (rather than wrapping) is what guarantees the refactor cannot perturb
-    the Raft path — same module, same code, same fingerprints. *)
-module Raft_backend : sig
-  include module type of Hovercraft_raft.Node
-end

@@ -7,7 +7,7 @@
     leader, no election, no failover latency: a node kill costs the
     quorum nothing but the dead node's votes.
 
-    Pure state-transition machine in the {!Ordering.BACKEND} idiom:
+    Pure state-transition machine, like {!Hovercraft_raft.Node}:
     [handle] consumes one input and returns the actions to perform, in
     order. The module never reads a clock or a private RNG — a run is a
     function of its inputs and the seed, so seeded chaos replays

@@ -400,41 +400,48 @@ let test_preloaded_rides_snapshots () =
 (* The legacy (pre-snapshot) history checker scans full logs from index
    1; on a compacted log those scans would pass vacuously, so it must
    refuse loudly — and the snapshot-aware checker must handle the same
-   deployment. Also pins the Hnode observability surface. *)
+   deployment. Also pins the Hnode observability surface, under both
+   ordering backends (rabia only runs under Hover). *)
 let test_legacy_checker_rejects_compacted_logs () =
-  let params =
-    let p = Hnode.params ~mode:Hnode.Hover_pp ~n:3 () in
-    {
-      p with
-      Hnode.seed = 9;
-      features =
+  List.iter
+    (fun (label, mode, backend) ->
+      let name what = label ^ ": " ^ what in
+      let params =
+        let p = Hnode.params ~mode ~backend ~n:3 () in
         {
-          p.Hnode.features with
-          Hnode.snapshot_interval = 200;
-          log_retain = 200;
-        };
-    }
-  in
-  let deploy = Deploy.create (Deploy.config params) in
-  let gen =
-    Loadgen.create deploy ~clients:4 ~rate_rps:40_000. ~workload ~seed:9 ()
-  in
-  ignore (Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 200) ());
-  Deploy.quiesce deploy ();
-  let n0 = deploy.Deploy.nodes.(0) in
-  check "node checkpointed" true (Hnode.snapshots_taken n0 > 0);
-  check "snapshot index advanced" true (Hnode.snapshot_index n0 > 0);
-  check "log compacted" true (Hnode.log_base n0 > 0);
-  check "legacy checker fails fast on a compacted log" true
-    (try
-       ignore (Chaos.check deploy ~completed_writes:[]);
-       false
-     with Invalid_argument _ -> true);
-  let violations, _, _, _, consistent =
-    Chaos.check ~snapshots:true deploy ~completed_writes:[]
-  in
-  Alcotest.(check (list string)) "snapshot-aware checker passes" [] violations;
-  check "replicas consistent" true consistent
+          p with
+          Hnode.seed = 9;
+          features =
+            {
+              p.Hnode.features with
+              Hnode.snapshot_interval = 200;
+              log_retain = 200;
+            };
+        }
+      in
+      let deploy = Deploy.create (Deploy.config params) in
+      let gen =
+        Loadgen.create deploy ~clients:4 ~rate_rps:40_000. ~workload ~seed:9 ()
+      in
+      ignore (Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 200) ());
+      Deploy.quiesce deploy ();
+      let n0 = deploy.Deploy.nodes.(0) in
+      check (name "node checkpointed") true (Hnode.snapshots_taken n0 > 0);
+      check (name "snapshot index advanced") true (Hnode.snapshot_index n0 > 0);
+      check (name "log compacted") true (Hnode.log_base n0 > 0);
+      check (name "legacy checker fails fast on a compacted log") true
+        (try
+           ignore (Chaos.check deploy ~completed_writes:[]);
+           false
+         with Invalid_argument _ -> true);
+      let violations, _, _, _, consistent =
+        Chaos.check ~snapshots:true deploy ~completed_writes:[]
+      in
+      Alcotest.(check (list string))
+        (name "snapshot-aware checker passes")
+        [] violations;
+      check (name "replicas consistent") true consistent)
+    [ ("raft", Hnode.Hover_pp, Hnode.Raft); ("rabia", Hnode.Hover, Hnode.Rabia) ]
 
 let suite =
   [
