@@ -2,7 +2,7 @@
 # and `dune runtest` directly, then several of the smoke targets below;
 # `make check` is the local equivalent of its first two steps.
 
-.PHONY: all build test check golden-cell golden-control golden-modes obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check golden-cell golden-control golden-modes golden-chaos obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
 all: build
 
@@ -56,6 +56,16 @@ golden-modes:
 	  cmp $(GOLDEN_MODES)/$$c.out test/golden/modes-$$c.out || exit 1; \
 	  cmp $(GOLDEN_MODES)/$$c.json test/golden/modes-$$c.json || exit 1; \
 	done
+
+# The client retry path pinned byte for byte: the seeded chaos schedule
+# (leader kills and restarts under load) drives same-rid client
+# retransmissions, flow control and body recovery, none of which the
+# cells above reach. Stdout must match test/golden/chaos-seed4.out.
+golden-chaos:
+	mkdir -p _build/golden-chaos
+	dune exec bin/hovercraft.exe -- chaos --seed 4 --duration-ms 1000 \
+	  > _build/golden-chaos/chaos-seed4.out
+	cmp _build/golden-chaos/chaos-seed4.out test/golden/chaos-seed4.out
 
 # End-to-end observability smoke: a lossy HovercRaft run that must
 # converge and emit hovercraft_snapshot.json.

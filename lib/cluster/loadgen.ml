@@ -6,17 +6,10 @@ module Fabric = Hovercraft_net.Fabric
 module Op = Hovercraft_apps.Op
 module Metrics = Hovercraft_obs.Metrics
 
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
-
 (* One client endpoint = one id source + a port on EVERY group's fabric
    (the groups are separate fabrics; a real client has one NIC reaching
    all of them, so each port gets the full client link rate). Ids stay
-   globally unique across groups. *)
+   globally unique across groups. Endpoint [i] sends as [Addr.Client i]. *)
 type endpoint = {
   ports : Protocol.payload Fabric.port array; (* index = group *)
   ids : R2p2.Id_source.t;
@@ -53,8 +46,8 @@ type t = {
     option;
   on_nack : (at:Timebase.t -> unit) option;
   rng : Rng.t;
-  outstanding : (Timebase.t * Op.t * endpoint) Rid_tbl.t;
-  backoff : Timebase.t Rid_tbl.t; (* per-rid reroute backoff *)
+  outstanding : Op.t Rid_table.t; (* stamped with the first send *)
+  backoff : Timebase.t Rid_table.t; (* per-rid reroute backoff *)
   stats : Stats.t;
   metrics : Metrics.t;
   c_sent : Metrics.counter;
@@ -76,6 +69,7 @@ type t = {
 let client_link_gbps = 10.
 
 let in_window t sent_at = sent_at >= t.measure_from && sent_at <= t.measure_to
+let endpoint t (rid : R2p2.req_id) = t.endpoints.(Addr.index rid.src_addr)
 
 let transmit t ep rid op =
   t.tally op;
@@ -105,60 +99,63 @@ let reroute_base = Timebase.us 10
 let reroute_cap = Timebase.ms 2
 
 let on_wrong_shard t rid =
-  match Rid_tbl.find_opt t.outstanding rid with
-  | None -> ()
-  | Some (_, op, ep) ->
-      t.rerouted <- t.rerouted + 1;
-      let delay =
-        match Rid_tbl.find_opt t.backoff rid with
-        | None -> reroute_base
-        | Some d -> min reroute_cap (2 * d)
-      in
-      Rid_tbl.replace t.backoff rid delay;
-      Engine.after t.engine delay (fun () ->
-          if Rid_tbl.mem t.outstanding rid then transmit t ep rid op)
+  let h = Rid_table.find t.outstanding rid in
+  if not (Rid_table.is_nil h) then begin
+    let op = Rid_table.value t.outstanding h in
+    t.rerouted <- t.rerouted + 1;
+    let b = Rid_table.find t.backoff rid in
+    let delay =
+      if Rid_table.is_nil b then reroute_base
+      else min reroute_cap (2 * Rid_table.value t.backoff b)
+    in
+    Rid_table.remove_node t.backoff b;
+    ignore (Rid_table.add t.backoff rid delay ~stamp:0 ~list:0);
+    Engine.after t.engine delay (fun () ->
+        if Rid_table.mem t.outstanding rid then transmit t (endpoint t rid) rid op)
+  end
 
 (* A request's final answer (reply or NACK) retires it and its reroute
-   backoff; [None] for duplicates and answers to retired requests. *)
-let take t rid =
-  let found = Rid_tbl.find_opt t.outstanding rid in
-  if Option.is_some found then begin
-    Rid_tbl.remove t.outstanding rid;
-    Rid_tbl.remove t.backoff rid
-  end;
-  found
+   backoff. Duplicates and answers to retired requests find no entry. *)
+let retire t rid h =
+  Rid_table.remove_node t.outstanding h;
+  if Rid_table.length t.backoff > 0 then Rid_table.remove t.backoff rid
 
 let on_packet t (pkt : Protocol.payload Fabric.packet) =
   let now = Engine.now t.engine in
   match pkt.payload with
-  | Protocol.Response { rid } -> (
-      match take t rid with
-      | Some (sent_at, op, _) ->
-          let latency = now - sent_at in
-          (* Window membership is decided by when the request was SENT, not
-             when the reply arrived: replies landing after measure_to (e.g.
-             during drain) still belong to the run. Gating on arrival would
-             silently drop exactly the slowest completions and bias every
-             tail percentile downward. *)
-          if in_window t sent_at then begin
-            Metrics.incr t.c_completed;
-            Stats.add t.stats latency;
-            Metrics.observe t.h_latency_ns latency;
-            Metrics.wobserve t.w_latency latency;
-            Metrics.wobserve t.w_groups.(t.route rid op) latency;
-            match t.on_reply with
-            | Some f -> f ~rid ~op ~sent_at ~latency
-            | None -> ()
-          end
-      | None -> () (* duplicate or out-of-window reply *))
-  | Protocol.Nack { rid } -> (
-      match take t rid with
-      | Some (sent_at, _, _) ->
-          if in_window t sent_at then begin
-            Metrics.incr t.c_nacked;
-            match t.on_nack with Some f -> f ~at:now | None -> ()
-          end
-      | None -> ())
+  | Protocol.Response { rid } ->
+      let h = Rid_table.find t.outstanding rid in
+      if not (Rid_table.is_nil h) then begin
+        let sent_at = Rid_table.stamp t.outstanding h in
+        let op = Rid_table.value t.outstanding h in
+        retire t rid h;
+        let latency = now - sent_at in
+        (* Window membership is decided by when the request was SENT, not
+           when the reply arrived: replies landing after measure_to (e.g.
+           during drain) still belong to the run. Gating on arrival would
+           silently drop exactly the slowest completions and bias every
+           tail percentile downward. *)
+        if in_window t sent_at then begin
+          Metrics.incr t.c_completed;
+          Stats.add t.stats latency;
+          Metrics.observe t.h_latency_ns latency;
+          Metrics.wobserve t.w_latency latency;
+          Metrics.wobserve t.w_groups.(t.route rid op) latency;
+          match t.on_reply with
+          | Some f -> f ~rid ~op ~sent_at ~latency
+          | None -> ()
+        end
+      end
+  | Protocol.Nack { rid } ->
+      let h = Rid_table.find t.outstanding rid in
+      if not (Rid_table.is_nil h) then begin
+        let sent_at = Rid_table.stamp t.outstanding h in
+        retire t rid h;
+        if in_window t sent_at then begin
+          Metrics.incr t.c_nacked;
+          match t.on_nack with Some f -> f ~at:now | None -> ()
+        end
+      end
   | Protocol.Wrong_shard { rid; _ } -> on_wrong_shard t rid
   | Protocol.Request _ | Protocol.Raft _ | Protocol.Recovery_request _
   | Protocol.Recovery_response _ | Protocol.Probe _ | Protocol.Probe_reply _
@@ -188,8 +185,8 @@ let make groups ~route ~tally ~clients ~rate_rps ~profile ~workload ~target
       on_reply;
       on_nack;
       rng = Rng.create seed;
-      outstanding = Rid_tbl.create 4096;
-      backoff = Rid_tbl.create 64;
+      outstanding = Rid_table.create ~capacity:4096 ~lists:1 ();
+      backoff = Rid_table.create ~capacity:64 ~lists:1 ();
       stats = Stats.create ();
       metrics;
       c_sent = Metrics.counter metrics "sent";
@@ -242,7 +239,7 @@ let rec arm_retry t ep rid op attempts_left =
   | None -> ()
   | Some (timeout, _) ->
       Engine.after t.engine timeout (fun () ->
-          if Rid_tbl.mem t.outstanding rid then
+          if Rid_table.mem t.outstanding rid then
             if attempts_left > 0 then begin
               Metrics.incr t.c_retried;
               transmit t ep rid op;
@@ -254,14 +251,14 @@ let rec arm_retry t ep rid op attempts_left =
                  Without this, rids that die mid-migration (rerouted at
                  least once, then lost) leak a table entry forever —
                  only the reply/NACK paths clear it. *)
-              Rid_tbl.remove t.backoff rid)
+              Rid_table.remove t.backoff rid)
 
 let send_one t =
   let ep = t.endpoints.(t.next_endpoint) in
   t.next_endpoint <- (t.next_endpoint + 1) mod Array.length t.endpoints;
   let op = t.workload t.rng in
   let rid = R2p2.Id_source.next ep.ids in
-  Rid_tbl.replace t.outstanding rid (Engine.now t.engine, op, ep);
+  ignore (Rid_table.add t.outstanding rid op ~stamp:(Engine.now t.engine) ~list:0);
   Metrics.incr t.c_sent;
   transmit t ep rid op;
   match t.retry with
@@ -299,11 +296,15 @@ let run t ~warmup ~duration ?(drain = Timebase.ms 20) () =
      never got an answer: report it as lost instead of pretending the
      window was clean. *)
   let lost = ref 0 in
-  Rid_tbl.iter (fun _ (sent_at, _, _) -> if in_window t sent_at then incr lost) t.outstanding;
+  Rid_table.iter_list t.outstanding 0 (fun h ->
+      if in_window t (Rid_table.stamp t.outstanding h) then incr lost);
   Metrics.add t.c_lost !lost;
   (* Client teardown: whatever is still in flight when the run ends was
-     just counted as lost; its backoff state must not outlive it. *)
-  Rid_tbl.reset t.backoff;
+     just counted as lost; its backoff state must not outlive it, and the
+     in-flight table keeps its entries (a late reply still retires one)
+     but gives back the storage its peak needed. *)
+  Rid_table.reset t.backoff;
+  Rid_table.trim t.outstanding;
   let completed = Metrics.value t.c_completed in
   let window_s = Timebase.to_s_f (t.measure_to - t.measure_from) in
   let pct p = if Stats.count t.stats = 0 then 0. else Timebase.to_us_f (Stats.percentile t.stats p) in
@@ -335,6 +336,6 @@ let group_latency_window t g =
 
 let retried t = Metrics.value t.c_retried
 let rerouted t = t.rerouted
-let backoff_entries t = Rid_tbl.length t.backoff
+let backoff_entries t = Rid_table.length t.backoff
 let metrics t = t.metrics
 let snapshot t = Metrics.snapshot t.metrics

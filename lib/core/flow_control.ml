@@ -1,20 +1,12 @@
 module Fabric = Hovercraft_net.Fabric
 module Addr = Hovercraft_net.Addr
-module R2p2 = Hovercraft_r2p2.R2p2
-
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
 
 type t = {
   fabric : Protocol.payload Fabric.t;
   mutable port : Protocol.payload Fabric.port option;
   cap : int;
   group : int;
-  outstanding : unit Rid_tbl.t;
+  outstanding : unit Rid_table.t;
   mutable inflight : int;
   mutable admitted : int;
   mutable nacked : int;
@@ -24,7 +16,7 @@ let handle t (pkt : Protocol.payload Fabric.packet) =
   let port = Option.get t.port in
   match pkt.payload with
   | Protocol.Request { rid; _ } ->
-      if Rid_tbl.mem t.outstanding rid then
+      if Rid_table.mem t.outstanding rid then
         (* A retransmission of a request that already holds an in-flight
            slot: forward without recharging. It must go through even at
            the cap — a retransmitted body is the recovery path of last
@@ -33,7 +25,7 @@ let handle t (pkt : Protocol.payload Fabric.packet) =
         Fabric.send t.fabric port ~dst:(Addr.Group t.group) ~bytes:pkt.bytes
           pkt.payload
       else if t.inflight < t.cap then begin
-        Rid_tbl.replace t.outstanding rid ();
+        ignore (Rid_table.add t.outstanding rid () ~stamp:0 ~list:0);
         t.inflight <- t.inflight + 1;
         t.admitted <- t.admitted + 1;
         (* Destination rewrite: same payload, multicast delivery. *)
@@ -49,8 +41,9 @@ let handle t (pkt : Protocol.payload Fabric.packet) =
   | Protocol.Feedback { rid } ->
       (* Credit keyed by rid: a duplicate feedback (a replayed reply to a
          retransmission) must not free a second slot. *)
-      if Rid_tbl.mem t.outstanding rid then begin
-        Rid_tbl.remove t.outstanding rid;
+      let h = Rid_table.find t.outstanding rid in
+      if not (Rid_table.is_nil h) then begin
+        Rid_table.remove_node t.outstanding h;
         t.inflight <- t.inflight - 1
       end
   | Protocol.Response _ | Protocol.Raft _ | Protocol.Recovery_request _
@@ -68,7 +61,7 @@ let create engine fabric ~cap ~group ~rate_gbps =
       port = None;
       cap;
       group;
-      outstanding = Rid_tbl.create 4096;
+      outstanding = Rid_table.create ~capacity:4096 ~lists:1 ();
       inflight = 0;
       admitted = 0;
       nacked = 0;

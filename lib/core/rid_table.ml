@@ -23,21 +23,48 @@ let list_bits = 2
 let list_mask = (1 lsl list_bits) - 1
 let free_tag = -1
 
-(* An index slot is 0 when empty, otherwise the entry's 31-bit hash above
-   [handle + 1]: the hash is both the fingerprint a probe compares and
-   the home slot, so probing, growing and shifting the index never touch
-   the entries. An entry's [f_prev] word has the same layout, with its
-   predecessor's handle: removing the entry rebuilds its index slot from
-   that word, without hashing the id again. *)
+(* Entries are found through per-client {e windows}. A client (address,
+   port) owns one of [clients] slots of a direct table, claimed on its
+   first add and kept until {!reset}; its window is a power-of-two [int]
+   array indexed by [id land mask], each slot 0 when empty, otherwise the
+   id above [handle + 1]. A client's ids increase, so its live ids are a
+   run the window covers: a new id only collides with a live one once the
+   run outgrows the window, and the window then doubles until the two
+   part, as long as that stays within [window_cap] slots.
+
+   Everything a window cannot hold goes to the {e overflow}: an
+   open-addressed index of one [int] per slot (linear probing, load at
+   most 3/4, backward-shift deletion) packing the id's 31-bit hash above
+   [handle + 1]. It takes ids outside [0, 2^id_bits), ids colliding with
+   a live id [window_cap] or more away, clients past the direct table's
+   [clients], and handles too wide to pack.
+
+   An entry's [f_prev] word records where it went, above the predecessor
+   link: 0 for the overflow, otherwise its client's slot plus one in the
+   low [client_bits], and above them the id's low bits, which give its
+   window slot at any window size. Removing or moving the entry then
+   reads neither its id nor its hash. *)
 let entry_bits = 32
 let entry_mask = (1 lsl entry_bits) - 1
-let hash_bits = lnot entry_mask
+let handle_bits = 24
+let handle_mask = (1 lsl handle_bits) - 1
+let id_bits = Sys.int_size - 1 - handle_bits
+let window_min = 64
+let window_cap = 1 lsl 17
+let clients = 16
+let client_bits = 5
+let client_mask = (1 lsl client_bits) - 1
 let hash31 rid = R2p2.req_id_hash rid land 0x7FFF_FFFF
 let vacant = { R2p2.id = -1; src_addr = Hovercraft_net.Addr.Router; src_port = -1 }
 
 type 'a t = {
   initial : int;
-  mutable index : int array;
+  mutable index : int array;  (* the overflow *)
+  mutable spilled : int;  (* entries in the overflow *)
+  c_addr : Hovercraft_net.Addr.t array;  (* the direct table of clients *)
+  c_port : int array;
+  wins : int array array;  (* [||] for a free client slot *)
+  mutable last : int;  (* the client slot found last, or -1 *)
   mutable size : int;
   mutable rids : R2p2.req_id array array;
   mutable values : 'a array array;
@@ -54,9 +81,9 @@ type 'a t = {
 
 let rec pow2_at_least n x = if x >= n then x else pow2_at_least n (x * 2)
 
-(* The index of every table that has not added yet: one empty slot, never
-   written (the first add grows the index first). A table that stays
-   empty costs no index. *)
+(* The index of every table that has not spilled yet: one empty slot,
+   never written (the first spill grows the index first). A table that
+   never spills costs no index. *)
 let no_index = [| 0 |]
 
 let create ~capacity ~lists () =
@@ -66,6 +93,11 @@ let create ~capacity ~lists () =
   {
     initial;
     index = no_index;
+    spilled = 0;
+    c_addr = Array.make clients vacant.src_addr;
+    c_port = Array.make clients 0;
+    wins = Array.make clients [||];
+    last = -1;
     size = 0;
     rids = [||];
     values = [||];
@@ -91,9 +123,10 @@ let stamp t h = get t h f_stamp
 let list t h = get t h f_tag land list_mask
 let order t h = get t h f_tag lsr list_bits
 let length t = t.size
+let spilled t = t.spilled
 let count t l = t.counts.(l)
 
-(* --- the index -------------------------------------------------------- *)
+(* --- the overflow ------------------------------------------------------ *)
 
 let rec probe t idx mask key h i =
   let s = Array.unsafe_get idx i in
@@ -102,12 +135,12 @@ let rec probe t idx mask key h i =
   then (s land entry_mask) - 1
   else probe t idx mask key h ((i + 1) land mask)
 
-let find t key =
-  let h = hash31 key in
-  let mask = Array.length t.index - 1 in
-  probe t t.index mask key h (h land mask)
-
-let mem t key = find t key >= 0
+let find_spilled t key =
+  if t.spilled = 0 then nil
+  else
+    let h = hash31 key in
+    let mask = Array.length t.index - 1 in
+    probe t t.index mask key h (h land mask)
 
 let rec place idx mask s i =
   if Array.unsafe_get idx i = 0 then Array.unsafe_set idx i s
@@ -137,9 +170,122 @@ let rec shift idx mask hole j =
   end
   else shift idx mask hole j
 
+let spill t rid h =
+  if (t.spilled + 1) * 4 > Array.length t.index * 3 then grow_index t;
+  let mask = Array.length t.index - 1 in
+  let hash = hash31 rid in
+  place t.index mask ((hash lsl entry_bits) lor (h + 1)) (hash land mask);
+  t.spilled <- t.spilled + 1
+
+let unspill t rid h =
+  let key = (hash31 rid lsl entry_bits) lor (h + 1) in
+  let mask = Array.length t.index - 1 in
+  let hole = slot_of t.index mask key (home key mask) in
+  shift t.index mask hole hole;
+  t.spilled <- t.spilled - 1
+
+(* --- client windows ---------------------------------------------------- *)
+
+(* Clients are told apart by port first: the load generator numbers its
+   clients' ports consecutively, so they have distinct home slots. Ids
+   from one source share their address value, so the address compare is
+   usually a pointer compare. *)
+let client_home port = port land (clients - 1)
+let same_addr a b = a == b || Hovercraft_net.Addr.equal a b
+
+(* Linear probing from the client's home: its slot if it has one,
+   otherwise [-2 - i] for the free slot [i] it would take, or [-1] when
+   the table is full. *)
+let rec seek t addr port i n =
+  if n = clients then -1
+  else if Array.length (Array.unsafe_get t.wins i) = 0 then -2 - i
+  else if Array.unsafe_get t.c_port i = port && same_addr (Array.unsafe_get t.c_addr i) addr
+  then i
+  else seek t addr port ((i + 1) land (clients - 1)) (n + 1)
+
+(* The client's slot, or a negative number when it has none. *)
+let client t (key : R2p2.req_id) =
+  let c = t.last in
+  if
+    c >= 0
+    && Array.unsafe_get t.c_port c = key.src_port
+    && same_addr (Array.unsafe_get t.c_addr c) key.src_addr
+  then c
+  else
+    let c = seek t key.src_addr key.src_port (client_home key.src_port) 0 in
+    if c >= 0 then t.last <- c;
+    c
+
+(* The same, giving a new client the free slot and a window of
+   [window_min] slots; -1 when the table is full. *)
+let claim t (key : R2p2.req_id) =
+  let c = client t key in
+  if c >= -1 then c
+  else begin
+    let c = -2 - c in
+    t.c_addr.(c) <- key.src_addr;
+    t.c_port.(c) <- key.src_port;
+    t.wins.(c) <- Array.make window_min 0;
+    t.last <- c;
+    c
+  end
+
+let find t (key : R2p2.req_id) =
+  let id = key.id in
+  if id lsr id_bits <> 0 then find_spilled t key
+  else
+    let c = client t key in
+    if c < 0 then find_spilled t key
+    else
+      let w = Array.unsafe_get t.wins c in
+      (* [d] is [handle + 1] exactly when the slot holds this id. *)
+      let d = Array.unsafe_get w (id land (Array.length w - 1)) - (id lsl handle_bits) in
+      if d > 0 && d <= handle_mask then d - 1 else find_spilled t key
+
+let mem t key = find t key >= 0
+
+let grow_window t c size =
+  let old = t.wins.(c) and w = Array.make size 0 in
+  let mask = size - 1 in
+  for i = 0 to Array.length old - 1 do
+    let s = Array.unsafe_get old i in
+    if s <> 0 then w.((s lsr handle_bits) land mask) <- s
+  done;
+  t.wins.(c) <- w
+
+(* Put [id] in client [c]'s window, doubling it past the distance to a
+   live id in the way; [false] when that would pass [window_cap]. *)
+let rec settle t c id h =
+  let w = t.wins.(c) in
+  let i = id land (Array.length w - 1) in
+  let s = w.(i) in
+  if s = 0 then begin
+    w.(i) <- (id lsl handle_bits) lor (h + 1);
+    true
+  end
+  else
+    let apart = abs (id - (s lsr handle_bits)) in
+    apart < window_cap
+    && begin
+         grow_window t c (pow2_at_least (apart + 1) (2 * Array.length w));
+         settle t c id h
+       end
+
+(* File a new entry; its location for [f_prev]. *)
+let locate t (rid : R2p2.req_id) h =
+  let c =
+    if rid.id lsr id_bits <> 0 || h >= handle_mask then -1 else claim t rid
+  in
+  if c >= 0 && settle t c rid.id h then
+    ((rid.id land (window_cap - 1)) lsl client_bits) lor (c + 1)
+  else begin
+    spill t rid h;
+    0
+  end
+
 (* --- expiry lists ------------------------------------------------------ *)
 
-let set_prev b o p = b.(o + f_prev) <- b.(o + f_prev) land hash_bits lor (p + 1)
+let set_prev b o p = b.(o + f_prev) <- b.(o + f_prev) land lnot entry_mask lor (p + 1)
 
 let append t h l =
   let b = block t h and o = base h in
@@ -223,19 +369,15 @@ let alloc t value =
   end
 
 let add t rid value ~stamp ~list =
-  if (t.size + 1) * 4 > Array.length t.index * 3 then grow_index t;
   let h = alloc t value in
   let c = h lsr chunk_bits and i = h land chunk_mask in
   t.rids.(c).(i) <- rid;
   t.values.(c).(i) <- value;
   t.order <- t.order + 1;
-  let hash = hash31 rid in
   let b = t.ints.(c) and o = i * stride in
-  b.(o + f_prev) <- hash lsl entry_bits;
+  b.(o + f_prev) <- locate t rid h lsl entry_bits;
   b.(o + f_stamp) <- stamp;
   b.(o + f_tag) <- t.order lsl list_bits;
-  let mask = Array.length t.index - 1 in
-  place t.index mask ((hash lsl entry_bits) lor (h + 1)) (hash land mask);
   t.size <- t.size + 1;
   append t h list;
   h
@@ -243,10 +385,12 @@ let add t rid value ~stamp ~list =
 let remove_node t h =
   if h >= 0 then begin
     let c = h lsr chunk_bits and i = h land chunk_mask in
-    let key = t.ints.(c).((i * stride) + f_prev) land hash_bits lor (h + 1) in
-    let mask = Array.length t.index - 1 in
-    let hole = slot_of t.index mask key (home key mask) in
-    shift t.index mask hole hole;
+    let loc = t.ints.(c).((i * stride) + f_prev) lsr entry_bits in
+    if loc = 0 then unspill t t.rids.(c).(i) h
+    else begin
+      let w = t.wins.((loc land client_mask) - 1) in
+      w.((loc lsr client_bits) land (Array.length w - 1)) <- 0
+    end;
     unlink t h;
     t.rids.(c).(i) <- vacant;
     t.values.(c).(i) <- t.fills.(c);
@@ -261,7 +405,7 @@ let remove t rid = remove_node t (find t rid)
 (* --- giving storage back ---------------------------------------------- *)
 
 (* Move the entry in slot [h] to the free slot [dst]: its words, its
-   neighbours' links and its index slot follow it. *)
+   neighbours' links and its window or overflow slot follow it. *)
 let relocate t h dst =
   let b = block t h and o = base h in
   let b' = block t dst and o' = base dst in
@@ -272,9 +416,16 @@ let relocate t h dst =
   let prev = (b.(o + f_prev) land entry_mask) - 1 and next = b.(o + f_next) in
   if prev < 0 then t.heads.(l) <- dst else set t prev f_next dst;
   if next < 0 then t.tails.(l) <- dst else set_prev (block t next) (base next) dst;
-  let key = b.(o + f_prev) land hash_bits lor (h + 1) in
-  let mask = Array.length t.index - 1 in
-  t.index.(slot_of t.index mask key (home key mask)) <- key land hash_bits lor (dst + 1)
+  match b.(o + f_prev) lsr entry_bits with
+  | 0 ->
+      let key = (hash31 (rid t h) lsl entry_bits) lor (h + 1) in
+      let mask = Array.length t.index - 1 in
+      let i = slot_of t.index mask key (home key mask) in
+      t.index.(i) <- key land lnot entry_mask lor (dst + 1)
+  | loc ->
+      let w = t.wins.((loc land client_mask) - 1) in
+      let i = (loc lsr client_bits) land (Array.length w - 1) in
+      w.(i) <- w.(i) land lnot handle_mask lor (dst + 1)
 
 (* Free slots are [fresh - size]. An expiry pass in steady state frees
    a small share of what is retained, and adds soon reuse it; a quarter
@@ -324,6 +475,9 @@ let trim t =
 
 let reset t =
   t.index <- no_index;
+  t.spilled <- 0;
+  Array.fill t.wins 0 clients [||];
+  t.last <- -1;
   t.size <- 0;
   t.rids <- [||];
   t.values <- [||];

@@ -9,17 +9,31 @@
     is sorted by stamp and expiring it means popping heads until the
     first one still alive — O(expired), however much state is retained.
 
-    Entries are found through a separate open-addressed index of one
-    [int] per slot (linear probing, load at most 3/4, backward-shift
-    deletion) packing the id's 31-bit hash with the handle: a miss reads
-    one index line, and growing the index never touches an entry. Entry
-    storage grows by adding fixed-size chunks, never by copying; freed
-    handles are reused, and {!trim} gives chunks back once the table has
-    shrunk.
+    Entries are found by client window. Every client (address, port)
+    issues its ids in increasing order (§3.2), so its live ids form a
+    run. The first {!clients} clients to add each get a slot in a small
+    direct table (the last one found is checked first) and a window: a
+    power-of-two [int] array indexed by [id land mask], one word per slot
+    packing the id above [handle + 1]. A lookup is one array read and one
+    compare, and a miss never touches an entry. When a new id lands on a
+    slot held by a live id, the window doubles until the two part, as
+    long as it stays within {!window_cap} slots.
 
-    Lookup, insert, remove and moving an entry to a list's tail are O(1)
-    expected. Once the table has reached its working size they allocate
-    nothing, and relinking an entry is plain int writes. *)
+    What no window holds goes to the overflow, an open-addressed index of
+    one [int] per slot (linear probing, load at most 3/4, backward-shift
+    deletion) packing the id's 31-bit hash above [handle + 1]: negative
+    or huge ids, an id colliding with a live one {!window_cap} or more
+    away, clients past the first {!clients}, and handles too wide to
+    pack. A lookup that misses its window probes the overflow only when
+    it holds something. Growing a window or the overflow never touches
+    an entry.
+
+    Entry storage grows by adding fixed-size chunks, never by copying;
+    freed handles are reused, and {!trim} gives chunks back once the
+    table has shrunk. Lookup, insert, remove and moving an entry to a
+    list's tail are O(1) expected. Once the table has reached its working
+    size they allocate nothing, and relinking an entry is plain int
+    writes. *)
 
 open Hovercraft_sim
 open Hovercraft_r2p2
@@ -44,14 +58,24 @@ val list : 'a t -> int -> int
 val order : 'a t -> int -> int
 (** Insertion order: increases with every {!add} to the table. *)
 
+val clients : int
+(** How many clients the direct table holds: later ones spill. *)
+
+val window_cap : int
+(** The most slots a client's window grows to. *)
+
 val create : capacity:int -> lists:int -> unit -> 'a t
 (** An empty table with [lists] (1 to 4) expiry lists, numbered from 0.
-    [capacity] (rounded up to a power of two) is the index size the
-    first {!add} allocates; the index doubles whenever it would pass 3/4
-    full. Nothing is allocated for the index or the entries until that
-    first add. *)
+    [capacity] (rounded up to a power of two) is the overflow index size
+    the first spill allocates; it doubles whenever it would pass 3/4
+    full. A client's window is allocated at its first add; nothing is
+    allocated for the overflow until it is needed, nor for the entries
+    until the first add. *)
 
 val length : 'a t -> int
+
+val spilled : 'a t -> int
+(** How many of the entries are in the overflow rather than a window. *)
 
 val count : 'a t -> int -> int
 (** Number of entries on one list. O(1). *)
@@ -96,5 +120,5 @@ val trim : 'a t -> unit
     really shrunk (a drain, or the tail of a burst) is packed. *)
 
 val reset : 'a t -> unit
-(** Drop every entry and release the index and the entry storage, as
-    at {!create}. *)
+(** Drop every entry and release the windows, the overflow and the entry
+    storage, as at {!create}. *)

@@ -2,7 +2,11 @@
    store and the FIFO [Completions] table are driven by random operation
    sequences on a monotone clock, side by side with straightforward
    reference implementations (a full-scan hash table and a hash table
-   plus a FIFO queue), and must agree after every step. *)
+   plus a FIFO queue), and must agree after every step. The flat
+   [Rid_table] under both is checked against a model too, with ids chosen
+   to reach both its client windows and its overflow index; its hot
+   cycles must allocate nothing, and the load generator's send/reply
+   cycle must stay under a per-request allocation bound. *)
 
 open Hovercraft_r2p2
 open Hovercraft_core
@@ -10,8 +14,20 @@ module Addr = Hovercraft_net.Addr
 module Op = Hovercraft_apps.Op
 module K = Hovercraft_apps.Kvstore
 
+(* Three clients with four ids each: two plain ones, a negative one
+   (always in the table's overflow) and one [window_cap] past the client's
+   first, which spills whenever that one is live. *)
 let rid_space = 12
-let rid i = { R2p2.id = i; src_addr = Addr.Client (i mod 3); src_port = 1000 }
+
+let rid i =
+  let id =
+    match i mod 4 with 2 -> -i | 3 -> i - 3 + Rid_table.window_cap | _ -> i
+  in
+  { R2p2.id; src_addr = Addr.Client (i / 4); src_port = 1000 }
+
+let rid_index (x : R2p2.req_id) =
+  let rec go i = if R2p2.req_id_equal (rid i) x then i else go (i + 1) in
+  go 0
 let op k = Op.Synth { cost = k; read_only = false; req_bytes = 0; rep_bytes = 0 }
 
 module Rtbl = Hashtbl.Make (struct
@@ -161,7 +177,7 @@ let prop_unordered_matches_full_scan =
               same "gc" (Unordered.gc s)
                 (Ref_unordered.gc ~keep:(fun _ -> false) r)
           | Gc (Some mask) ->
-              let keep (x : R2p2.req_id) = mask land (1 lsl x.id) <> 0 in
+              let keep x = mask land (1 lsl rid_index x) <> 0 in
               same "gc ~keep" (Unordered.gc ~keep s) (Ref_unordered.gc ~keep r)
           | Tick d -> clock := !clock + d);
           agree ())
@@ -302,12 +318,13 @@ let test_rid_table_growth () =
 (* --- the flat table against a model ----------------------------------- *)
 
 (* Ids whose 31-bit hashes collide outright, in groups of eight, so
-   probes compare fingerprints that match and must fall back to the id.
-   Half the groups home to the last index slot at every index size the
-   test reaches, so their probe runs wrap round to slot 0; the rest home
-   to slot 0. The remaining ids hash normally. [req_id_hash] is
-   [(id * a) lxor (port * b) lxor addr_hash] and [b] is odd, so a port
-   giving any wanted low 31 bits is [wanted * b^-1] mod 2^31. *)
+   overflow probes compare fingerprints that match and must fall back to
+   the id. The ids are negative, so no window takes them. Half the groups
+   home to the last index slot at every index size the test reaches, so
+   their probe runs wrap round to slot 0; the rest home to slot 0.
+   [req_id_hash] is [(id * a) lxor (port * b) lxor addr_hash] and [b] is
+   odd, so a port giving any wanted low 31 bits is [wanted * b^-1] mod
+   2^31. *)
 let m31 = 0x7FFF_FFFF
 
 let inverse_mod_2_31 b =
@@ -319,7 +336,7 @@ let inverse_mod_2_31 b =
 
 let colliding_rid ~group ~member =
   let addr = Addr.Client 1 in
-  let base = { R2p2.id = member; src_addr = addr; src_port = 0 } in
+  let base = { R2p2.id = -1 - member; src_addr = addr; src_port = 0 } in
   let target = (group lsl 20) lor if group mod 2 = 0 then 0xF_FFFF else 0 in
   let want = target lxor R2p2.req_id_hash base land m31 in
   let port = want * inverse_mod_2_31 0x85EBCA77 land m31 in
@@ -328,16 +345,45 @@ let colliding_rid ~group ~member =
 let pool_size = 600
 let colliding = 32
 
+(* After the colliding ids, blocks of eight: six plain ids of one of
+   five clients (its window grows as they fill in), one id of a client
+   of its own — seventy-odd of them, more than the direct table holds —
+   and one id a multiple of [window_cap] past a plain id of the block,
+   which spills while that id is live. *)
 let pool =
   Array.init pool_size (fun i ->
       if i < colliding then colliding_rid ~group:(i / 8) ~member:i
-      else { R2p2.id = i; src_addr = Addr.Client (i mod 5); src_port = 7 })
+      else
+        let src_addr = Addr.Client (i / 8 mod 5) in
+        match i mod 8 with
+        | 6 -> { R2p2.id = i; src_addr = Addr.Client 9; src_port = 100 + (i / 8) }
+        | 7 ->
+            let far = (1 + (i / 8 mod 3)) * Rid_table.window_cap in
+            { R2p2.id = i - 2 + far; src_addr; src_port = 7 }
+        | _ -> { R2p2.id = i; src_addr; src_port = 7 })
 
 let test_forced_collisions () =
   let h i = R2p2.req_id_hash pool.(i) land m31 in
   for i = 0 to colliding - 1 do
     Alcotest.(check int) "same 31-bit hash as its group" (h (i / 8 * 8)) (h i)
-  done
+  done;
+  (* All of them in the overflow of a one-slot index: drop every third
+     and the rest are still found, across the wrapped probe runs the
+     backward shift closes. *)
+  let t = Rid_table.create ~capacity:1 ~lists:1 () in
+  for i = 0 to colliding - 1 do
+    ignore (Rid_table.add t pool.(i) i ~stamp:0 ~list:0)
+  done;
+  Alcotest.(check int) "all spilled" colliding (Rid_table.spilled t);
+  for i = 0 to colliding - 1 do
+    if i mod 3 = 0 then Rid_table.remove t pool.(i)
+  done;
+  for i = 0 to colliding - 1 do
+    let h = Rid_table.find t pool.(i) in
+    if i mod 3 = 0 then Alcotest.(check bool) "removed" true (Rid_table.is_nil h)
+    else Alcotest.(check int) "found" i (Rid_table.value t h)
+  done;
+  Alcotest.(check int) "spilled after removal" (Rid_table.length t) (Rid_table.spilled t)
 
 module Ref_table = struct
   type entry = { value : int; mutable stamp : int; mutable list : int; order : int }
@@ -560,6 +606,129 @@ let test_rid_table_trim () =
   Alcotest.(check bool) "colliding ids still found" true
     (List.for_all (fun i -> Rid_table.mem t (r i)) (List.filter (fun i -> i < colliding) kept))
 
+(* --- windows and the overflow ------------------------------------------ *)
+
+let client_rid ?(addr = Addr.Client 0) ?(port = 1) id =
+  { R2p2.id; src_addr = addr; src_port = port }
+
+let check_values what t ids =
+  List.iter
+    (fun (rid, v) ->
+      let h = Rid_table.find t rid in
+      if Rid_table.is_nil h then Alcotest.failf "%s: %a missing" what R2p2.pp_req_id rid;
+      Alcotest.(check int) (what ^ ": value") v (Rid_table.value t h))
+    ids
+
+(* Each way an entry reaches the overflow, and what it takes to leave
+   it: a window grows right up to the cap, an id that would need more
+   spills, negative ids always do, and clients past the direct table's
+   spill for good. *)
+let test_window_spills () =
+  let cap = Rid_table.window_cap in
+  let t = Rid_table.create ~capacity:1 ~lists:1 () in
+  let add rid v = ignore (Rid_table.add t rid v ~stamp:0 ~list:0) in
+  add (client_rid 0) 0;
+  add (client_rid (cap / 2)) 1;
+  add (client_rid (cap - 1)) 7;
+  Alcotest.(check int) "the window grows to the cap" 0 (Rid_table.spilled t);
+  add (client_rid cap) 2;
+  Alcotest.(check int) "the cap apart spills" 1 (Rid_table.spilled t);
+  add (client_rid (-5)) 3;
+  add (client_rid min_int) 4;
+  add (client_rid max_int) 5;
+  Alcotest.(check int) "negative and huge ids spill" 4 (Rid_table.spilled t);
+  check_values "mixed" t
+    [
+      (client_rid 0, 0);
+      (client_rid (cap / 2), 1);
+      (client_rid (cap - 1), 7);
+      (client_rid cap, 2);
+      (client_rid (-5), 3);
+      (client_rid min_int, 4);
+      (client_rid max_int, 5);
+    ];
+  Alcotest.(check bool) "absent id on a held slot" false
+    (Rid_table.mem t (client_rid (2 * cap)));
+  (* With 0 gone, [cap] stays in the overflow and a re-added 0 goes back
+     to the window. *)
+  Rid_table.remove t (client_rid 0);
+  Alcotest.(check bool) "removed" false (Rid_table.mem t (client_rid 0));
+  check_values "after removal" t [ (client_rid cap, 2) ];
+  add (client_rid 0) 6;
+  Alcotest.(check int) "re-added into the window" 4 (Rid_table.spilled t);
+  check_values "re-added" t [ (client_rid 0, 6); (client_rid cap, 2) ];
+  (* More clients than the direct table holds: the rest spill. *)
+  let u = Rid_table.create ~capacity:1 ~lists:1 () in
+  let extra = 8 and per = 3 in
+  let crowd =
+    List.init ((Rid_table.clients + extra) * per) (fun k ->
+        (client_rid ~addr:(Addr.Client 7) ~port:(k / per) (k mod per), k))
+  in
+  List.iter (fun (rid, v) -> ignore (Rid_table.add u rid v ~stamp:0 ~list:0)) crowd;
+  Alcotest.(check int) "clients past the table spill" (extra * per) (Rid_table.spilled u);
+  check_values "crowd" u crowd;
+  List.iteri (fun k (rid, _) -> if k mod 2 = 0 then Rid_table.remove u rid) crowd;
+  check_values "crowd, half removed" u (List.filteri (fun k _ -> k mod 2 = 1) crowd);
+  Rid_table.reset u;
+  Alcotest.(check int) "reset empties the overflow" 0 (Rid_table.spilled u);
+  let last, _ = List.nth crowd (List.length crowd - 1) in
+  ignore (Rid_table.add u last 0 ~stamp:0 ~list:0);
+  Alcotest.(check int) "reset frees the client slots" 0 (Rid_table.spilled u)
+
+(* An id removed while its window is small comes back after the window
+   has doubled several times, into the grown window. *)
+let test_readd_across_growth () =
+  let t = Rid_table.create ~capacity:1 ~lists:2 () in
+  let add i = ignore (Rid_table.add t (client_rid i) i ~stamp:i ~list:(i mod 2)) in
+  for i = 0 to 9 do
+    add i
+  done;
+  Rid_table.remove t (client_rid 5);
+  for i = 10 to 4999 do
+    add i
+  done;
+  Alcotest.(check bool) "still absent" false (Rid_table.mem t (client_rid 5));
+  add 5;
+  Alcotest.(check int) "nothing spilled" 0 (Rid_table.spilled t);
+  check_values "all" t (List.init 5000 (fun i -> (client_rid i, i)));
+  let last = ref (-1) in
+  Rid_table.iter_list t 1 (fun h -> last := Rid_table.value t h);
+  Alcotest.(check int) "re-added goes last" 5 !last
+
+(* Trim moves entries held in windows and in the overflow alike; each
+   stays found under its new handle, and removing it afterwards clears
+   the slot it moved to. *)
+let test_trim_windows_and_overflow () =
+  let t = Rid_table.create ~capacity:1 ~lists:1 () in
+  let n = 3000 in
+  let rid_of k =
+    match k mod 3 with
+    | 0 -> client_rid ~addr:(Addr.Client (k mod 4)) k
+    | 1 -> client_rid ~addr:(Addr.Client (k mod 4)) (-k)
+    | _ -> client_rid ~addr:(Addr.Client (k mod 4)) (k + (2 * Rid_table.window_cap))
+  in
+  for k = 0 to n - 1 do
+    ignore (Rid_table.add t (rid_of k) k ~stamp:k ~list:0)
+  done;
+  let spilled = Rid_table.spilled t in
+  Alcotest.(check bool) "some spilled" true (spilled > 0 && spilled < n);
+  for k = 0 to n - 1 do
+    if k < 2700 && k mod 10 <> 0 then Rid_table.remove t (rid_of k)
+  done;
+  let kept = List.filter (fun k -> k >= 2700 || k mod 10 = 0) (List.init n Fun.id) in
+  let spilled = Rid_table.spilled t in
+  Rid_table.trim t;
+  Alcotest.(check int) "trim keeps every entry where it was" spilled (Rid_table.spilled t);
+  check_values "after trim" t (List.map (fun k -> (rid_of k, k)) kept);
+  List.iter (fun k -> if k mod 20 = 0 then Rid_table.remove t (rid_of k)) kept;
+  check_values "after removal" t
+    (List.filter_map (fun k -> if k mod 20 = 0 then None else Some (rid_of k, k)) kept);
+  List.iter
+    (fun k ->
+      if k mod 20 = 0 then
+        Alcotest.(check bool) "removed after trim" false (Rid_table.mem t (rid_of k)))
+    kept
+
 (* Once the table has reached its working size, the hot cycle of a
    retention table — add a new id, look one up, restamp it onto another
    list, drop the oldest — allocates nothing. *)
@@ -592,6 +761,59 @@ let test_rid_table_steady_state_allocation () =
   if words >= float_of_int ops /. 100. then
     Alcotest.failf "rid table cycle allocates: %.0f minor words / %d cycles" words ops
 
+(* One client's window sliding forward at a steady size — add the
+   newest id, drop the oldest, as a retention table or the load
+   generator's in-flight set does — allocates nothing once warm. *)
+let test_window_slide_allocation () =
+  let live = 1000 and ops = 50_000 in
+  let rids = Array.init (live + ops + 2048) (fun i -> client_rid i) in
+  let t = Rid_table.create ~capacity:16 ~lists:1 () in
+  for i = 0 to live - 1 do
+    ignore (Rid_table.add t rids.(i) i ~stamp:i ~list:0)
+  done;
+  let step k =
+    ignore (Rid_table.add t rids.(k + live) k ~stamp:k ~list:0);
+    Rid_table.remove_node t (Rid_table.find t rids.(k))
+  in
+  (* Warm: the window reaches its working size. *)
+  for k = 0 to 2047 do
+    step k
+  done;
+  let before = Gc.minor_words () in
+  for k = 2048 to 2048 + ops - 1 do
+    step k
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "steady size" live (Rid_table.length t);
+  Alcotest.(check int) "all in the window" 0 (Rid_table.spilled t);
+  if words >= float_of_int ops /. 100. then
+    Alcotest.failf "window slide allocates: %.0f minor words / %d cycles" words ops
+
+(* The whole send, execute and reply cycle of an unreplicated cell, in
+   minor words per request sent. Keeping the in-flight requests in a
+   [Rid_table] (stamp = send time, value = operation) measured 139.1
+   words; a hash table of (sent_at, op, endpoint) tuples cost a 4-word
+   tuple and a 4-word bucket per request, plus its resizes: 151.6. *)
+let test_loadgen_cycle_allocation () =
+  let module Deploy = Hovercraft_cluster.Deploy in
+  let module Loadgen = Hovercraft_cluster.Loadgen in
+  let p = Hnode.params ~mode:Hnode.Unreplicated ~n:1 () in
+  let d = Deploy.create (Deploy.config p) in
+  let spec = Hovercraft_apps.Service.spec () in
+  let g =
+    Loadgen.create d ~clients:8 ~rate_rps:200_000.
+      ~workload:(Hovercraft_apps.Service.sample spec) ~seed:3 ()
+  in
+  let before = Gc.minor_words () in
+  let r =
+    Loadgen.run g ~warmup:(Hovercraft_sim.Timebase.ms 2)
+      ~duration:(Hovercraft_sim.Timebase.ms 40) ()
+  in
+  let per_req = (Gc.minor_words () -. before) /. float_of_int r.Loadgen.sent in
+  Alcotest.(check bool) "requests answered" true (r.Loadgen.completed > 7000);
+  if per_req > 145. then
+    Alcotest.failf "send/reply cycle allocates %.1f minor words per request" per_req
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_unordered_matches_full_scan;
@@ -602,4 +824,12 @@ let suite =
     Alcotest.test_case "rid table trim packs a shrunken table" `Quick test_rid_table_trim;
     Alcotest.test_case "rid table steady cycle allocates nothing" `Quick
       test_rid_table_steady_state_allocation;
+    Alcotest.test_case "window slide allocates nothing" `Quick
+      test_window_slide_allocation;
+    Alcotest.test_case "loadgen cycle keeps no per-request table" `Quick
+      test_loadgen_cycle_allocation;
+    Alcotest.test_case "windows spill to the overflow" `Quick test_window_spills;
+    Alcotest.test_case "re-add across window growth" `Quick test_readd_across_growth;
+    Alcotest.test_case "trim moves window and overflow entries" `Quick
+      test_trim_windows_and_overflow;
   ]

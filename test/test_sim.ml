@@ -318,6 +318,46 @@ let prop_stats_percentile_matches_sort =
       let expected = sorted.(max 0 (min (n - 1) (rank - 1))) in
       Stats.percentile s p = expected)
 
+(* Every rank of the sorted samples, over values the radix sort must get
+   right: zeros, duplicates, keys using the top bits, and negatives,
+   which take the comparison sort. Samples come in two batches, each
+   followed by a full read, so the second sort starts from a sorted
+   prefix. *)
+let stats_sample_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, return 0);
+      (3, int_range 0 8);
+      (3, int_range 0 1_000_000);
+      (2, map (fun d -> max_int - d) (int_range 0 3));
+      (2, map (fun k -> 1 lsl k) (int_range 0 61));
+      (2, map (fun x -> x land max_int) int);
+      (1, int_range (-1000) (-1));
+      (1, return min_int);
+    ]
+
+let prop_stats_every_rank_matches_sort =
+  QCheck.Test.make ~name:"every percentile rank equals List.sort compare" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(pair (list int) (list int))
+        Gen.(pair (list_size (int_range 1 400) stats_sample_gen)
+               (list_size (int_range 0 400) stats_sample_gen)))
+    (fun (first, second) ->
+      let s = Stats.create () in
+      let agrees samples =
+        let sorted = Array.of_list (List.sort compare samples) in
+        let n = Array.length sorted in
+        Array.for_all Fun.id
+          (Array.init n (fun k ->
+               Stats.percentile s ((float_of_int k +. 0.5) /. float_of_int n) = sorted.(k)))
+      in
+      List.iter (Stats.add s) first;
+      let ok = agrees first in
+      List.iter (Stats.add s) second;
+      ok && agrees (first @ second))
+
 let test_summary_welford () =
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
@@ -411,6 +451,7 @@ let suite =
     Alcotest.test_case "stats empty raises" `Quick test_stats_empty_raises;
     Alcotest.test_case "stats merge" `Quick test_stats_merge;
     QCheck_alcotest.to_alcotest prop_stats_percentile_matches_sort;
+    QCheck_alcotest.to_alcotest prop_stats_every_rank_matches_sort;
     Alcotest.test_case "summary welford" `Quick test_summary_welford;
     Alcotest.test_case "series buckets" `Quick test_series_buckets;
     Alcotest.test_case "series empty" `Quick test_series_empty;
