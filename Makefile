@@ -2,7 +2,7 @@
 # and `dune runtest` directly, then several of the smoke targets below;
 # `make check` is the local equivalent of its first two steps.
 
-.PHONY: all build test check golden-cell golden-control golden-modes golden-chaos obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check golden-cell golden-control golden-modes golden-chaos golden-repro obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
 all: build
 
@@ -67,10 +67,24 @@ golden-chaos:
 	  > _build/golden-chaos/chaos-seed4.out
 	cmp _build/golden-chaos/chaos-seed4.out test/golden/chaos-seed4.out
 
+# The experiment front end pinned byte for byte: Table 1, Figures 11 and
+# 12 (fig12 prints the bucket-series table chaos and failover share) and
+# the two CI sanity probes. Stdout of each `hovercraft repro NAME` must
+# match test/golden/repro-NAME.out; outputs go under _build/golden-repro/.
+GOLDEN_REPRO = _build/golden-repro
+REPRO = dune exec bin/hovercraft.exe -- repro
+
+golden-repro:
+	mkdir -p $(GOLDEN_REPRO)
+	for e in table1 fig11 fig12 netscale-sanity backendscale-sanity; do \
+	  $(REPRO) $$e > $(GOLDEN_REPRO)/$$e.out || exit 1; \
+	  cmp $(GOLDEN_REPRO)/$$e.out test/golden/repro-$$e.out || exit 1; \
+	done
+
 # End-to-end observability smoke: a lossy HovercRaft run that must
 # converge and emit hovercraft_snapshot.json.
 obs-snapshot:
-	dune exec bench/main.exe -- snapshot
+	$(REPRO) snapshot
 
 # Snapshot/compaction smoke: crash a follower, run past the retention
 # window, restart it; the follower must rejoin via Install_snapshot with
@@ -98,26 +112,26 @@ shard:
 
 # kRPS-under-SLO vs shard count on a fixed per-host budget (YCSB-B).
 bench-shard:
-	dune exec bench/main.exe -- shardscale
+	$(REPRO) shardscale
 
 # YCSB-A kRPS-under-SLO vs apply threads (K in 1,2,4,8) with the
 # byte-identical-replica confirmation run at each knee.
 applyscale:
-	dune exec bench/main.exe -- applyscale
+	$(REPRO) applyscale
 
 # YCSB-B kRPS-under-SLO vs net-path stage count (net_stages in 1,2,4),
 # plus applyscale re-run under the pipelined net; exits non-zero if the
 # pipelined knee regresses below the serial knee or any replica set
 # diverges.
 netscale:
-	dune exec bench/main.exe -- netscale
+	$(REPRO) netscale
 
 # Ordering-backend shootout (raft vs rabia on the same HovercRaft cell):
 # fault-free kRPS-under-SLO knee, p99 across a mid-run leader/replica
 # kill, and the outage length; exits non-zero if any surviving replica
 # set diverges.
 backendscale:
-	dune exec bench/main.exe -- backendscale
+	$(REPRO) backendscale
 
 # Control-plane smoke: the flagship hotspot-drift scenario with the
 # SLO-driven controller attached; per-window verdicts plus the full
@@ -131,7 +145,7 @@ control:
 # The baseline must violate the SLO, the controller run must hold it,
 # and every safety checker must stay green in both runs.
 autoscale:
-	dune exec bench/main.exe -- autoscale
+	$(REPRO) autoscale
 
 clean:
 	dune clean

@@ -23,7 +23,9 @@
      control   — run one scenario from the autoscaling suite with the
                  SLO-driven controller on (or --off for the baseline),
                  judged per window and by the history-checker battery;
-     repro     — regenerate the paper's tables and figures by id;
+     repro     — regenerate the paper's tables and figures and the
+                 scaling, control-plane and observability runs, by id
+                 (the registry is Experiments);
      mc        — model-check bounded Raft / HovercRaft++ instances. *)
 
 open Cmdliner
@@ -230,18 +232,7 @@ let failover_cmd =
         ~duration:(Timebase.ms duration_ms) ~kill_after:(Timebase.ms kill_ms)
         ~workload:(Service.sample spec) ~seed ()
     in
-    let rows =
-      List.map
-        (fun (b : Failure.bucket) ->
-          [
-            Printf.sprintf "%.1f" b.t_s;
-            Printf.sprintf "%.1f" b.krps;
-            (match b.p99_us with Some v -> Table.fmt_us v | None -> "-");
-            string_of_int b.nacks;
-          ])
-        outcome.Failure.series
-    in
-    Table.print ~header:[ "t (s)"; "kRPS"; "p99 us"; "NACKs" ] rows;
+    Failure.print_series outcome.Failure.series;
     Printf.printf
       "killed node %s at %.1fs; new leader %s; NACKed %d; consistent %b\n"
       (match outcome.Failure.killed_node with Some i -> string_of_int i | None -> "?")
@@ -252,11 +243,11 @@ let failover_cmd =
   let kill_ms =
     Arg.(value & opt int 600 & info [ "kill-ms" ] ~doc:"When to kill the leader.")
   in
-  let dur = Arg.(value & opt int 2000 & info [ "duration-ms" ] ~doc:"Run length.") in
-  let rate =
-    Arg.(value & opt float 165_000. & info [ "rate" ] ~doc:"Offered load in RPS.")
+  let term =
+    Term.(
+      const action $ nodes_arg $ rate_opt 165_000. $ seed_arg $ kill_ms
+      $ duration_opt 2000)
   in
-  let term = Term.(const action $ nodes_arg $ rate $ seed_arg $ kill_ms $ dur) in
   Cmd.v (Cmd.info "failover" ~doc:"Leader-kill timeline with flow control.") term
 
 (* --- chaos -------------------------------------------------------------------- *)
@@ -289,18 +280,7 @@ let print_chaos_outcome ~seed (outcome : Chaos.outcome) =
   List.iter
     (fun (t_s, what) -> Printf.printf "  t=%.2fs  %s\n" t_s what)
     outcome.Chaos.events;
-  let rows =
-    List.map
-      (fun (b : Failure.bucket) ->
-        [
-          Printf.sprintf "%.1f" b.t_s;
-          Printf.sprintf "%.1f" b.krps;
-          (match b.p99_us with Some v -> Table.fmt_us v | None -> "-");
-          string_of_int b.nacks;
-        ])
-      outcome.Chaos.series
-  in
-  Table.print ~header:[ "t (s)"; "kRPS"; "p99 us"; "NACKs" ] rows;
+  Failure.print_series outcome.Chaos.series;
   Printf.printf "completed %d, nacked %d, lost %d, retried %d\n"
     outcome.Chaos.report.Loadgen.completed outcome.Chaos.report.Loadgen.nacked
     outcome.Chaos.report.Loadgen.lost outcome.Chaos.retried;
@@ -349,13 +329,6 @@ let chaos_cmd =
     in
     print_chaos_outcome ~seed outcome
   in
-  let nodes =
-    Arg.(value & opt int 5 & info [ "n"; "nodes" ] ~doc:"Cluster size (>= 3).")
-  in
-  let rate =
-    Arg.(value & opt float 120_000. & info [ "rate" ] ~doc:"Offered load in RPS.")
-  in
-  let dur = Arg.(value & opt int 2000 & info [ "duration-ms" ] ~doc:"Run length.") in
   let events =
     Arg.(value & opt int 6 & info [ "events" ] ~doc:"Scheduled fault budget.")
   in
@@ -385,8 +358,9 @@ let chaos_cmd =
   in
   let term =
     Term.(
-      const action $ backend_arg $ nodes $ rate $ seed_arg $ dur $ events
-      $ reconfig $ snapshot_interval_arg $ apply_threads $ net_stages)
+      const action $ backend_arg $ nodes_opt 5 $ rate_opt 120_000. $ seed_arg
+      $ duration_opt 2000 $ events $ reconfig $ snapshot_interval_arg
+      $ apply_threads $ net_stages)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -438,12 +412,10 @@ let reconfig_cmd =
       exit 1
     end
   in
-  let rate =
-    Arg.(value & opt float 100_000. & info [ "rate" ] ~doc:"Offered load in RPS.")
-  in
-  let dur = Arg.(value & opt int 2000 & info [ "duration-ms" ] ~doc:"Run length.") in
   let term =
-    Term.(const action $ rate $ seed_arg $ dur $ snapshot_interval_arg)
+    Term.(
+      const action $ rate_opt 100_000. $ seed_arg $ duration_opt 2000
+      $ snapshot_interval_arg)
   in
   Cmd.v
     (Cmd.info "reconfig"
@@ -491,20 +463,15 @@ let snapshot_cmd =
     end;
     Printf.printf "snapshot smoke OK\n"
   in
-  let nodes =
-    Arg.(value & opt int 5 & info [ "n"; "nodes" ] ~doc:"Cluster size (>= 3).")
-  in
-  let rate =
-    Arg.(value & opt float 120_000. & info [ "rate" ] ~doc:"Offered load in RPS.")
-  in
-  let dur = Arg.(value & opt int 2000 & info [ "duration-ms" ] ~doc:"Run length.") in
   let interval =
     Arg.(
       value & opt int 2000
       & info [ "snapshot-interval" ] ~doc:"Checkpoint interval in entries.")
   in
   let term =
-    Term.(const action $ nodes $ rate $ seed_arg $ dur $ interval)
+    Term.(
+      const action $ nodes_opt 5 $ rate_opt 120_000. $ seed_arg
+      $ duration_opt 2000 $ interval)
   in
   Cmd.v
     (Cmd.info "snapshot"
@@ -519,6 +486,7 @@ let snapshot_cmd =
 
 let shard_cmd =
   let action n shards active rate seed duration_ms events =
+    or_die @@ fun () ->
     let duration = Timebase.ms duration_ms in
     let kv = Ycsb.Kv.workload_b ~seed in
     let schedule =
@@ -531,14 +499,11 @@ let shard_cmd =
        2 -> 4), then move a few slots back — a plain rebalance — all
        under sustained YCSB-B load. *)
     let at pct = duration * pct / 100 in
-    let splits =
-      List.init (min active (shards - active)) (fun i ->
-          ( at (20 + (25 * i)),
-            Shard_chaos.Split { source = i; target = active + i } ))
-    in
     let migrations =
       if shards > active then
-        splits
+        List.init (min active (shards - active)) (fun i ->
+            ( at (20 + (25 * i)),
+              Shard_chaos.Split { source = i; target = active + i } ))
         @ [
             (* By 75% the first split has long finished: its target owns
                the upper half of group 0's original block. Move two of
@@ -586,9 +551,6 @@ let shard_cmd =
       exit 1
     end
   in
-  let nodes =
-    Arg.(value & opt int 3 & info [ "n"; "nodes" ] ~doc:"Nodes per Raft group.")
-  in
   let shards =
     Arg.(
       value & opt int 4
@@ -599,12 +561,6 @@ let shard_cmd =
       value & opt int 2
       & info [ "active" ] ~doc:"Groups initially owning the key space.")
   in
-  let rate =
-    Arg.(value & opt float 80_000. & info [ "rate" ] ~doc:"Offered load in RPS.")
-  in
-  let dur =
-    Arg.(value & opt int 2000 & info [ "duration-ms" ] ~doc:"Run length.")
-  in
   let events =
     Arg.(
       value & opt int 0
@@ -613,7 +569,10 @@ let shard_cmd =
   in
   let term =
     Term.(
-      const action $ nodes $ shards $ active $ rate $ seed_arg $ dur $ events)
+      const action
+      $ nodes_opt ~doc:"Nodes per Raft group." 3
+      $ shards $ active $ rate_opt 80_000. $ seed_arg $ duration_opt 2000
+      $ events)
   in
   Cmd.v
     (Cmd.info "shard"
@@ -772,28 +731,44 @@ let mc_cmd =
 (* --- repro -------------------------------------------------------------------- *)
 
 let repro_cmd =
-  let action names full =
+  let action names full out =
     let quality = if full then Experiment.Full else Experiment.Fast in
     let names = if names = [] then [ "all" ] else names in
-    List.iter
-      (fun name ->
-        match Figures.by_name name with
-        | Some run -> run ~quality ()
-        | None ->
-            Printf.eprintf "unknown experiment %S; known: %s\n" name
-              (String.concat ", " Figures.names))
-      names
+    (* Check every name before running any: a typo must not pass as a
+       partial run. *)
+    let unknown =
+      List.filter (fun n -> not (List.mem_assoc n Experiments.registry)) names
+    in
+    if unknown <> [] then begin
+      List.iter (Printf.eprintf "hovercraft: unknown experiment %S\n") unknown;
+      Printf.eprintf "known: %s\n" (String.concat ", " Experiments.names);
+      exit 2
+    end;
+    List.iter (fun name -> List.assoc name Experiments.registry ~quality ~out) names
   in
   let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
-           ~doc:"table1, fig7..fig13, or all.")
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            ("One or more of " ^ String.concat ", " Experiments.names
+           ^ "; none means all."))
   in
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Longer measurement windows.")
   in
-  let term = Term.(const action $ names $ full) in
+  let out =
+    Arg.(
+      value & opt (some string) None
+      & info [ "out" ] ~docv:"FILE"
+          ~doc:
+            "Write the JSON artifact of snapshot or autoscale to $(docv) \
+             (default: under _build/, or the temp dir).")
+  in
+  let term = Term.(const action $ names $ full $ out) in
   Cmd.v
-    (Cmd.info "repro" ~doc:"Regenerate the paper's tables and figures.")
+    (Cmd.info "repro"
+       ~doc:"Regenerate the paper's tables and figures and the scaling runs.")
     term
 
 let () =

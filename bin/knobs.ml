@@ -62,9 +62,19 @@ let or_die f =
 
 (* --- cluster shape --------------------------------------------------- *)
 
+(* The scenario verbs (failover, chaos, reconfig, snapshot, shard) share
+   these three flags but each picks its own default. *)
+let nodes_opt ?(doc = "Cluster size (>= 3).") default =
+  Arg.(value & opt int default & info [ "n"; "nodes" ] ~doc)
+
+let rate_opt default =
+  Arg.(value & opt float default & info [ "rate" ] ~doc:"Offered load in RPS.")
+
+let duration_opt default =
+  Arg.(value & opt int default & info [ "duration-ms" ] ~doc:"Run length.")
+
 let nodes_arg =
-  let doc = "Cluster size (ignored for unrep, which runs one node)." in
-  Arg.(value & opt int 3 & info [ "n"; "nodes" ] ~doc)
+  nodes_opt ~doc:"Cluster size (ignored for unrep, which runs one node)." 3
 
 let rate_arg =
   let doc = "Offered load in requests per second." in

@@ -17,6 +17,18 @@ type outcome = {
   consistent : bool;
 }
 
+let print_series series =
+  Table.print ~header:[ "t (s)"; "kRPS"; "p99 us"; "NACKs" ]
+    (List.map
+       (fun b ->
+         [
+           Printf.sprintf "%.1f" b.t_s;
+           Printf.sprintf "%.1f" b.krps;
+           (match b.p99_us with Some v -> Table.fmt_us v | None -> "-");
+           string_of_int b.nacks;
+         ])
+       series)
+
 (* Union the bucket keys of both series. Iterating only the completion
    buckets (as this used to) silently dropped every NACK that landed in a
    bucket with zero completions — which is exactly the blackout window a

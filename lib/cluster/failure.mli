@@ -12,6 +12,9 @@ type bucket = {
   nacks : int;
 }
 
+val print_series : bucket list -> unit
+(** Print a series as the [t (s) / kRPS / p99 us / NACKs] table. *)
+
 type outcome = {
   series : bucket list;
   killed_at_s : float;

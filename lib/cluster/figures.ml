@@ -279,18 +279,7 @@ let fig12 ?(quality = Experiment.Fast) () =
       ~duration:(Timebase.s 2) ~kill_after:(Timebase.ms 600)
       ~workload:(Service.sample rng_spec) ~seed:31 ()
   in
-  let rows =
-    List.map
-      (fun (b : Failure.bucket) ->
-        [
-          Printf.sprintf "%.1f" b.t_s;
-          Printf.sprintf "%.1f" b.krps;
-          (match b.p99_us with Some v -> Table.fmt_us v | None -> "-");
-          string_of_int b.nacks;
-        ])
-      outcome.series
-  in
-  Table.print ~header:[ "t (s)"; "kRPS"; "p99 us"; "NACKs" ] rows;
+  Failure.print_series outcome.series;
   Printf.printf
     "  leader (node %s) killed at t=%.1fs; new leader: node %s; total NACKed: \
      %d; replicas consistent after drain: %b\n%!"
@@ -347,34 +336,3 @@ let fig13 ?(quality = Experiment.Fast) () =
   | Some base, Some top when base > 0. ->
       Printf.printf "  speedup N=7 over UnRep: %.1fx (paper: 4x)\n%!" (top /. base)
   | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-
-let all ?(quality = Experiment.Fast) () =
-  table1 ~quality ();
-  fig7 ~quality ();
-  fig8 ~quality ();
-  fig9 ~quality ();
-  fig10 ~quality ();
-  fig11 ~quality ();
-  fig12 ~quality ();
-  fig13 ~quality ()
-
-let ablations ?(quality = Experiment.Fast) () = Ablations.all ~quality ()
-
-let registry =
-  [
-    ("table1", table1);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("fig10", fig10);
-    ("fig11", fig11);
-    ("fig12", fig12);
-    ("fig13", fig13);
-    ("ablations", ablations);
-    ("all", all);
-  ]
-
-let by_name name = List.assoc_opt name registry
-let names = List.map fst registry

@@ -40,15 +40,3 @@ val fig12 : ?quality:quality -> unit -> unit
 val fig13 : ?quality:quality -> unit -> unit
 (** YCSB-E on the Redis-like store: UnRep vs HovercRaft++ with
     N = 3/5/7. *)
-
-val ablations : ?quality:quality -> unit -> unit
-(** The design-choice ablations of {!Ablations} (not paper figures). *)
-
-val all : ?quality:quality -> unit -> unit
-(** Run everything in paper order (ablations excluded). *)
-
-val by_name : string -> (?quality:quality -> unit -> unit) option
-(** Look up an experiment by id ("table1", "fig7" .. "fig13", "ablations",
-    "all"). *)
-
-val names : string list

@@ -175,156 +175,124 @@ let settle_and_check sd ~snapshots ~completed_writes =
 (* ------------------------------------------------------------------ *)
 (* Driving a run                                                       *)
 
-let delegate_single ?params ~n ~rate_rps ~flow_cap ~duration ~drain ~reconfig
-    ?schedule ~workload ~seed () =
-  let o =
-    Chaos.run ?params ~n ~rate_rps ~flow_cap ~duration ~drain ~reconfig
-      ?schedule ~workload ~seed ()
-  in
-  {
-    report = o.Chaos.report;
-    events = o.Chaos.events;
-    violations = o.Chaos.violations;
-    exactly_once_ok = o.Chaos.exactly_once_ok;
-    committed_preserved = o.Chaos.committed_preserved;
-    caught_up = o.Chaos.caught_up;
-    consistent = o.Chaos.consistent;
-    retried = o.Chaos.retried;
-    rerouted = 0;
-    migrations = 0;
-    map_version = 1;
-    pending_recoveries = o.Chaos.pending_recoveries;
-  }
-
-let run ?params ?(n = 5) ?(shards = 1) ?active ?(rate_rps = 120_000.)
+let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
     ?(flow_cap = 1000) ?(duration = Timebase.s 2) ?(drain = Timebase.ms 100)
     ?(reconfig = false) ?schedule ?(migrations = []) ?(preload = []) ~workload
     ~seed () =
-  if shards < 1 then invalid_arg "Shard_chaos.run: shards must be >= 1";
-  if shards = 1 then begin
-    (* Strict delegation: a one-shard chaos run IS the single-group run —
-       same deployment, same schedule generator, same RNG draws — so
-       every historical seed replays byte for byte. *)
-    if migrations <> [] then
-      invalid_arg "Shard_chaos.run: migrations need at least two shards";
-    if preload <> [] then
-      invalid_arg "Shard_chaos.run: preload needs at least two shards";
-    delegate_single ?params ~n ~rate_rps ~flow_cap ~duration ~drain ~reconfig
-      ?schedule ~workload ~seed ()
-  end
-  else begin
-    let params =
-      match params with
-      | Some p -> p
-      | None -> Hnode.params ~mode:Hnode.Hover_pp ~n ()
+  if shards < 2 then
+    invalid_arg
+      "Shard_chaos.run: shards must be >= 2 (a one-group run is Chaos.run)";
+  let params =
+    match params with
+    | Some p -> p
+    | None -> Hnode.params ~mode:Hnode.Hover_pp ~n ()
+  in
+  let n = params.Hnode.n in
+  let params = Chaos.widen params ~duration ~drain ~snapshots:None in
+  let sd =
+    Shard_deploy.create
+      (Shard_deploy.config ?active ~flow_cap ~shards params)
+  in
+  let groups = Shard_deploy.groups sd in
+  if preload <> [] then Shard_deploy.preload sd preload;
+  let engine = Shard_deploy.engine sd in
+  let t0 = Engine.now engine in
+  let completed_writes = ref [] in
+  let gen =
+    Shard_loadgen.create sd ~clients:8 ~rate_rps ~workload
+      ~retry:(Timebase.ms 50, 8)
+      ~on_reply:(fun ~rid ~op ~sent_at:_ ~latency:_ ->
+        if not (Op.read_only op) then
+          completed_writes := rid :: !completed_writes)
+      ~seed ()
+  in
+  let schedule =
+    match schedule with
+    | Some s -> s
+    | None -> Chaos.random_schedule ~reconfig ~shards ~n ~duration ~seed ()
+  in
+  let timelines = Array.init shards (fun _ -> ref []) in
+  let extra = ref [] in
+  let note fmt =
+    Format.kasprintf
+      (fun s -> extra := (Timebase.to_s_f (Engine.now engine - t0), s) :: !extra)
+      fmt
+  in
+  List.iter
+    (fun { Chaos.at; event } ->
+      Engine.after engine at (fun () ->
+          match event with
+          | Chaos.Shard (g, e) when g >= 0 && g < shards ->
+              Chaos.apply_event groups.(g) ~t0 ~timeline:timelines.(g) e
+          | Chaos.Shard (g, e) ->
+              note "shard%d event skipped (no such group): %a" g
+                Chaos.pp_event e
+          | e -> Chaos.apply_event groups.(0) ~t0 ~timeline:timelines.(0) e))
+    schedule;
+  List.iter
+    (fun (at, m) ->
+      Engine.after engine at (fun () ->
+          if Shard_deploy.migrating sd then
+            note "%a skipped (another migration in flight)" pp_migration m
+          else
+            try
+              note "starting %a" pp_migration m;
+              let on_done () = note "finished %a" pp_migration m in
+              begin
+                match m with
+                | Split { source; target } ->
+                    Shard_deploy.split_shard sd ~on_done ~source ~target ()
+                | Move { slots; target } ->
+                    Shard_deploy.move_shard sd ~on_done ~slots ~target ()
+              end
+            with Invalid_argument msg ->
+              note "%a rejected: %s" pp_migration m msg))
+    migrations;
+  let report = Shard_loadgen.run gen ~warmup:0 ~duration ~drain () in
+  (* Epilogue: heal and restart every group, then converge and check. *)
+  Array.iteri
+    (fun g d ->
+      if Fabric.partitioned d.Deploy.fabric then
+        Chaos.apply_event d ~t0 ~timeline:timelines.(g) Chaos.Heal;
+      Array.iteri
+        (fun i node ->
+          if (not (Hnode.alive node)) && not (Deploy.is_removed d i) then
+            Chaos.apply_event d ~t0 ~timeline:timelines.(g) (Chaos.Restart i))
+        d.Deploy.nodes)
+    groups;
+  let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
+    settle_and_check sd ~snapshots:false ~completed_writes:!completed_writes
+  in
+  let events =
+    let tagged =
+      List.concat
+        (List.mapi
+           (fun g tl ->
+             List.rev_map
+               (fun (t, s) -> (t, Printf.sprintf "shard%d: %s" g s))
+               !tl)
+           (Array.to_list timelines))
     in
-    let n = params.Hnode.n in
-    let params = Chaos.widen params ~duration ~drain ~snapshots:None in
-    let sd =
-      Shard_deploy.create
-        (Shard_deploy.config ?active ~flow_cap ~shards params)
+    let migration_notes =
+      List.map
+        (fun (at, s) -> (Timebase.to_s_f (at - t0), s))
+        (Shard_deploy.notes sd)
     in
-    let groups = Shard_deploy.groups sd in
-    if preload <> [] then Shard_deploy.preload sd preload;
-    let engine = Shard_deploy.engine sd in
-    let t0 = Engine.now engine in
-    let completed_writes = ref [] in
-    let gen =
-      Shard_loadgen.create sd ~clients:8 ~rate_rps ~workload
-        ~retry:(Timebase.ms 50, 8)
-        ~on_reply:(fun ~rid ~op ~sent_at:_ ~latency:_ ->
-          if not (Op.read_only op) then
-            completed_writes := rid :: !completed_writes)
-        ~seed ()
-    in
-    let schedule =
-      match schedule with
-      | Some s -> s
-      | None -> Chaos.random_schedule ~reconfig ~shards ~n ~duration ~seed ()
-    in
-    let timelines = Array.init shards (fun _ -> ref []) in
-    let extra = ref [] in
-    let note fmt =
-      Format.kasprintf
-        (fun s -> extra := (Timebase.to_s_f (Engine.now engine - t0), s) :: !extra)
-        fmt
-    in
-    List.iter
-      (fun { Chaos.at; event } ->
-        Engine.after engine at (fun () ->
-            match event with
-            | Chaos.Shard (g, e) when g >= 0 && g < shards ->
-                Chaos.apply_event groups.(g) ~t0 ~timeline:timelines.(g) e
-            | Chaos.Shard (g, e) ->
-                note "shard%d event skipped (no such group): %a" g
-                  Chaos.pp_event e
-            | e -> Chaos.apply_event groups.(0) ~t0 ~timeline:timelines.(0) e))
-      schedule;
-    List.iter
-      (fun (at, m) ->
-        Engine.after engine at (fun () ->
-            if Shard_deploy.migrating sd then
-              note "%a skipped (another migration in flight)" pp_migration m
-            else
-              try
-                note "starting %a" pp_migration m;
-                let on_done () = note "finished %a" pp_migration m in
-                begin
-                  match m with
-                  | Split { source; target } ->
-                      Shard_deploy.split_shard sd ~on_done ~source ~target ()
-                  | Move { slots; target } ->
-                      Shard_deploy.move_shard sd ~on_done ~slots ~target ()
-                end
-              with Invalid_argument msg ->
-                note "%a rejected: %s" pp_migration m msg))
-      migrations;
-    let report = Shard_loadgen.run gen ~warmup:0 ~duration ~drain () in
-    (* Epilogue: heal and restart every group, then converge and check. *)
-    Array.iteri
-      (fun g d ->
-        if Fabric.partitioned d.Deploy.fabric then
-          Chaos.apply_event d ~t0 ~timeline:timelines.(g) Chaos.Heal;
-        Array.iteri
-          (fun i node ->
-            if (not (Hnode.alive node)) && not (Deploy.is_removed d i) then
-              Chaos.apply_event d ~t0 ~timeline:timelines.(g) (Chaos.Restart i))
-          d.Deploy.nodes)
-      groups;
-    let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
-      settle_and_check sd ~snapshots:false ~completed_writes:!completed_writes
-    in
-    let events =
-      let tagged =
-        List.concat
-          (List.mapi
-             (fun g tl ->
-               List.rev_map
-                 (fun (t, s) -> (t, Printf.sprintf "shard%d: %s" g s))
-                 !tl)
-             (Array.to_list timelines))
-      in
-      let migration_notes =
-        List.map
-          (fun (at, s) -> (Timebase.to_s_f (at - t0), s))
-          (Shard_deploy.notes sd)
-      in
-      List.stable_sort
-        (fun (a, _) (b, _) -> compare a b)
-        (tagged @ List.rev !extra @ migration_notes)
-    in
-    {
-      report;
-      events;
-      violations;
-      exactly_once_ok;
-      committed_preserved;
-      caught_up;
-      consistent;
-      retried = Loadgen.retried gen;
-      rerouted = Loadgen.rerouted gen;
-      migrations = Shard_deploy.migrations sd;
-      map_version = Shard_map.version (Shard_deploy.map sd);
-      pending_recoveries = Shard_deploy.total_pending_recoveries sd;
-    }
-  end
+    List.stable_sort
+      (fun (a, _) (b, _) -> compare a b)
+      (tagged @ List.rev !extra @ migration_notes)
+  in
+  {
+    report;
+    events;
+    violations;
+    exactly_once_ok;
+    committed_preserved;
+    caught_up;
+    consistent;
+    retried = Loadgen.retried gen;
+    rerouted = Loadgen.rerouted gen;
+    migrations = Shard_deploy.migrations sd;
+    map_version = Shard_map.version (Shard_deploy.map sd);
+    pending_recoveries = Shard_deploy.total_pending_recoveries sd;
+  }

@@ -63,7 +63,7 @@ type outcome = {
 val run :
   ?params:Hnode.params ->
   ?n:int ->
-  ?shards:int ->
+  shards:int ->
   ?active:int ->
   ?rate_rps:float ->
   ?flow_cap:int ->
@@ -84,8 +84,5 @@ val run :
     heal, restart, converge — waiting out any in-flight migration — and
     check.
 
-    [shards = 1] (the default) delegates verbatim to
-    {!Hovercraft_cluster.Chaos.run} — same deployment, same schedule
-    generator, same RNG draws — so existing seeds replay byte for byte;
-    [migrations] and [preload] must be empty there. Raises
-    [Invalid_argument] on [shards < 1]. *)
+    Raises [Invalid_argument] on [shards < 2]: a one-group run is
+    {!Hovercraft_cluster.Chaos.run}. *)

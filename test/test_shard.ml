@@ -224,24 +224,15 @@ let test_backoff_table_drains () =
   check_int "exhausted rids left no backoff entries" 0 !late_entries;
   check_int "table empty after run" 0 (Loadgen.backoff_entries gen)
 
-(* S=1 delegates verbatim to the single-group runner: same seed, same
-   outcome, byte for byte (the regression guard for existing seeds). *)
-let test_s1_delegation_identical () =
-  let single =
-    Chaos.run ~n:3 ~rate_rps:20_000. ~duration:(Timebase.ms 400)
-      ~workload:kv_workload ~seed:17 ()
-  in
-  let sharded =
-    Shard_chaos.run ~n:3 ~shards:1 ~rate_rps:20_000.
-      ~duration:(Timebase.ms 400) ~workload:kv_workload ~seed:17 ()
-  in
-  check "report identical" true
-    (single.Chaos.report = sharded.Shard_chaos.report);
-  check "events identical" true
-    (single.Chaos.events = sharded.Shard_chaos.events);
-  check "retried identical" true
-    (single.Chaos.retried = sharded.Shard_chaos.retried);
-  check_int "no migrations" 0 sharded.Shard_chaos.migrations
+(* A one-group run is [Chaos.run]; the sharded runner refuses it up front
+   rather than running a second, copied single-group path. *)
+let test_single_group_rejected () =
+  check "shards=1 raises Invalid_argument" true
+    (try
+       ignore
+         (Shard_chaos.run ~n:3 ~shards:1 ~workload:kv_workload ~seed:17 ());
+       false
+     with Invalid_argument _ -> true)
 
 let suite =
   [
@@ -259,6 +250,6 @@ let suite =
     Alcotest.test_case "live split under load" `Slow test_live_split_under_load;
     Alcotest.test_case "per-shard chaos events" `Slow test_sharded_chaos_events;
     Alcotest.test_case "backoff table drains" `Slow test_backoff_table_drains;
-    Alcotest.test_case "shards=1 delegates byte-identically" `Slow
-      test_s1_delegation_identical;
+    Alcotest.test_case "run: shards=1 rejected" `Quick
+      test_single_group_rejected;
   ]
