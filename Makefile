@@ -2,7 +2,7 @@
 # and `dune runtest` directly, then several of the smoke targets below;
 # `make check` is the local equivalent of its first two steps.
 
-.PHONY: all build test check golden-cell golden-control golden-modes golden-chaos golden-repro obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check golden-cell golden-control golden-modes golden-chaos golden-repro golden-ycsb obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
 all: build
 
@@ -79,6 +79,24 @@ golden-repro:
 	for e in table1 fig11 fig12 netscale-sanity backendscale-sanity; do \
 	  $(REPRO) $$e > $(GOLDEN_REPRO)/$$e.out || exit 1; \
 	  cmp $(GOLDEN_REPRO)/$$e.out test/golden/repro-$$e.out || exit 1; \
+	done
+
+# The keyed workload generators pinned byte for byte through the whole
+# stack: YCSB-E (scan/insert conversation threads) on a Hover++ cell,
+# stdout and --metrics snapshot, and YCSB-B with its preload on the
+# sharded stack (splits and a live slot move). Outputs go under
+# _build/golden-ycsb/ at a fixed path, since stdout echoes the metrics
+# path; each must match test/golden/ycsb-*.
+GOLDEN_YCSB = _build/golden-ycsb
+
+golden-ycsb:
+	mkdir -p $(GOLDEN_YCSB)
+	dune exec bin/hovercraft.exe -- run -m hoverpp -n 3 --ycsb -r 50000 -d 200 \
+	  --metrics $(GOLDEN_YCSB)/ycsb-e.json > $(GOLDEN_YCSB)/ycsb-e.out
+	dune exec bin/hovercraft.exe -- shard --seed 4 --duration-ms 1500 \
+	  > $(GOLDEN_YCSB)/ycsb-shard.out
+	for f in ycsb-e.out ycsb-e.json ycsb-shard.out; do \
+	  cmp $(GOLDEN_YCSB)/$$f test/golden/$$f || exit 1; \
 	done
 
 # End-to-end observability smoke: a lossy HovercRaft run that must

@@ -1,3 +1,32 @@
+(* Keys and payloads for every generator below. They run per generated
+   op, so keys fill their digits without the format interpreter, and
+   since a value's content depends only on its sequence number mod 26, a
+   generator hands out one of the 26 strings it built at [create]. *)
+
+(* [prefix] then [i] zero-padded to [width] digits, for
+   [0 <= i < 10^width]. *)
+let padded prefix width i =
+  let p = String.length prefix in
+  let b = Bytes.create (p + width) in
+  Bytes.blit_string prefix 0 b 0 p;
+  let v = ref i in
+  for k = p + width - 1 downto p do
+    Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!v mod 10)));
+    v := !v / 10
+  done;
+  Bytes.unsafe_to_string b
+
+let user_key i =
+  if i >= 0 && i < 100_000_000 then padded "user" 8 i
+  else Printf.sprintf "user%08d" i
+
+let thread_key i =
+  if i >= 0 && i < 100_000 then padded "thread" 5 i
+  else Printf.sprintf "thread%05d" i
+
+let rotations len =
+  Array.init 26 (fun r -> String.init len (fun j -> Char.chr (97 + ((r + j) mod 26))))
+
 type spec = {
   threads : int;
   scan_fraction : float;
@@ -17,31 +46,37 @@ let workload_e =
     theta = 0.99;
   }
 
-type t = { spec : spec; rng : Hovercraft_sim.Rng.t; zipf : Zipf.t; mutable seq : int }
+type t = {
+  spec : spec;
+  rng : Hovercraft_sim.Rng.t;
+  zipf : Zipf.t;
+  names : string array;  (* "field0", "field1", … *)
+  values : string array;  (* rotations spec.field_bytes *)
+  mutable seq : int;
+}
 
 let create ?(spec = workload_e) ~seed () =
   {
     spec;
     rng = Hovercraft_sim.Rng.create seed;
     zipf = Zipf.create ~theta:spec.theta ~n:spec.threads ();
+    names = Array.init spec.fields (Printf.sprintf "field%d");
+    values = rotations spec.field_bytes;
     seq = 0;
   }
 
-let thread_key t = Printf.sprintf "thread%05d" (Zipf.sample t.zipf t.rng)
+let draw_thread t = thread_key (Zipf.sample t.zipf t.rng)
 
+(* Deterministic per-record content: replicas must agree. *)
 let make_record t =
   t.seq <- t.seq + 1;
   let base = t.seq in
-  List.init t.spec.fields (fun i ->
-      ( Printf.sprintf "field%d" i,
-        (* Deterministic per-record content: replicas must agree. *)
-        String.init t.spec.field_bytes (fun j ->
-            Char.chr (97 + ((base + i + j) mod 26))) ))
+  List.init t.spec.fields (fun i -> (t.names.(i), t.values.((base + i) mod 26)))
 
-let insert t = Op.Kv (Kvstore.Insert { thread = thread_key t; record = make_record t })
+let insert t = Op.Kv (Kvstore.Insert { thread = draw_thread t; record = make_record t })
 
 let scan t =
-  Op.Kv (Kvstore.Scan { thread = thread_key t; limit = t.spec.max_scan })
+  Op.Kv (Kvstore.Scan { thread = draw_thread t; limit = t.spec.max_scan })
 
 let preload_ops t n = List.init n (fun _ -> insert t)
 
@@ -56,6 +91,7 @@ module Kv = struct
     records : int;
     rng : Hovercraft_sim.Rng.t;
     zipf : Zipf.t;
+    values : string array;  (* rotations 1000 *)
     mutable seq : int;
   }
 
@@ -67,21 +103,20 @@ module Kv = struct
       records;
       rng = Hovercraft_sim.Rng.create seed;
       zipf = Zipf.create ~theta ~n:records ();
+      values = rotations 1000;
       seq = 0;
     }
 
-  let key t = Printf.sprintf "user%08d" (Zipf.sample t.zipf t.rng)
+  let key t = user_key (Zipf.sample t.zipf t.rng)
 
   (* A 1 kB record value, deterministic per sequence number so replicas
      agree on replayed streams. *)
   let value t =
     t.seq <- t.seq + 1;
-    let base = t.seq in
-    String.init 1000 (fun j -> Char.chr (97 + ((base + j) mod 26)))
+    t.values.(t.seq mod 26)
 
   let preload_ops t =
-    List.init t.records (fun i ->
-        Op.Kv (Kvstore.Put (Printf.sprintf "user%08d" i, value t)))
+    List.init t.records (fun i -> Op.Kv (Kvstore.Put (user_key i, value t)))
 
   let next t =
     if Hovercraft_sim.Rng.bool t.rng t.read_fraction then

@@ -5,6 +5,29 @@
     thread (at most 10 in the paper's configuration). Operations are 95%
     SCAN / 5% INSERT; thread popularity is zipfian. *)
 
+(** {1 Keys and payloads}
+
+    Every generator below builds its keys and values from these. A
+    value's content depends only on its sequence number mod 26, so each
+    generator builds the 26 strings once at [create] and hands them out
+    shared; wire and snapshot sizes come from [String.length], so sharing
+    changes no simulated byte. *)
+
+val user_key : int -> string
+(** [user_key i = Printf.sprintf "user%08d" i], with the digits filled
+    directly for [0 <= i < 10^8]. *)
+
+val thread_key : int -> string
+(** [thread_key i = Printf.sprintf "thread%05d" i], with the digits filled
+    directly for [0 <= i < 10^5]. *)
+
+val rotations : int -> string array
+(** [rotations len] is the 26 payloads of length [len]: string [r] has
+    byte [j] = ['a' + (r + j) mod 26]. The value for sequence number
+    [seq >= 0] is [(rotations len).(seq mod 26)]. *)
+
+(** {1 Workload E} *)
+
 type spec = {
   threads : int;  (** Number of conversation threads. *)
   scan_fraction : float;  (** Probability an operation is a SCAN. *)

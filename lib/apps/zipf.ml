@@ -16,6 +16,8 @@ let zeta n theta =
 
 let create ?(theta = 0.99) ~n () =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
+  if not (theta >= 0. && theta < 1.) then
+    invalid_arg "Zipf.create: theta outside [0, 1)";
   let zetan = zeta n theta in
   let zeta2 = zeta 2 theta in
   let alpha = 1. /. (1. -. theta) in

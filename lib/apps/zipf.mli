@@ -8,8 +8,10 @@
 type t
 
 val create : ?theta:float -> n:int -> unit -> t
-(** [theta] is the skew (default 0.99, YCSB's default). [n] must be
-    positive. *)
+(** [theta] is the skew (default 0.99, YCSB's default) and must lie in
+    [\[0, 1)]: the method raises the inverse CDF to [1 / (1 - theta)],
+    which is infinite at 1. [n] must be positive.
+    @raise Invalid_argument otherwise. *)
 
 val sample : t -> Hovercraft_sim.Rng.t -> int
 (** Draw a value in [0, n); 0 is the most popular. *)

@@ -4,6 +4,7 @@ module Addr = Hovercraft_net.Addr
 module Fabric = Hovercraft_net.Fabric
 module Op = Hovercraft_apps.Op
 module Kvstore = Hovercraft_apps.Kvstore
+module Ycsb = Hovercraft_apps.Ycsb
 module Zipf = Hovercraft_apps.Zipf
 module Metrics = Hovercraft_obs.Metrics
 module Deploy = Hovercraft_cluster.Deploy
@@ -166,26 +167,23 @@ let find name = Option.map (fun f -> f ()) (List.assoc_opt name by_name)
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 
-let key_of r = Printf.sprintf "user%08d" r
-
-(* Deterministic 128-byte record value per sequence number (replicas
-   must agree on replayed streams; YCSB's 1 kB records would make the
-   chaos-style full-history retention needlessly heavy here). *)
-let value_of seq = String.init 128 (fun j -> Char.chr (97 + ((seq + j) mod 26)))
-
 (* The generator draws only from the load generator's RNG (the workload
    contract), so runs replay deterministically; the drift offset is a
-   pure function of simulated time. *)
+   pure function of simulated time. Values are 128-byte YCSB rotations
+   per sequence number (replicas must agree on replayed streams; YCSB's
+   1 kB records would make the chaos-style full-history retention
+   needlessly heavy here). *)
 let make_workload spec engine ~t0 =
   let kv ~read_fraction ~theta ~records ~offset =
     let z = Zipf.create ~theta ~n:records () in
+    let values = Ycsb.rotations 128 in
     let seq = ref 0 in
     fun rng ->
       let r = (Zipf.sample z rng + offset ()) mod records in
-      if Rng.bool rng read_fraction then Op.Kv (Kvstore.Get (key_of r))
+      if Rng.bool rng read_fraction then Op.Kv (Kvstore.Get (Ycsb.user_key r))
       else begin
         incr seq;
-        Op.Kv (Kvstore.Put (key_of r, value_of !seq))
+        Op.Kv (Kvstore.Put (Ycsb.user_key r, values.(!seq mod 26)))
       end
   in
   match spec.workload with

@@ -204,7 +204,103 @@ let test_zipf_rank_frequency () =
   let ratio = float_of_int counts.(0) /. float_of_int counts.(9) in
   check "rank-1/rank-10 ratio near 10^theta" true (ratio > 6. && ratio < 16.)
 
+(* Gray et al.'s method needs theta < 1: at theta = 1 the exponent
+   1 / (1 - theta) is infinite and the draws pile onto the coldest key. *)
+let test_zipf_domain () =
+  let rejects theta =
+    Alcotest.check_raises
+      (Printf.sprintf "theta %g rejected" theta)
+      (Invalid_argument "Zipf.create: theta outside [0, 1)")
+      (fun () -> ignore (Zipf.create ~theta ~n:1000 ()))
+  in
+  List.iter rejects [ 1.0; 1.5; -0.1; Float.nan ];
+  List.iter
+    (fun theta ->
+      let z = Zipf.create ~theta ~n:1000 () in
+      let rng = Rng.create 1 in
+      for _ = 1 to 1000 do
+        let v = Zipf.sample z rng in
+        check "in range" true (v >= 0 && v < 1000)
+      done)
+    [ 0.; 0.5; 0.99 ]
+
 (* --- ycsb ------------------------------------------------------------- *)
+
+let test_ycsb_keys () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (Printf.sprintf "user_key %d" i)
+        (Printf.sprintf "user%08d" i) (Ycsb.user_key i);
+      Alcotest.(check string)
+        (Printf.sprintf "thread_key %d" i)
+        (Printf.sprintf "thread%05d" i) (Ycsb.thread_key i))
+    [ 0; 7; 99_999; 100_000; 99_999_999; 100_000_000; -1 ]
+
+let test_ycsb_rotations () =
+  List.iter
+    (fun len ->
+      let rot = Ycsb.rotations len in
+      check_int "26 rotations" 26 (Array.length rot);
+      Array.iteri
+        (fun r v ->
+          Alcotest.(check string)
+            (Printf.sprintf "rotation %d of length %d" r len)
+            (String.init len (fun j -> Char.chr (97 + ((r + j) mod 26))))
+            v)
+        rot)
+    [ 0; 1; 100; 128; 1000 ]
+
+(* Values are handed out shared, not rebuilt: sequence numbers 26 apart
+   give the same physical string. *)
+let test_ycsb_values_shared () =
+  let kv_values =
+    List.map
+      (function Op.Kv (K.Put (_, v)) -> v | _ -> Alcotest.fail "preload is puts")
+      (Ycsb.Kv.preload_ops
+         (Ycsb.Kv.create ~read_fraction:1.0 ~records:60 ~seed:1 ()))
+  in
+  let nth = List.nth kv_values in
+  check "kv: seq and seq + 26 share" true (nth 3 == nth 29);
+  check "kv: seq and seq + 1 differ" false (nth 3 = nth 4);
+  let records =
+    List.map
+      (function
+        | Op.Kv (K.Insert { record; _ }) -> List.map snd record
+        | _ -> Alcotest.fail "preload is inserts")
+      (Ycsb.preload_ops (Ycsb.create ~seed:1 ()) 30)
+  in
+  let field r i = List.nth (List.nth records r) i in
+  check "e: record r and r + 26 share" true (field 2 5 == field 28 5);
+  check "e: field i of r is field i-1 of r+1" true (field 2 5 == field 3 4)
+
+(* The generator streams pinned by content: the digest of each op list,
+   marshalled without sharing so that interning payloads cannot move it.
+   Captured before payloads were interned; any change to what the
+   generators draw shows up here. *)
+let stream_digest (ops : Op.t list) =
+  Digest.to_hex (Digest.string (Marshal.to_string ops [ Marshal.No_sharing ]))
+
+let draws n next = List.init n (fun _ -> next ())
+
+let test_ycsb_streams_pinned () =
+  let pin name want ops = Alcotest.(check string) name want (stream_digest ops) in
+  let a = Ycsb.Kv.workload_a ~seed:11 in
+  pin "A seed 11: 100k next" "f905154a00411155615819f52200e1ff"
+    (draws 100_000 (fun () -> Ycsb.Kv.next a));
+  pin "A seed 11: then preload" "0e9bbea93fea1fc447a602e573697c7d"
+    (Ycsb.Kv.preload_ops a);
+  let repair =
+    Ycsb.Kv.create ~read_fraction:0.95 ~records:1_000_000 ~theta:0.9 ~seed:11 ()
+  in
+  pin "1M records, theta 0.9, 95% reads: 100k next"
+    "6ba3f79e3093bad135dd65b21871b56b"
+    (draws 100_000 (fun () -> Ycsb.Kv.next repair));
+  let e = Ycsb.create ~seed:99 () in
+  pin "E seed 99: preload 20k" "71295aabf9501d0af4ca96ec3174cfbc"
+    (Ycsb.preload_ops e 20_000);
+  pin "E seed 99: then 50k next" "b57ce2e0f8ac718f4e76ea655828bbd5"
+    (draws 50_000 (fun () -> Ycsb.next e))
 
 let test_ycsb_mix () =
   let g = Ycsb.create ~seed:5 () in
@@ -362,6 +458,11 @@ let suite =
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf rank-frequency shape" `Quick
       test_zipf_rank_frequency;
+    Alcotest.test_case "zipf skew domain" `Quick test_zipf_domain;
+    Alcotest.test_case "ycsb keys match printf" `Quick test_ycsb_keys;
+    Alcotest.test_case "ycsb value rotations" `Quick test_ycsb_rotations;
+    Alcotest.test_case "ycsb values shared" `Quick test_ycsb_values_shared;
+    Alcotest.test_case "ycsb streams pinned" `Quick test_ycsb_streams_pinned;
     Alcotest.test_case "ycsb 95:5 mix" `Quick test_ycsb_mix;
     Alcotest.test_case "ycsb record shape" `Quick test_ycsb_record_shape;
     Alcotest.test_case "ycsb determinism" `Quick test_ycsb_deterministic;
