@@ -57,15 +57,34 @@ golden-modes:
 	  cmp $(GOLDEN_MODES)/$$c.json test/golden/modes-$$c.json || exit 1; \
 	done
 
-# The client retry path pinned byte for byte: the seeded chaos schedule
+# The fault-run family pinned byte for byte. The seeded chaos schedule
 # (leader kills and restarts under load) drives same-rid client
 # retransmissions, flow control and body recovery, none of which the
-# cells above reach. Stdout must match test/golden/chaos-seed4.out.
+# cells above reach; the scripted membership change, the snapshot
+# catch-up, the Rabia backend under snapshots, compacting membership
+# churn and shard-tagged faults on the sharded stack cover the rest of
+# the harness. Stdout of each must match test/golden/<name>.out; outputs
+# go under _build/golden-chaos/. A nonzero exit fails the target too.
+GOLDEN_CHAOS = _build/golden-chaos
+HC = dune exec bin/hovercraft.exe --
+
 golden-chaos:
-	mkdir -p _build/golden-chaos
-	dune exec bin/hovercraft.exe -- chaos --seed 4 --duration-ms 1000 \
-	  > _build/golden-chaos/chaos-seed4.out
-	cmp _build/golden-chaos/chaos-seed4.out test/golden/chaos-seed4.out
+	mkdir -p $(GOLDEN_CHAOS)
+	$(HC) chaos --seed 4 --duration-ms 1000 > $(GOLDEN_CHAOS)/chaos-seed4.out
+	$(HC) reconfig --seed 4 --duration-ms 2000 \
+	  > $(GOLDEN_CHAOS)/reconfig-seed4.out
+	$(HC) snapshot --seed 4 --duration-ms 1500 \
+	  > $(GOLDEN_CHAOS)/snapshot-seed4.out
+	$(HC) chaos --backend rabia --seed 4 --duration-ms 1500 \
+	  --snapshot-interval 1000 > $(GOLDEN_CHAOS)/chaos-rabia-seed4.out
+	$(HC) chaos --seed 4 --duration-ms 1500 --reconfig \
+	  --snapshot-interval 1000 > $(GOLDEN_CHAOS)/chaos-reconfig-seed4.out
+	$(HC) shard --seed 4 --duration-ms 1500 --events 2 \
+	  > $(GOLDEN_CHAOS)/shard-events2-seed4.out
+	for f in chaos-seed4 reconfig-seed4 snapshot-seed4 chaos-rabia-seed4 \
+	  chaos-reconfig-seed4 shard-events2-seed4; do \
+	  cmp $(GOLDEN_CHAOS)/$$f.out test/golden/$$f.out || exit 1; \
+	done
 
 # The experiment front end pinned byte for byte: Table 1, Figures 11 and
 # 12 (fig12 prints the bucket-series table chaos and failover share) and

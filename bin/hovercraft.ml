@@ -228,8 +228,8 @@ let failover_cmd =
             features =
               { p.Hnode.features with Hnode.bound = 32; flow_control = true };
           }
-        ~rate_rps:rate ~flow_cap:1000 ~bucket:(Timebase.ms 100)
-        ~duration:(Timebase.ms duration_ms) ~kill_after:(Timebase.ms kill_ms)
+        ~rate_rps:rate ~duration:(Timebase.ms duration_ms)
+        ~kill_after:(Timebase.ms kill_ms)
         ~workload:(Service.sample spec) ~seed ()
     in
     Failure.print_series outcome.Failure.series;
@@ -322,8 +322,7 @@ let chaos_cmd =
     let outcome =
       Chaos.run
         ~params:(chaos_params ~backend ~apply_threads ~net_stages ~n ~seed ())
-        ~rate_rps:rate ~flow_cap:1000 ~bucket:(Timebase.ms 100) ~duration
-        ?snapshots
+        ~rate_rps:rate ~duration ?snapshots
         ~schedule:(Chaos.random_schedule ~events ~reconfig ~n ~duration ~seed ())
         ~workload:chaos_workload ~seed ()
     in
@@ -395,8 +394,8 @@ let reconfig_cmd =
     let outcome =
       Chaos.run
         ~params:(chaos_params ~n:3 ~seed ())
-        ~rate_rps:rate ~flow_cap:1000 ~bucket:(Timebase.ms 100) ~duration
-        ?snapshots ~schedule ~workload:chaos_workload ~seed ()
+        ~rate_rps:rate ~duration ?snapshots ~schedule ~workload:chaos_workload
+        ~seed ()
     in
     print_chaos_outcome ~seed outcome;
     if outcome.Chaos.pending_recoveries <> 0 then begin
@@ -447,8 +446,8 @@ let snapshot_cmd =
     let outcome =
       Chaos.run
         ~params:(chaos_params ~n ~seed ())
-        ~rate_rps:rate ~flow_cap:1000 ~bucket:(Timebase.ms 100) ~duration
-        ~snapshots:interval ~schedule ~workload:chaos_workload ~seed ()
+        ~rate_rps:rate ~duration ~snapshots:interval ~schedule
+        ~workload:chaos_workload ~seed ()
     in
     print_chaos_outcome ~seed outcome;
     if outcome.Chaos.max_log_base = 0 then begin
@@ -518,8 +517,7 @@ let shard_cmd =
     let outcome =
       Shard_chaos.run
         ~params:(chaos_params ~n ~seed ())
-        ~shards ~active ~rate_rps:rate ~flow_cap:1000 ~duration ?schedule
-        ~migrations
+        ~shards ~active ~rate_rps:rate ~duration ?schedule ~migrations
         ~preload:(Ycsb.Kv.preload_ops kv)
         ~workload:(fun _rng -> Ycsb.Kv.next kv)
         ~seed ()

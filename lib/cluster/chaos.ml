@@ -3,16 +3,7 @@ open Hovercraft_core
 open Hovercraft_r2p2
 module Addr = Hovercraft_net.Addr
 module Fabric = Hovercraft_net.Fabric
-module Rnode = Hovercraft_raft.Node
-module Rlog = Hovercraft_raft.Log
-module Rtypes = Hovercraft_raft.Types
-
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
+module Rid_tbl = R2p2.Rid_tbl
 
 type event =
   | Kill_leader
@@ -356,7 +347,12 @@ let check ?(snapshots = false) deploy ~completed_writes =
      as a violation while the full history is present. *)
   let committed_preserved = ref true in
   (match reference with
-  | None -> if completed_writes <> [] then committed_preserved := false
+  | None ->
+      if completed_writes <> [] then begin
+        committed_preserved := false;
+        bad "no live replica holds the %d client-completed write(s)"
+          (List.length completed_writes)
+      end
   | Some ref_node ->
       let committed = Rid_tbl.create 4096 in
       List.iter
@@ -397,6 +393,16 @@ let check ?(snapshots = false) deploy ~completed_writes =
 (* -------------------------------------------------------------------- *)
 (* Driving a run                                                         *)
 
+(* Every run drains stragglers for 100 ms after its load window, buckets
+   its series at 100 ms and caps the flow-control middlebox at 1000
+   in-flight requests. *)
+let drain = Timebase.ms 100
+let bucket = Timebase.ms 100
+let flow_cap = 1000
+
+(* Apply one event to one group right now, noting what happened —
+   including events skipped as illegal. A [Shard] tag that reaches here
+   names no group of the run ({!arm} unwraps the others). *)
 let apply_event deploy ~t0 ~timeline event =
   let engine = deploy.Deploy.engine in
   let note fmt =
@@ -460,12 +466,51 @@ let apply_event deploy ~t0 ~timeline event =
         note "transferring leadership to node%d" i
       end
       else note "transfer to node%d skipped (dead or removed)" i
-  | Shard (g, e) ->
-      (* Shard-tagged events target one group of a multi-group deployment;
-         this single-group runner has no group [g] to route to. The
-         sharded runner unwraps the tag and applies the inner event to the
-         right group's deployment before ever reaching here. *)
-      note "shard%d event ignored by single-group runner: %a" g pp_event e
+  | Shard (g, e) -> note "shard%d event skipped (no such group): %a" g pp_event e
+
+let arm groups ~t0 ~timelines steps =
+  let engine = groups.(0).Deploy.engine in
+  List.iter
+    (fun { at; event } ->
+      Engine.after engine at (fun () ->
+          match event with
+          | Shard (g, e) when g >= 0 && g < Array.length groups ->
+              apply_event groups.(g) ~t0 ~timeline:timelines.(g) e
+          | e -> apply_event groups.(0) ~t0 ~timeline:timelines.(0) e))
+    steps
+
+let recover deploy ~t0 ~timeline =
+  if Fabric.partitioned deploy.Deploy.fabric then
+    apply_event deploy ~t0 ~timeline Heal;
+  Fabric.clear_link_faults deploy.Deploy.fabric;
+  Array.iteri
+    (fun i node ->
+      if (not (Hnode.alive node)) && not (Deploy.is_removed deploy i) then
+        apply_event deploy ~t0 ~timeline (Restart i))
+    deploy.Deploy.nodes
+
+(* A node that slept through most of the run has that much history to
+   re-apply at state-machine speed; converge on observed progress instead
+   of a fixed window (bounded so a genuine wedge still ends the run and
+   fails the checker). *)
+let settle ?(busy = fun () -> false) groups =
+  let converged () =
+    (not (busy ()))
+    && Array.for_all
+         (fun d ->
+           let live = Deploy.live_nodes d in
+           let max_commit =
+             List.fold_left (fun acc n -> max acc (Hnode.commit_index n)) 0 live
+           in
+           Deploy.total_pending_recoveries d = 0
+           && List.for_all (fun n -> Hnode.applied_index n >= max_commit) live)
+         groups
+  in
+  let rec go tries =
+    Deploy.quiesce groups.(0) ~extra:(Timebase.ms 200) ();
+    if (not (converged ())) && tries > 0 then go (tries - 1)
+  in
+  go 50
 
 (* Crashes must be recoverable for the whole run: peers keep ordered
    bodies past any downtime (so a restarted node can refetch them). In
@@ -475,7 +520,7 @@ let apply_event deploy ~t0 ~timeline event =
    every [interval] entries and retain only that much log, so lagging
    nodes are forced through the install path and the snapshot-aware
    checker is exercised. *)
-let widen (params : Hnode.params) ~duration ~drain ~snapshots =
+let widen (params : Hnode.params) ~duration ~snapshots =
   {
     params with
     Hnode.timing =
@@ -506,17 +551,15 @@ let widen (params : Hnode.params) ~duration ~drain ~snapshots =
           });
   }
 
-let run ?params ?(n = 5) ?(rate_rps = 120_000.) ?(flow_cap = 1000)
-    ?(bucket = Timebase.ms 100) ?(duration = Timebase.s 2)
-    ?(drain = Timebase.ms 100) ?(reconfig = false) ?snapshots ?schedule
-    ~workload ~seed () =
+let run ?params ?(n = 5) ?(rate_rps = 120_000.) ?(duration = Timebase.s 2)
+    ?(reconfig = false) ?snapshots ?schedule ~workload ~seed () =
   let params =
     match params with
     | Some p -> p
     | None -> Hnode.params ~mode:Hnode.Hover_pp ~n ()
   in
   let n = params.Hnode.n in
-  let params = widen params ~duration ~drain ~snapshots in
+  let params = widen params ~duration ~snapshots in
   let schedule =
     match schedule with
     | Some s -> s
@@ -539,37 +582,10 @@ let run ?params ?(n = 5) ?(rate_rps = 120_000.) ?(flow_cap = 1000)
       ~seed ()
   in
   let timeline = ref [] in
-  List.iter
-    (fun { at; event } ->
-      Engine.after engine at (fun () -> apply_event deploy ~t0 ~timeline event))
-    schedule;
+  arm [| deploy |] ~t0 ~timelines:[| timeline |] schedule;
   let report = Loadgen.run gen ~warmup:0 ~duration ~drain () in
-  (* Epilogue: whatever the schedule left broken, heal and restart it,
-     then let the cluster converge so the catch-up check is meaningful. *)
-  if Fabric.partitioned deploy.Deploy.fabric then
-    apply_event deploy ~t0 ~timeline Heal;
-  Array.iteri
-    (fun i node ->
-      if (not (Hnode.alive node)) && not (Deploy.is_removed deploy i) then
-        apply_event deploy ~t0 ~timeline (Restart i))
-    deploy.Deploy.nodes;
-  (* A node that slept through most of the run has that much history to
-     re-apply at state-machine speed; converge on observed progress
-     instead of a fixed window (bounded so a genuine wedge still ends
-     the run and fails the checker). *)
-  let converged () =
-    let live = Deploy.live_nodes deploy in
-    let max_commit =
-      List.fold_left (fun acc n -> max acc (Hnode.commit_index n)) 0 live
-    in
-    List.for_all (fun n -> Hnode.applied_index n >= max_commit) live
-    && Deploy.total_pending_recoveries deploy = 0
-  in
-  let rec settle tries =
-    Deploy.quiesce deploy ~extra:(Timebase.ms 200) ();
-    if (not (converged ())) && tries > 0 then settle (tries - 1)
-  in
-  settle 50;
+  recover deploy ~t0 ~timeline;
+  settle [| deploy |];
   let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
     check ~snapshots:(snapshots <> None) deploy
       ~completed_writes:!completed_writes

@@ -43,9 +43,7 @@ type event =
           target is dead or removed. *)
   | Shard of int * event
       (** Route the inner event to Raft group [g] of a sharded (multi-
-          group) deployment. The single-group {!run} ignores these with a
-          timeline note; the sharded runner unwraps the tag and applies
-          the inner event to the right group. *)
+          group) deployment; see {!arm}. *)
 
 type step = { at : Timebase.t; event : event }
 (** [at] is relative to the start of the chaos run. *)
@@ -107,27 +105,44 @@ type outcome = {
           via [Install_snapshot] rather than entry replay. *)
 }
 
-val apply_event :
-  Deploy.t ->
+val drain : Timebase.t
+(** 100 ms: how long every fault run drains stragglers after its load
+    window, before the epilogue. *)
+
+val flow_cap : int
+(** 1000: the flow-control middlebox's in-flight cap in every fault run. *)
+
+val arm :
+  Deploy.t array ->
   t0:Timebase.t ->
-  timeline:(float * string) list ref ->
-  event ->
+  timelines:(float * string) list ref array ->
+  step list ->
   unit
-(** Apply one event to a deployment right now, appending a human-readable
-    note (seconds since [t0], description) to [timeline] — including for
-    events skipped as illegal (dead target, unknown node, [Shard]-tagged
-    in a single-group run). Exposed so the sharded chaos runner can unwrap
-    [Shard] tags and drive each group's deployment itself. *)
+(** Schedule every step on the groups' shared engine. [Shard (g, e)]
+    applies [e] to group [g]; an untagged event goes to group 0; a tag
+    that names no group is noted as skipped on group 0's timeline. Each
+    applied event appends a note (seconds since [t0], description) to its
+    group's timeline, including events skipped as illegal (dead target,
+    unknown node, membership churn under Rabia). *)
+
+val recover :
+  Deploy.t -> t0:Timebase.t -> timeline:(float * string) list ref -> unit
+(** The post-run epilogue: heal any partition, clear link faults, then
+    restart every dead node still in the configuration, noting the heal
+    and each restart on [timeline]. *)
+
+val settle : ?busy:(unit -> bool) -> Deploy.t array -> unit
+(** Quiesce the groups' shared engine 200 ms at a time, for at most 50
+    more rounds after the first, until [busy ()] (default: never) is
+    false and every group has no pending body recovery and every live
+    replica has applied its group's commit index. A wedge still ends the
+    loop, and the checkers then fail it. *)
 
 val widen :
-  Hnode.params ->
-  duration:Timebase.t ->
-  drain:Timebase.t ->
-  snapshots:int option ->
-  Hnode.params
-(** The parameter widening {!run} applies for a [duration] + [drain] run
-    (see there), exposed so runners that stand up their own deployments
-    (the sharded chaos runner) keep crashes recoverable the same way. *)
+  Hnode.params -> duration:Timebase.t -> snapshots:int option -> Hnode.params
+(** The parameter widening {!run} applies for a [duration] run (see
+    there), exposed so runners that stand up their own deployments keep
+    crashes recoverable the same way. *)
 
 val check :
   ?snapshots:bool ->
@@ -138,7 +153,8 @@ val check :
     [completed_writes] are the request ids of non-read operations whose
     replies clients received. Returns
     [(violations, exactly_once_ok, committed_preserved, caught_up,
-    consistent)]. Exposed for tests; {!run} calls it for you.
+    consistent)]. Exposed for tests; {!run} calls it for you. With no
+    live replica left, any completed write is a violation.
 
     With [snapshots] (default false) the checker is compaction-aware:
     exact log-derived execution counts apply only to nodes whose full
@@ -152,10 +168,7 @@ val run :
   ?params:Hnode.params ->
   ?n:int ->
   ?rate_rps:float ->
-  ?flow_cap:int ->
-  ?bucket:Timebase.t ->
   ?duration:Timebase.t ->
-  ?drain:Timebase.t ->
   ?reconfig:bool ->
   ?snapshots:int ->
   ?schedule:step list ->
@@ -165,8 +178,9 @@ val run :
   outcome
 (** Drive [schedule] (default: {!random_schedule} from [seed], with
     membership churn when [reconfig] is set) against a
-    fresh deployment (default: HovercRaft++, [n] = 5, flow control) under
-    open-loop load with client retries. Because the run always attaches
+    fresh deployment (default: HovercRaft++, [n] = 5, flow control capped
+    at 1000 in-flight requests) under open-loop load with client retries;
+    the series is bucketed at 100 ms. Because the run always attaches
     the flow-control middlebox, [flow_control] is forced on in the node
     features — without the per-reply Feedback the middlebox wedges all
     load at the in-flight cap. [params]' body-retention and log
@@ -176,6 +190,5 @@ val run :
     instead checkpoints every [interval] applied entries and retains only
     [interval] log entries, forcing lagging or restarted nodes through
     the [Install_snapshot] path, and the snapshot-aware checker is used.
-    After the load window and [drain], any surviving partition is healed
-    and dead nodes restarted, the cluster quiesces, and the history
-    checker runs. *)
+    After the load window and a 100 ms drain, {!recover} and {!settle}
+    run, then the history checker. *)

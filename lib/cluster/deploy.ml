@@ -23,15 +23,7 @@ type config = {
 }
 
 let config ?(fabric_latency = Timebase.us 1) ?flow_cap ?router_bound
-    ?(switch_gbps = 100.) ?trace ?engine ?(bootstrap = 0) ?backend params =
-  (* The backend override re-validates below: backend-inapplicable knobs
-     (vanilla/hover++ modes, leader leases under rabia) are rejected here
-     rather than at first use deep in a run. *)
-  let params =
-    match backend with
-    | Some b -> { params with Hnode.backend = b }
-    | None -> params
-  in
+    ?(switch_gbps = 100.) ?trace ?engine ?(bootstrap = 0) params =
   if fabric_latency < 0 then invalid_arg "Deploy.config: negative fabric latency";
   if switch_gbps <= 0. then invalid_arg "Deploy.config: switch_gbps must be positive";
   (match flow_cap with

@@ -43,17 +43,16 @@ val config :
   ?trace:Hovercraft_obs.Trace.t ->
   ?engine:Engine.t ->
   ?bootstrap:int ->
-  ?backend:Hnode.backend ->
   Hnode.params ->
   config
 (** [config params] builds a validated deployment config. Defaults: 1 us
     fabric latency, 100 Gbps middlebox links, no flow control, no router,
-    fresh trace, fresh engine, bootstrap node 0. [backend] overrides
-    [params.backend] before validation, so backend-inapplicable knob
+    fresh trace, fresh engine, bootstrap node 0. Raises
+    [Invalid_argument] on nonsensical values (negative latency,
+    non-positive rates or caps, a bootstrap id outside the initial
+    membership) and re-validates [params], so backend-inapplicable knob
     combinations (e.g. [Rabia] with any mode but [Hover], or with leader
-    leases) are rejected here. Raises [Invalid_argument] on nonsensical
-    values (negative latency, non-positive rates or caps, a bootstrap id
-    outside the initial membership) and re-validates [params]. *)
+    leases) are rejected here. *)
 
 type t = {
   engine : Engine.t;

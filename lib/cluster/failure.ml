@@ -57,13 +57,13 @@ let merge_series ~bucket_width ~completions ~nacks =
       })
     starts
 
-let run ?params ?(rate_rps = 165_000.) ?(flow_cap = 1000)
-    ?(bucket = Timebase.ms 100) ?(duration = Timebase.s 2)
+let run ?params ?(rate_rps = 165_000.) ?(duration = Timebase.s 2)
     ?(kill_after = Timebase.ms 600) ~workload ~seed () =
   let params =
     match params with Some p -> p | None -> Hnode.params ~mode:Hnode.Hover_pp ()
   in
-  let deploy = Deploy.create (Deploy.config ~flow_cap params) in
+  let bucket = Timebase.ms 100 in
+  let deploy = Deploy.create (Deploy.config ~flow_cap:1000 params) in
   let engine = deploy.Deploy.engine in
   let t0 = Engine.now engine in
   let completions = Series.create ~bucket () in

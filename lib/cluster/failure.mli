@@ -36,11 +36,12 @@ val merge_series :
 val run :
   ?params:Hnode.params ->
   ?rate_rps:float ->
-  ?flow_cap:int ->
-  ?bucket:Timebase.t ->
   ?duration:Timebase.t ->
   ?kill_after:Timebase.t ->
   workload:(Rng.t -> Hovercraft_apps.Op.t) ->
   seed:int ->
   unit ->
   outcome
+(** Offer [rate_rps] through a flow-control middlebox capped at 1000
+    in-flight requests, kill the leader [kill_after] into the run, and
+    bucket completions and NACKs at 100 ms. *)

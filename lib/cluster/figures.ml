@@ -275,8 +275,7 @@ let fig12 ?(quality = Experiment.Fast) () =
       ~params:
         (with_features (Hnode.params ~mode:Hnode.Hover_pp ~n:3 ()) (fun f ->
              { f with Hnode.reply_lb = true; bound = 32; flow_control = true }))
-      ~rate_rps:165_000. ~flow_cap:1000 ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.s 2) ~kill_after:(Timebase.ms 600)
+      ~rate_rps:165_000. ~duration:(Timebase.s 2) ~kill_after:(Timebase.ms 600)
       ~workload:(Service.sample rng_spec) ~seed:31 ()
   in
   Failure.print_series outcome.series;

@@ -14,6 +14,7 @@ module Shard_map = Hovercraft_shard.Shard_map
 module Shard_deploy = Hovercraft_shard.Shard_deploy
 module Shard_loadgen = Hovercraft_shard.Shard_loadgen
 module Shard_chaos = Hovercraft_shard.Shard_chaos
+module Chaos = Hovercraft_cluster.Chaos
 
 (* ------------------------------------------------------------------ *)
 (* Specs                                                               *)
@@ -242,36 +243,31 @@ let checkers_green o =
 (* ------------------------------------------------------------------ *)
 (* The runner                                                          *)
 
-let drain = Timebase.ms 100
-
-(* Same widening as Shard_chaos.run — bodies stay refetchable past any
-   crash, no log prefix compacts away (the history checkers scan the
-   whole run), flow control on (every group gets a middlebox) — except
-   the body-GC horizon also covers the epilogue's full settle budget: a
-   node restarted or added at the END of the run recovers its bodies
-   during settle, and a body aged out mid-recovery wedges the apply loop
-   for good. *)
+(* Chaos.widen without snapshots (bodies stay refetchable past any crash,
+   no log prefix compacts away, flow control on), except that the body-GC
+   horizon also covers the epilogue's full settle budget: a node restarted
+   or added at the END of the run recovers its bodies during settle, and
+   a body aged out mid-recovery wedges the apply loop for good. *)
 let widen (p : Hnode.params) ~duration =
+  let p = Chaos.widen p ~duration ~snapshots:None in
   {
     p with
     Hnode.timing =
       {
         p.Hnode.timing with
-        Hnode.gc_ordered = (2 * duration) + drain + Timebase.s 12;
+        Hnode.gc_ordered = (2 * duration) + Chaos.drain + Timebase.s 12;
       };
     features =
       {
         p.Hnode.features with
-        Hnode.log_retain = max_int / 2;
-        flow_control = true;
         (* Periodic checkpoints so a node added by the controller's
            repair catches up from the compact image instead of replaying
            the whole run's history — replay fetches every entry's body
            from the leader one at a time, tens of MB of leader egress
            that starves foreground traffic on a thin NIC slice. The log
-           itself still never compacts (log_retain above): the checkers
-           want the full history, the newcomer just doesn't. *)
-        snapshot_interval = 25_000;
+           itself still never compacts (Chaos.widen's log_retain): the
+           checkers want the full history, the newcomer just doesn't. *)
+        Hnode.snapshot_interval = 25_000;
       };
   }
 
@@ -413,21 +409,14 @@ let run ?controller spec ~seed () =
   in
   tick_at 0;
   let report =
-    Shard_loadgen.run gen ~warmup:spec.warmup ~duration:spec.duration ~drain ()
+    Shard_loadgen.run gen ~warmup:spec.warmup ~duration:spec.duration
+      ~drain:Chaos.drain ()
   in
   (* Epilogue: clear faults and restart the (non-decommissioned) dead,
      then converge — letting in-flight migrations and membership changes
-     finish — and run the history checkers. *)
-  Array.iter
-    (fun (d : Deploy.t) ->
-      if Fabric.partitioned d.Deploy.fabric then Fabric.heal d.Deploy.fabric;
-      Fabric.clear_link_faults d.Deploy.fabric;
-      Array.iteri
-        (fun i node ->
-          if (not (Hnode.alive node)) && not (Deploy.is_removed d i) then
-            Deploy.restart_node d i)
-        d.Deploy.nodes)
-    groups;
+     finish — and run the history checkers. The recovery notes are not
+     part of the scenario's fault log. *)
+  Array.iter (fun d -> Chaos.recover d ~t0 ~timeline:(ref [])) groups;
   let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
     Shard_chaos.settle_and_check sd ~snapshots:true
       ~completed_writes:!completed_writes

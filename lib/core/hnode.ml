@@ -62,7 +62,6 @@ type timing_params = {
   gc_unordered : Timebase.t;
   gc_ordered : Timebase.t;
   recovery_timeout : Timebase.t;
-  probe_timeout : Timebase.t;
 }
 
 type feature_params = {
@@ -189,7 +188,6 @@ let params ?(mode = Hover) ?(backend = Raft) ?(n = 3) () =
           gc_unordered = Timebase.ms 50;
           gc_ordered = Timebase.ms 100;
           recovery_timeout = Timebase.us 200;
-          probe_timeout = Timebase.ms 1;
         };
       features =
         {
@@ -212,12 +210,7 @@ let params ?(mode = Hover) ?(backend = Raft) ?(n = 3) () =
   validate_params p;
   p
 
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
+module Rid_tbl = R2p2.Rid_tbl
 
 (* The ordering layer under the dataplane, chosen once at creation from
    (mode, backend). Everything below it (apply loop, recovery, replier
@@ -1943,12 +1936,6 @@ let executed_ops t = Op.executed t.app_state
 let replies_sent t = Metrics.value t.c_replies
 let store_size t = Unordered.size t.store
 
-let ordering_pending t =
-  match t.order with Rabia { rb; _ } -> Rb.pending rb | Local | Raft _ -> 0
-
-let ordering_next_slot t =
-  match t.order with Rabia { rb; _ } -> Rb.next_slot rb | Local | Raft _ -> 0
-
 let recoveries_sent t = Metrics.value t.c_recoveries
 let recovery_escalations t = Metrics.value t.c_recovery_escalations
 let pending_recoveries t = Rid_tbl.length t.pending_recovery
@@ -1994,7 +1981,6 @@ let aggregated t =
 
 let metrics t = t.metrics
 let trace t = t.trace
-let election_timeout t = t.election_timeout
 let redraw_election_timeout t = draw_timeout t
 let members t = t.members
 let last_transfer t = t.last_transfer
@@ -2044,11 +2030,6 @@ let set_shard_filter t ~version owns =
   t.shard_filter <- Some owns;
   t.shard_version <- version
 
-let clear_shard_filter t =
-  t.shard_filter <- None;
-  t.shard_version <- 0
-
-let shard_version t = t.shard_version
 let extract_range t ~keep = Op.extract_kv t.app_state ~keep
 
 (* Receive census, kept as an accessor over the "rx.<tag>" counters. The

@@ -83,7 +83,6 @@ type timing_params = {
   gc_unordered : Timebase.t;
   gc_ordered : Timebase.t;
   recovery_timeout : Timebase.t;
-  probe_timeout : Timebase.t;
 }
 
 (** Protocol variants and their knobs. *)
@@ -232,14 +231,6 @@ val executed_ops : t -> int
 val replies_sent : t -> int
 val store_size : t -> int
 
-val ordering_pending : t -> int
-(** Commands sitting in the leaderless backend's proposal pool, waiting
-    for a slot to decide them; always 0 under {!Raft}. *)
-
-val ordering_next_slot : t -> int
-(** The leaderless backend's next undecided slot (slots ≠ log indices:
-    one slot appends a whole batch); 0 under {!Raft}. *)
-
 val recoveries_sent : t -> int
 
 val recovery_escalations : t -> int
@@ -346,9 +337,6 @@ val last_transfer : t -> int option
 (** Target of the most recent leadership transfer this node initiated
     (sent [Timeout_now]), if any. *)
 
-val election_timeout : t -> Timebase.t
-(** The currently armed election timeout. *)
-
 val redraw_election_timeout : t -> Timebase.t
 (** Sample a fresh election timeout from [[election_min, election_max]]
     (inclusive); exposed for statistical tests of the draw. *)
@@ -404,11 +392,6 @@ val set_shard_filter :
   t -> version:int -> (Hovercraft_apps.Op.t -> bool) -> unit
 (** Install (or replace) the shard-routing filter. [version] is the shard
     map version the filter reflects. *)
-
-val clear_shard_filter : t -> unit
-
-val shard_version : t -> int
-(** Version of the installed filter; 0 when unsharded. *)
 
 val completion_records :
   t -> (R2p2.req_id * Hovercraft_apps.Op.result * Timebase.t) list

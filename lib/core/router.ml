@@ -3,12 +3,7 @@ open Hovercraft_r2p2
 module Fabric = Hovercraft_net.Fabric
 module Addr = Hovercraft_net.Addr
 
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
+module Rid_tbl = R2p2.Rid_tbl
 
 type t = {
   fabric : Protocol.payload Fabric.t;

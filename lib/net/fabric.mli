@@ -98,12 +98,6 @@ val dropped : 'a port -> int
     (attributed to the sending port for unknown destinations and to the
     receiving port when it is down). *)
 
-val tx_backlog_ns : 'a port -> now:Timebase.t -> Timebase.t
-(** Serialization backlog on the TX side: how far beyond [now] the link is
-    already booked — the instantaneous queue depth in time units. *)
-
-val rx_backlog_ns : 'a port -> now:Timebase.t -> Timebase.t
-
 val ports : 'a t -> (Addr.t * 'a port) list
 (** All attached ports, sorted by address (deterministic roll-ups). *)
 

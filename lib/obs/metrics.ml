@@ -201,6 +201,9 @@ let last_max w = w.prev.max_v
 let last_percentile w p = percentile_over [ w.prev ] p
 let window_count w = w.cur.count + w.prev.count
 let window_max w = max w.cur.max_v w.prev.max_v
+
+(* Over the merge of the current and previous windows: the freshest tail
+   that never reads a half-filled window in isolation. *)
 let window_percentile w p = percentile_over [ w.cur; w.prev ] p
 
 let clear t =

@@ -95,10 +95,6 @@ val last_percentile : windowed -> float -> int
 val window_count : windowed -> int
 val window_max : windowed -> int
 
-val window_percentile : windowed -> float -> int
-(** Percentile over the merge of the current and previous windows — the
-    freshest tail that never reads a half-filled window in isolation.
-    Clamped to the min/max observed across the two windows. *)
 
 val clear : t -> unit
 (** Zero every metric, keeping registrations (new measurement window).

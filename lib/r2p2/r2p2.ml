@@ -35,6 +35,13 @@ let req_id_hash r =
 let pp_req_id fmt r =
   Format.fprintf fmt "%a:%d#%d" Hovercraft_net.Addr.pp r.src_addr r.src_port r.id
 
+module Rid_tbl = Hashtbl.Make (struct
+  type t = req_id
+
+  let equal = req_id_equal
+  let hash = req_id_hash
+end)
+
 let header_bytes = 16
 
 module Id_source = struct

@@ -44,6 +44,9 @@ val req_id_compare : req_id -> req_id -> int
 val req_id_hash : req_id -> int
 val pp_req_id : Format.formatter -> req_id -> unit
 
+module Rid_tbl : Hashtbl.S with type key = req_id
+(** Hash tables keyed by request id, hashed with {!req_id_hash}. *)
+
 val header_bytes : int
 (** Size of the R2P2 header added to every message's payload. *)
 

@@ -1,18 +1,11 @@
 open Hovercraft_sim
 open Hovercraft_core
 open Hovercraft_r2p2
-module Fabric = Hovercraft_net.Fabric
 module Op = Hovercraft_apps.Op
 module Deploy = Hovercraft_cluster.Deploy
 module Loadgen = Hovercraft_cluster.Loadgen
 module Chaos = Hovercraft_cluster.Chaos
-
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
+module Rid_tbl = R2p2.Rid_tbl
 
 type migration =
   | Split of { source : int; target : int }
@@ -125,33 +118,14 @@ let cross_map_check groups ~completed_writes =
     completed_writes;
   (List.rev !violations, !exactly_once_ok, !committed_preserved)
 
-(* A node that slept through most of the run has that much history to
-   re-apply at state-machine speed; converge on observed progress —
-   including an in-flight migration finishing, so the map is stable —
-   instead of a fixed window (bounded so a genuine wedge still ends the
-   run and fails the checkers). Then the per-group invariants (prefix
-   agreement, per-replica exactly-once, catch-up), the map-level
-   exactly-once / nothing-lost check over client-completed writes, and
-   the fingerprint comparison. *)
+(* Converge — including an in-flight migration finishing, so the map is
+   stable — then run the per-group invariants (prefix agreement,
+   per-replica exactly-once, catch-up), the map-level exactly-once /
+   nothing-lost check over client-completed writes, and the fingerprint
+   comparison. *)
 let settle_and_check sd ~snapshots ~completed_writes =
   let groups = Shard_deploy.groups sd in
-  let converged () =
-    (not (Shard_deploy.migrating sd))
-    && Shard_deploy.total_pending_recoveries sd = 0
-    && Array.for_all
-         (fun d ->
-           let live = Deploy.live_nodes d in
-           let max_commit =
-             List.fold_left (fun acc nd -> max acc (Hnode.commit_index nd)) 0 live
-           in
-           List.for_all (fun nd -> Hnode.applied_index nd >= max_commit) live)
-         groups
-  in
-  let rec settle tries =
-    Shard_deploy.quiesce sd ~extra:(Timebase.ms 200) ();
-    if (not (converged ())) && tries > 0 then settle (tries - 1)
-  in
-  settle 50;
+  Chaos.settle ~busy:(fun () -> Shard_deploy.migrating sd) groups;
   let violations = ref [] in
   let exactly_once_ok = ref true in
   let caught_up = ref true in
@@ -176,9 +150,8 @@ let settle_and_check sd ~snapshots ~completed_writes =
 (* Driving a run                                                       *)
 
 let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
-    ?(flow_cap = 1000) ?(duration = Timebase.s 2) ?(drain = Timebase.ms 100)
-    ?(reconfig = false) ?schedule ?(migrations = []) ?(preload = []) ~workload
-    ~seed () =
+    ?(duration = Timebase.s 2) ?schedule ?(migrations = []) ?(preload = [])
+    ~workload ~seed () =
   if shards < 2 then
     invalid_arg
       "Shard_chaos.run: shards must be >= 2 (a one-group run is Chaos.run)";
@@ -188,10 +161,10 @@ let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
     | None -> Hnode.params ~mode:Hnode.Hover_pp ~n ()
   in
   let n = params.Hnode.n in
-  let params = Chaos.widen params ~duration ~drain ~snapshots:None in
+  let params = Chaos.widen params ~duration ~snapshots:None in
   let sd =
     Shard_deploy.create
-      (Shard_deploy.config ?active ~flow_cap ~shards params)
+      (Shard_deploy.config ?active ~flow_cap:Chaos.flow_cap ~shards params)
   in
   let groups = Shard_deploy.groups sd in
   if preload <> [] then Shard_deploy.preload sd preload;
@@ -209,7 +182,7 @@ let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
   let schedule =
     match schedule with
     | Some s -> s
-    | None -> Chaos.random_schedule ~reconfig ~shards ~n ~duration ~seed ()
+    | None -> Chaos.random_schedule ~shards ~n ~duration ~seed ()
   in
   let timelines = Array.init shards (fun _ -> ref []) in
   let extra = ref [] in
@@ -218,17 +191,7 @@ let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
       (fun s -> extra := (Timebase.to_s_f (Engine.now engine - t0), s) :: !extra)
       fmt
   in
-  List.iter
-    (fun { Chaos.at; event } ->
-      Engine.after engine at (fun () ->
-          match event with
-          | Chaos.Shard (g, e) when g >= 0 && g < shards ->
-              Chaos.apply_event groups.(g) ~t0 ~timeline:timelines.(g) e
-          | Chaos.Shard (g, e) ->
-              note "shard%d event skipped (no such group): %a" g
-                Chaos.pp_event e
-          | e -> Chaos.apply_event groups.(0) ~t0 ~timeline:timelines.(0) e))
-    schedule;
+  Chaos.arm groups ~t0 ~timelines schedule;
   List.iter
     (fun (at, m) ->
       Engine.after engine at (fun () ->
@@ -248,18 +211,10 @@ let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
             with Invalid_argument msg ->
               note "%a rejected: %s" pp_migration m msg))
     migrations;
-  let report = Shard_loadgen.run gen ~warmup:0 ~duration ~drain () in
-  (* Epilogue: heal and restart every group, then converge and check. *)
-  Array.iteri
-    (fun g d ->
-      if Fabric.partitioned d.Deploy.fabric then
-        Chaos.apply_event d ~t0 ~timeline:timelines.(g) Chaos.Heal;
-      Array.iteri
-        (fun i node ->
-          if (not (Hnode.alive node)) && not (Deploy.is_removed d i) then
-            Chaos.apply_event d ~t0 ~timeline:timelines.(g) (Chaos.Restart i))
-        d.Deploy.nodes)
-    groups;
+  let report =
+    Shard_loadgen.run gen ~warmup:0 ~duration ~drain:Chaos.drain ()
+  in
+  Array.iteri (fun g d -> Chaos.recover d ~t0 ~timeline:timelines.(g)) groups;
   let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
     settle_and_check sd ~snapshots:false ~completed_writes:!completed_writes
   in

@@ -27,10 +27,10 @@ val settle_and_check :
   snapshots:bool ->
   completed_writes:Hovercraft_r2p2.R2p2.req_id list ->
   string list * bool * bool * bool * bool
-(** The post-run epilogue shared by every sharded runner, after its own
-    heal-and-restart: quiesce for at most 50 rounds until no migration is
-    in flight, no body recovery is pending and every live replica has
-    applied its group's commit index; then run the per-group
+(** The post-run epilogue shared by every sharded runner, after
+    {!Hovercraft_cluster.Chaos.recover} on each group:
+    {!Hovercraft_cluster.Chaos.settle}, busy while a migration is in
+    flight; then run the per-group
     {!Hovercraft_cluster.Chaos.check} (compaction-aware with
     [snapshots]), the map-level check over the client-completed writes
     (none in more than one group's committed history, none lost; needs
@@ -66,10 +66,7 @@ val run :
   shards:int ->
   ?active:int ->
   ?rate_rps:float ->
-  ?flow_cap:int ->
   ?duration:Timebase.t ->
-  ?drain:Timebase.t ->
-  ?reconfig:bool ->
   ?schedule:Hovercraft_cluster.Chaos.step list ->
   ?migrations:(Timebase.t * migration) list ->
   ?preload:Hovercraft_apps.Op.t list ->
@@ -78,11 +75,12 @@ val run :
   unit ->
   outcome
 (** Drive [schedule] (default {!Hovercraft_cluster.Chaos.random_schedule}
-    with [shards]) plus [migrations] (each started at its offset; skipped
-    with a note if another is still in flight) against a fresh
-    {!Shard_deploy} under shard-routed load with client retries, then
-    heal, restart, converge — waiting out any in-flight migration — and
-    check.
+    with [shards]; dispatched by {!Hovercraft_cluster.Chaos.arm}) plus
+    [migrations] (each started at its offset; skipped with a note if
+    another is still in flight) against a fresh {!Shard_deploy} under
+    shard-routed load with client retries and the
+    {!Hovercraft_cluster.Chaos} flow cap and drain, then recover every
+    group, converge — waiting out any in-flight migration — and check.
 
     Raises [Invalid_argument] on [shards < 2]: a one-group run is
     {!Hovercraft_cluster.Chaos.run}. *)

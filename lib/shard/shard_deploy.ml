@@ -10,13 +10,7 @@ module Snapshot = Hovercraft_raft.Snapshot
 module Rnode = Hovercraft_raft.Node
 module Rlog = Hovercraft_raft.Log
 module Deploy = Hovercraft_cluster.Deploy
-
-module Rid_tbl = Hashtbl.Make (struct
-  type t = R2p2.req_id
-
-  let equal = R2p2.req_id_equal
-  let hash = R2p2.req_id_hash
-end)
+module Rid_tbl = R2p2.Rid_tbl
 
 type config = {
   shards : int;
@@ -232,9 +226,6 @@ let preload t ops =
       | [] -> ()
       | l -> Array.iter (fun node -> Hnode.preload node l) d.Deploy.nodes)
     t.groups
-
-let quiesce t ?(extra = Timebase.ms 20) () =
-  Engine.run ~until:(Engine.now t.engine + extra) t.engine
 
 let consistent t = Array.for_all Deploy.consistent t.groups
 

@@ -91,7 +91,6 @@ val refresh_filters : t -> unit
     ({!Deploy.add_node}): a node born after {!create} has no filter until
     the next map flip would install one. *)
 
-val quiesce : t -> ?extra:Timebase.t -> unit -> unit
 val consistent : t -> bool
 val total_pending_recoveries : t -> int
 

@@ -173,7 +173,7 @@ let test_chaos_k4_with_snapshots () =
     }
   in
   let o =
-    Chaos.run ~params:p ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
+    Chaos.run ~params:p ~rate_rps:40_000.
       ~duration:(Timebase.ms 700) ~snapshots:400 ~workload:kv_workload ~seed:23
       ()
   in

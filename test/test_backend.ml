@@ -181,7 +181,7 @@ let test_rabia_stage_thread_invariance () =
    with a timeline note. *)
 let chaos_outcome ~backend ~seed ?snapshots () =
   let p = Hnode.params ~mode:Hnode.Hover ~backend ~n:5 () in
-  Chaos.run ~params:p ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
+  Chaos.run ~params:p ~rate_rps:40_000.
     ~duration:(Timebase.ms 700) ?snapshots ~workload:kv_workload ~seed ()
 
 let assert_clean name (o : Chaos.outcome) =
@@ -242,9 +242,6 @@ let test_rabia_invalid_combos () =
           Hnode.features =
             { p.Hnode.features with Hnode.read_mode = Hnode.Leader_leases };
         });
-  (* The Deploy.config override path validates too. *)
-  expect_invalid "config override rabia+vanilla" (fun () ->
-      Deploy.config ~backend:Hnode.Rabia (Hnode.params ~mode:Hnode.Vanilla ()));
   (* Leader-shaped control surfaces are rejected, not silently ignored. *)
   let deploy = Deploy.create (Deploy.config (rabia_params ())) in
   expect_invalid "reconfig under rabia" (fun () ->

@@ -54,8 +54,7 @@ let test_restart_requires_dead () =
    restarted node fully caught up and zero checker violations. *)
 let test_kill_restart_kill_new_leader () =
   let outcome =
-    Chaos.run ~n:5 ~rate_rps:40_000. ~flow_cap:500 ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.ms 700)
+    Chaos.run ~n:5 ~rate_rps:40_000. ~duration:(Timebase.ms 700)
       ~schedule:
         [
           (* Node 0 bootstraps as leader, so the first kill is by id. *)
@@ -79,8 +78,7 @@ let test_kill_restart_kill_new_leader () =
    must lose no committed reply and leave everyone converged. *)
 let test_partition_then_heal () =
   let outcome =
-    Chaos.run ~n:5 ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.ms 600)
+    Chaos.run ~n:5 ~rate_rps:40_000. ~duration:(Timebase.ms 600)
       ~schedule:
         [
           {
@@ -133,6 +131,56 @@ let test_random_schedule_keeps_quorum () =
       check_int "id-kills all restarted" 0 (Hashtbl.length dead))
     [ 1; 2; 3; 4; 5 ]
 
+(* One dispatch rule for every run: a [Shard 0] tag reaches the only
+   group of a single-group run, and a tag naming no group is noted as
+   skipped rather than dropped silently. *)
+let test_shard_tags_on_one_group () =
+  let outcome =
+    Chaos.run ~n:3 ~rate_rps:20_000. ~duration:(Timebase.ms 400)
+      ~schedule:
+        [
+          { Chaos.at = Timebase.ms 100; event = Chaos.Shard (0, Chaos.Kill 1) };
+          {
+            Chaos.at = Timebase.ms 200;
+            event = Chaos.Shard (0, Chaos.Restart 1);
+          };
+          { Chaos.at = Timebase.ms 300; event = Chaos.Shard (3, Chaos.Kill 0) };
+        ]
+      ~workload ~seed:23 ()
+  in
+  let notes = List.map snd outcome.Chaos.events in
+  check "Shard (0, Kill 1) reached the group" true
+    (List.mem "killed node1" notes);
+  check "Shard (0, Restart 1) reached the group" true
+    (List.mem "restarted node1" notes);
+  check "Shard (3, _) noted as skipped" true
+    (List.mem "shard3 event skipped (no such group): kill node0" notes);
+  Alcotest.(check (list string)) "no checker violations" []
+    outcome.Chaos.violations
+
+(* With every replica dead nothing vouches for an acknowledged write: the
+   checker must say so in its violation list, which is what makes the
+   chaos command exit nonzero. *)
+let test_check_reports_no_live_replica () =
+  let deploy =
+    Deploy.create (Deploy.config (Hnode.params ~mode:Hnode.Hover_pp ~n:3 ()))
+  in
+  for i = 0 to 2 do
+    Deploy.kill_node deploy i
+  done;
+  let rid =
+    {
+      Hovercraft_r2p2.R2p2.id = 0;
+      src_addr = Hovercraft_net.Addr.Client 0;
+      src_port = 0;
+    }
+  in
+  let violations, _, committed_preserved, _, _ =
+    Chaos.check deploy ~completed_writes:[ rid ]
+  in
+  check "committed-preserved fails" false committed_preserved;
+  check_int "one violation reported" 1 (List.length violations)
+
 let suite =
   [
     Alcotest.test_case "restart catches up" `Slow test_restart_catches_up;
@@ -144,4 +192,8 @@ let suite =
     Alcotest.test_case "chaos determinism" `Slow test_chaos_deterministic;
     Alcotest.test_case "random schedule keeps quorum" `Quick
       test_random_schedule_keeps_quorum;
+    Alcotest.test_case "shard tags on one group" `Slow
+      test_shard_tags_on_one_group;
+    Alcotest.test_case "check reports no live replica" `Quick
+      test_check_reports_no_live_replica;
   ]

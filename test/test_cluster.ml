@@ -258,7 +258,7 @@ let test_failure_outcome_shape () =
                flow_control = true;
              };
          })
-      ~rate_rps:50_000. ~flow_cap:500 ~bucket:(Timebase.ms 50)
+      ~rate_rps:50_000.
       ~duration:(Timebase.ms 400) ~kill_after:(Timebase.ms 150)
       ~workload:(Service.sample spec) ~seed:5 ()
   in

@@ -291,7 +291,7 @@ let chaos_outcome ~seed =
         };
     }
   in
-  Chaos.run ~params:p ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
+  Chaos.run ~params:p ~rate_rps:40_000.
     ~duration:(Timebase.ms 700) ~workload:kv_workload ~seed ()
 
 (* Kill/restart/partition churn with the pipelined net (and K=4): the
@@ -324,7 +324,7 @@ let test_snapshot_pipelined () =
     }
   in
   let o =
-    Chaos.run ~params:p ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
+    Chaos.run ~params:p ~rate_rps:40_000.
       ~duration:(Timebase.ms 700) ~snapshots:400 ~workload:kv_workload ~seed:67
       ()
   in

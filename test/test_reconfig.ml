@@ -26,8 +26,7 @@ let assert_clean (o : Chaos.outcome) =
 (* Grow 3 -> 5 one voter at a time, under open-loop load. *)
 let test_grow_under_load () =
   let outcome =
-    Chaos.run ~n:3 ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.ms 600)
+    Chaos.run ~n:3 ~rate_rps:40_000. ~duration:(Timebase.ms 600)
       ~schedule:
         [
           { Chaos.at = Timebase.ms 100; event = Chaos.Add_node };
@@ -42,8 +41,7 @@ let test_grow_under_load () =
 (* Shrink 5 -> 3; the removed nodes are decommissioned, not just dead. *)
 let test_shrink_under_load () =
   let outcome =
-    Chaos.run ~n:5 ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.ms 600)
+    Chaos.run ~n:5 ~rate_rps:40_000. ~duration:(Timebase.ms 600)
       ~schedule:
         [
           { Chaos.at = Timebase.ms 100; event = Chaos.Remove_node 4 };
@@ -59,8 +57,7 @@ let test_shrink_under_load () =
    steps down (Raft §4.2.2) and a member takes over. *)
 let test_remove_leader () =
   let outcome =
-    Chaos.run ~n:5 ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.ms 700)
+    Chaos.run ~n:5 ~rate_rps:40_000. ~duration:(Timebase.ms 700)
       ~schedule:
         (* Node 0 bootstraps as leader. *)
         [ { Chaos.at = Timebase.ms 150; event = Chaos.Remove_node 0 } ]
@@ -75,8 +72,7 @@ let test_remove_leader () =
    reconcile everyone onto the grown configuration. *)
 let test_add_during_partition_then_heal () =
   let outcome =
-    Chaos.run ~n:5 ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.ms 700)
+    Chaos.run ~n:5 ~rate_rps:40_000. ~duration:(Timebase.ms 700)
       ~schedule:
         [
           {
@@ -152,8 +148,7 @@ let test_aggregator_quorum_updates () =
    the history checker. *)
 let test_mixed_chaos_reconfig () =
   let outcome =
-    Chaos.run ~n:5 ~rate_rps:40_000. ~bucket:(Timebase.ms 100)
-      ~duration:(Timebase.ms 800)
+    Chaos.run ~n:5 ~rate_rps:40_000. ~duration:(Timebase.ms 800)
       ~schedule:
         [
           { Chaos.at = Timebase.ms 80; event = Chaos.Kill 4 };

@@ -297,7 +297,7 @@ let cluster_params ~n =
 let test_cluster_restart_via_install () =
   let outcome =
     Chaos.run ~params:(cluster_params ~n:5) ~rate_rps:40_000.
-      ~bucket:(Timebase.ms 100) ~duration:(Timebase.ms 600) ~snapshots:400
+      ~duration:(Timebase.ms 600) ~snapshots:400
       ~schedule:
         [
           { Chaos.at = Timebase.ms 100; event = Chaos.Kill 1 };
@@ -320,7 +320,7 @@ let test_cluster_restart_via_install () =
 let test_add_node_catches_up_via_install () =
   let outcome =
     Chaos.run ~params:(cluster_params ~n:5) ~rate_rps:40_000.
-      ~bucket:(Timebase.ms 100) ~duration:(Timebase.ms 600) ~snapshots:400
+      ~duration:(Timebase.ms 600) ~snapshots:400
       ~schedule:[ { Chaos.at = Timebase.ms 200; event = Chaos.Add_node } ]
       ~workload ~seed:6 ()
   in
@@ -338,7 +338,7 @@ let test_add_node_catches_up_via_install () =
 let test_chaos_with_aggressive_interval () =
   let outcome =
     Chaos.run ~params:(cluster_params ~n:5) ~rate_rps:40_000.
-      ~bucket:(Timebase.ms 100) ~duration:(Timebase.ms 700) ~snapshots:250
+      ~duration:(Timebase.ms 700) ~snapshots:250
       ~workload ~seed:77 ()
   in
   Alcotest.(check (list string)) "no checker violations" []
