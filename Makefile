@@ -27,13 +27,18 @@ golden-cell:
 # The sharded stack and the control plane pinned byte for byte: three
 # co-located groups each lose a replica and the controller repairs them
 # (membership change, snapshot catch-up of the added nodes, completion
-# records shipped in checkpoints). The outcome JSON must match
-# test/golden/; like golden-cell, a change meant to leave the model alone
-# passes it untouched.
+# records shipped in checkpoints), and a slow-but-alive leader that the
+# controller answers with leadership transfers (the only scheduled
+# link-delay fault; it holds 6 of 18 windows, so the SLO gate is off).
+# Each outcome JSON must match test/golden/; like golden-cell, a change
+# meant to leave the model alone passes it untouched.
 golden-control:
 	dune exec bin/hovercraft.exe -- control correlated-failure --seed 11 \
 	  --out control-correlated.json
 	cmp control-correlated.json test/golden/control-correlated.json
+	dune exec bin/hovercraft.exe -- control slow-node --seed 11 \
+	  --require-slo 0 --out control-slow.json
+	cmp control-slow.json test/golden/control-slow.json
 
 # One cell per ordering arm pinned byte for byte: unreplicated, vanilla
 # Raft, Hover++ with flow control, and HovercRaft over the Rabia backend

@@ -104,8 +104,7 @@ let run_cmd =
       req_bytes rep_bytes bimodal ycsb no_lb random_lb bound flow_cap
       snapshot_interval metrics_out trace_level =
     let params =
-      make_params ~snapshot_interval ~backend mode n no_lb random_lb bound
-        flow_cap seed
+      make_params ~snapshot_interval ~backend mode n no_lb random_lb bound seed
     in
     let workload, preload =
       make_workload ~ycsb ~bimodal ~service_us ~read_fraction ~req_bytes
@@ -149,7 +148,7 @@ let rates_arg =
 let sweep_cmd =
   let action mode n rates seed service_us read_fraction req_bytes rep_bytes
       bimodal ycsb no_lb random_lb bound =
-    let params = make_params mode n no_lb random_lb bound None seed in
+    let params = make_params mode n no_lb random_lb bound seed in
     let workload, preload =
       make_workload ~ycsb ~bimodal ~service_us ~read_fraction ~req_bytes
         ~rep_bytes ~seed
@@ -189,7 +188,7 @@ let slo_us_arg =
 let slo_cmd =
   let action mode n seed service_us read_fraction req_bytes rep_bytes bimodal
       ycsb no_lb random_lb bound slo_us =
-    let params = make_params mode n no_lb random_lb bound None seed in
+    let params = make_params mode n no_lb random_lb bound seed in
     let workload, preload =
       make_workload ~ycsb ~bimodal ~service_us ~read_fraction ~req_bytes
         ~rep_bytes ~seed
@@ -225,8 +224,7 @@ let failover_cmd =
           {
             p with
             Hnode.seed;
-            features =
-              { p.Hnode.features with Hnode.bound = 32; flow_control = true };
+            features = { p.Hnode.features with Hnode.bound = 32 };
           }
         ~rate_rps:rate ~duration:(Timebase.ms duration_ms)
         ~kill_after:(Timebase.ms kill_ms)
@@ -269,7 +267,6 @@ let chaos_params ?(backend = Hnode.Raft) ?(apply_threads = 1) ?(net_stages = 1)
       {
         p.Hnode.features with
         Hnode.bound = 32;
-        flow_control = true;
         apply_threads;
         net_stages;
       };

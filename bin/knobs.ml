@@ -144,7 +144,8 @@ let snapshot_interval_arg =
 
 let flow_cap_arg =
   let doc =
-    "Enable the flow-control middlebox with this many in-flight requests."
+    "Enable the flow-control middlebox with this many in-flight requests; \
+     repliers then send it one credit per reply."
   in
   Arg.(value & opt (some int) None & info [ "flow-cap" ] ~doc)
 
@@ -168,7 +169,7 @@ let trace_arg =
 (* --- constructors the knobs feed ------------------------------------- *)
 
 let make_params ?(snapshot_interval = 0) ?(backend = Hnode.Raft) mode n no_lb
-    random_lb bound flow_cap seed =
+    random_lb bound seed =
   let p =
     or_die (fun () ->
         Hnode.params ~mode ~backend
@@ -184,7 +185,6 @@ let make_params ?(snapshot_interval = 0) ?(backend = Hnode.Raft) mode n no_lb
         Hnode.reply_lb = not no_lb;
         lb_policy = (if random_lb then Jbsq.Random_choice else Jbsq.Jbsq);
         bound;
-        flow_control = flow_cap <> None;
         snapshot_interval;
       };
   }

@@ -14,6 +14,7 @@ type event =
   | Add_node
   | Remove_node of int
   | Transfer of int
+  | Slow of { node : int; delay : Timebase.t }
   | Shard of int * event
 
 type step = { at : Timebase.t; event : event }
@@ -37,6 +38,8 @@ let rec pp_event ppf = function
                set))
         sets
   | Heal -> Format.fprintf ppf "heal"
+  | Slow { node; delay } ->
+      Format.fprintf ppf "slow node%d +%dus" node (delay / 1_000)
   | Shard (g, e) -> Format.fprintf ppf "shard%d:%a" g pp_event e
 
 (* Seeded schedule generator. Invariants maintained on the generator's own
@@ -466,6 +469,19 @@ let apply_event deploy ~t0 ~timeline event =
         note "transferring leadership to node%d" i
       end
       else note "transfer to node%d skipped (dead or removed)" i
+  | Slow { node; delay } ->
+      let link peer =
+        Fabric.set_link_fault deploy.Deploy.fabric ~src:(Addr.Node node)
+          ~dst:peer ~delay ();
+        Fabric.set_link_fault deploy.Deploy.fabric ~src:peer
+          ~dst:(Addr.Node node) ~delay ()
+      in
+      link Addr.Netagg;
+      link Addr.Middlebox;
+      Array.iter
+        (fun nd -> if Hnode.id nd <> node then link (Addr.Node (Hnode.id nd)))
+        deploy.Deploy.nodes;
+      note "slowed node%d (+%dus per hop)" node (delay / 1_000)
   | Shard (g, e) -> note "shard%d event skipped (no such group): %a" g pp_event e
 
 let arm groups ~t0 ~timelines steps =
@@ -478,6 +494,13 @@ let arm groups ~t0 ~timelines steps =
               apply_event groups.(g) ~t0 ~timeline:timelines.(g) e
           | e -> apply_event groups.(0) ~t0 ~timeline:timelines.(0) e))
     steps
+
+let tagged_events timelines =
+  Array.to_list timelines
+  |> List.mapi (fun g tl ->
+         List.rev_map (fun (t, s) -> (t, Printf.sprintf "shard%d: %s" g s)) !tl)
+  |> List.concat
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
 
 let recover deploy ~t0 ~timeline =
   if Fabric.partitioned deploy.Deploy.fabric then
@@ -529,25 +552,13 @@ let widen (params : Hnode.params) ~duration ~snapshots =
         Hnode.gc_ordered = (2 * duration) + drain + Timebase.s 1;
       };
     features =
-      (* The run always attaches the flow-control middlebox (flow_cap),
-         which admits at most [cap] in-flight rids and waits for a
-         Feedback per reply to free each slot. Nodes with [flow_control]
-         off never send Feedback, so load wedges at the cap within the
-         first few milliseconds; force it on rather than make every
-         caller carry the workaround. *)
       (match snapshots with
-      | None ->
-          {
-            params.Hnode.features with
-            Hnode.log_retain = max_int / 2;
-            flow_control = true;
-          }
+      | None -> { params.Hnode.features with Hnode.log_retain = max_int / 2 }
       | Some interval ->
           {
             params.Hnode.features with
             Hnode.log_retain = interval;
             snapshot_interval = interval;
-            flow_control = true;
           });
   }
 

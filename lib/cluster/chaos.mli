@@ -1,6 +1,7 @@
-(** Chaos testing: timed crash / restart / partition schedules driven
-    against a deployment under load, with a history checker over the
-    replicas' committed logs and the client-observed completions.
+(** Chaos testing: timed crash / restart / partition / slow-node
+    schedules driven against a deployment under load, with a history
+    checker over the replicas' committed logs and the client-observed
+    completions.
 
     The checker verifies, after a heal-and-restart epilogue:
 
@@ -41,6 +42,12 @@ type event =
   | Transfer of int
       (** Cooperative leadership transfer to a node id; skipped if the
           target is dead or removed. *)
+  | Slow of { node : int; delay : Timebase.t }
+      (** Make a node slow but alive: every link between it and the
+          aggregator, the flow-control middlebox and each other node
+          gains [delay] extra wire latency in both directions. The node
+          keeps answering, just late (the failure mode leadership
+          transfer exists for). {!recover} clears it. *)
   | Shard of int * event
       (** Route the inner event to Raft group [g] of a sharded (multi-
           group) deployment; see {!arm}. *)
@@ -125,6 +132,10 @@ val arm :
     group's timeline, including events skipped as illegal (dead target,
     unknown node, membership churn under Rabia). *)
 
+val tagged_events : (float * string) list ref array -> (float * string) list
+(** The groups' timelines as one list, oldest first, each note prefixed
+    ["shardG: "] by its group [G]; ties keep group order. *)
+
 val recover :
   Deploy.t -> t0:Timebase.t -> timeline:(float * string) list ref -> unit
 (** The post-run epilogue: heal any partition, clear link faults, then
@@ -180,10 +191,7 @@ val run :
     membership churn when [reconfig] is set) against a
     fresh deployment (default: HovercRaft++, [n] = 5, flow control capped
     at 1000 in-flight requests) under open-loop load with client retries;
-    the series is bucketed at 100 ms. Because the run always attaches
-    the flow-control middlebox, [flow_control] is forced on in the node
-    features — without the per-reply Feedback the middlebox wedges all
-    load at the in-flight cap. [params]' body-retention and log
+    the series is bucketed at 100 ms. [params]' body-retention and log
     windows are widened so crashes stay recoverable and the checker can
     scan full logs: [gc_ordered] covers the run and [log_retain] disables
     compaction for its duration. With [snapshots = Some interval] the run

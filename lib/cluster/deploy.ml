@@ -70,7 +70,15 @@ let leader t =
 let live_nodes t = Array.to_list t.nodes |> List.filter Hnode.alive
 
 let create (cfg : config) =
-  let params = cfg.params in
+  (* The middlebox frees a slot only on a replier's FEEDBACK, so the
+     nodes send credits exactly when the box is attached. *)
+  let params =
+    {
+      cfg.params with
+      Hnode.features =
+        { cfg.params.Hnode.features with flow_control = cfg.flow_cap <> None };
+    }
+  in
   let engine =
     match cfg.engine with Some e -> e | None -> Engine.create ()
   in

@@ -17,7 +17,10 @@ type config = {
       (** One-way wire latency between any two fabric ports. *)
   flow_cap : int option;
       (** Attach the flow-control middlebox with this in-flight cap
-          (HovercRaft's switch-based flow control); [None] = no box. *)
+          (HovercRaft's switch-based flow control); [None] = no box. It
+          also sets every node's [flow_control] feature, overriding
+          [params]: repliers send the box one FEEDBACK per reply exactly
+          when it is attached. *)
   router_bound : int option;
       (** Attach the JBSQ router for unrestricted reads with this
           per-server bound; [None] = no router. *)
@@ -64,6 +67,8 @@ type t = {
   flow : Flow_control.t option;  (** Present when [flow_cap] was given. *)
   router : Router.t option;  (** Present when [router_bound] was given. *)
   params : Hnode.params;
+      (** What every node is built from: [cfg.params] with [flow_control]
+          set from [cfg.flow_cap]. *)
   cfg : config;  (** The config this deployment was built from. *)
   trace : Hovercraft_obs.Trace.t;
       (** Shared by all nodes: one cluster-wide event timeline. *)

@@ -274,7 +274,7 @@ let fig12 ?(quality = Experiment.Fast) () =
     Failure.run
       ~params:
         (with_features (Hnode.params ~mode:Hnode.Hover_pp ~n:3 ()) (fun f ->
-             { f with Hnode.reply_lb = true; bound = 32; flow_control = true }))
+             { f with Hnode.reply_lb = true; bound = 32 }))
       ~rate_rps:165_000. ~duration:(Timebase.s 2) ~kill_after:(Timebase.ms 600)
       ~workload:(Service.sample rng_spec) ~seed:31 ()
   in

@@ -1,13 +1,10 @@
 open Hovercraft_sim
 open Hovercraft_core
-module Addr = Hovercraft_net.Addr
-module Fabric = Hovercraft_net.Fabric
 module Op = Hovercraft_apps.Op
 module Kvstore = Hovercraft_apps.Kvstore
 module Ycsb = Hovercraft_apps.Ycsb
 module Zipf = Hovercraft_apps.Zipf
 module Metrics = Hovercraft_obs.Metrics
-module Deploy = Hovercraft_cluster.Deploy
 module Loadgen = Hovercraft_cluster.Loadgen
 module Traffic = Hovercraft_cluster.Traffic
 module Shard_map = Hovercraft_shard.Shard_map
@@ -18,19 +15,6 @@ module Chaos = Hovercraft_cluster.Chaos
 
 (* ------------------------------------------------------------------ *)
 (* Specs                                                               *)
-
-type fault =
-  | Kill of { at : Timebase.t; group : int; node : int }
-  | Kill_leader of { at : Timebase.t; group : int }
-  | Restart of { at : Timebase.t; group : int; node : int }
-  | Slow of {
-      at : Timebase.t;
-      group : int;
-      node : int;
-      delay : Timebase.t;
-      drop : float;
-    }
-  | Heal_slow of { at : Timebase.t; group : int; node : int }
 
 type workload_spec =
   | Zipf_kv of { read_fraction : float; theta : float; records : int }
@@ -50,7 +34,7 @@ type spec = {
   rate_rps : float;
   profile : (Timebase.t * float) list; (* [] = constant rate *)
   workload : workload_spec;
-  faults : fault list;
+  faults : Chaos.step list;
   duration : Timebase.t;
   warmup : Timebase.t;
   tick : Timebase.t;
@@ -95,7 +79,13 @@ let million = 1_000_000
    dead follower must be replaced to restore the fault margin. *)
 let hotspot_drift ?(rate_rps = 200_000.) ?(duration = Timebase.ms 2_500) () =
   make ~name:"hotspot-drift" ~rate_rps ~duration
-    ~faults:[ Kill { at = (duration * 3) / 5; group = 0; node = 2 } ]
+    ~faults:
+      [
+        {
+          Chaos.at = (duration * 3) / 5;
+          event = Chaos.Shard (0, Chaos.Kill 2);
+        };
+      ]
     (Drifting_kv
        {
          read_fraction = 0.95;
@@ -137,7 +127,12 @@ let slow_node ?(rate_rps = 100_000.) ?(delay = Timebase.us 300)
     ?(duration = Timebase.ms 2_500) () =
   make ~name:"slow-node" ~shards:2 ~active:2 ~rate_rps ~duration
     ~faults:
-      [ Slow { at = (duration * 2) / 5; group = 0; node = 0; delay; drop = 0. } ]
+      [
+        {
+          Chaos.at = (duration * 2) / 5;
+          event = Chaos.Shard (0, Chaos.Slow { node = 0; delay });
+        };
+      ]
     (Zipf_kv { read_fraction = 0.95; theta = 0.9; records = million })
 
 (* A correlated failure: the groups are co-located, so one host dying
@@ -146,11 +141,8 @@ let correlated_failure ?(rate_rps = 120_000.) ?(duration = Timebase.s 3) () =
   let at = duration / 2 in
   make ~name:"correlated-failure" ~shards:3 ~active:3 ~rate_rps ~duration
     ~faults:
-      [
-        Kill { at; group = 0; node = 1 };
-        Kill { at; group = 1; node = 1 };
-        Kill { at; group = 2; node = 1 };
-      ]
+      (List.init 3 (fun g ->
+           { Chaos.at; event = Chaos.Shard (g, Chaos.Kill 1) }))
     (Zipf_kv { read_fraction = 0.95; theta = 0.9; records = million })
 
 let by_name =
@@ -244,7 +236,7 @@ let checkers_green o =
 (* The runner                                                          *)
 
 (* Chaos.widen without snapshots (bodies stay refetchable past any crash,
-   no log prefix compacts away, flow control on), except that the body-GC
+   no log prefix compacts away), except that the body-GC
    horizon also covers the epilogue's full settle budget: a node restarted
    or added at the END of the run recovers its bodies during settle, and
    a body aged out mid-recovery wedges the apply loop for good. *)
@@ -271,28 +263,6 @@ let widen (p : Hnode.params) ~duration =
       };
   }
 
-let node_peers (d : Deploy.t) i =
-  Addr.Netagg :: Addr.Middlebox
-  :: (Array.to_list d.Deploy.nodes
-     |> List.filter_map (fun nd ->
-            if Hnode.id nd = i then None else Some (Addr.Node (Hnode.id nd))))
-
-let impair d i ~delay ~drop =
-  List.iter
-    (fun p ->
-      Fabric.set_link_fault d.Deploy.fabric ~src:(Addr.Node i) ~dst:p ~drop
-        ~delay ();
-      Fabric.set_link_fault d.Deploy.fabric ~src:p ~dst:(Addr.Node i) ~drop
-        ~delay ())
-    (node_peers d i)
-
-let unimpair d i =
-  List.iter
-    (fun p ->
-      Fabric.clear_link_fault d.Deploy.fabric ~src:(Addr.Node i) ~dst:p;
-      Fabric.clear_link_fault d.Deploy.fabric ~src:p ~dst:(Addr.Node i))
-    (node_peers d i)
-
 let run ?controller spec ~seed () =
   let params =
     let p = Hnode.params ~mode:Hnode.Hover_pp ~n:spec.n () in
@@ -314,12 +284,6 @@ let run ?controller spec ~seed () =
   let engine = Shard_deploy.engine sd in
   let t0 = Engine.now engine in
   let secs at = Timebase.to_s_f (at - t0) in
-  let events = ref [] in
-  let note fmt =
-    Format.kasprintf
-      (fun s -> events := (secs (Engine.now engine), s) :: !events)
-      fmt
-  in
   let completed_writes = ref [] in
   let profile =
     match spec.profile with [] -> None | pts -> Some (Traffic.profile pts)
@@ -334,34 +298,8 @@ let run ?controller spec ~seed () =
           completed_writes := rid :: !completed_writes)
       ~seed ()
   in
-  (* Fault timeline. *)
-  List.iter
-    (fun f ->
-      let schedule at body = Engine.after engine at body in
-      match f with
-      | Kill { at; group; node } ->
-          schedule at (fun () ->
-              Deploy.kill_node groups.(group) node;
-              note "fault: kill group%d/node%d" group node)
-      | Kill_leader { at; group } ->
-          schedule at (fun () ->
-              match Deploy.kill_leader groups.(group) with
-              | Some i -> note "fault: kill group%d leader (node%d)" group i
-              | None -> note "fault: group%d kill-leader found nothing" group)
-      | Restart { at; group; node } ->
-          schedule at (fun () ->
-              Deploy.restart_node groups.(group) node;
-              note "fault: restart group%d/node%d" group node)
-      | Slow { at; group; node; delay; drop } ->
-          schedule at (fun () ->
-              impair groups.(group) node ~delay ~drop;
-              note "fault: slow group%d/node%d (+%dus, drop %.2f)" group node
-                (delay / 1_000) drop)
-      | Heal_slow { at; group; node } ->
-          schedule at (fun () ->
-              unimpair groups.(group) node;
-              note "fault: heal group%d/node%d" group node))
-    spec.faults;
+  let timelines = Array.map (fun _ -> ref []) groups in
+  Chaos.arm groups ~t0 ~timelines spec.faults;
   (* Measurement ticks: rotation at every window edge, judgement and the
      control decision on each completed window. *)
   let ctrl = Option.map (fun cfg -> Controller.create ~cfg sd gen) controller in
@@ -434,9 +372,6 @@ let run ?controller spec ~seed () =
     | None -> []
     | Some c -> List.map (fun (at, s) -> (secs at, s)) (Controller.actions c)
   in
-  let events =
-    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !events)
-  in
   let notes = List.map (fun (at, s) -> (secs at, s)) (Shard_deploy.notes sd) in
   {
     spec_name = spec.name;
@@ -450,7 +385,7 @@ let run ?controller spec ~seed () =
        else float_of_int good_windows /. float_of_int n_windows);
     worst_p99_us;
     actions;
-    events;
+    events = Chaos.tagged_events timelines;
     notes;
     violations;
     exactly_once_ok;

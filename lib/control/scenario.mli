@@ -22,24 +22,6 @@
 open Hovercraft_sim
 module Loadgen = Hovercraft_cluster.Loadgen
 
-(** One scheduled fault. Times are relative to run start. [Slow] models
-    a slow-but-alive node: every link to and from it gains [delay] extra
-    wire latency and drops with probability [drop] — the node keeps
-    answering, just late (the failure mode leadership transfer exists
-    for). *)
-type fault =
-  | Kill of { at : Timebase.t; group : int; node : int }
-  | Kill_leader of { at : Timebase.t; group : int }
-  | Restart of { at : Timebase.t; group : int; node : int }
-  | Slow of {
-      at : Timebase.t;
-      group : int;
-      node : int;
-      delay : Timebase.t;
-      drop : float;
-    }
-  | Heal_slow of { at : Timebase.t; group : int; node : int }
-
 (** The keyed workload. [Drifting_kv] slides the zipf head across the
     key space with period [period] — the hotspot every static placement
     eventually loses. *)
@@ -61,7 +43,11 @@ type spec = {
   rate_rps : float;
   profile : (Timebase.t * float) list;  (** [[]] = constant [rate_rps]. *)
   workload : workload_spec;
-  faults : fault list;
+  faults : Hovercraft_cluster.Chaos.step list;
+      (** The fault schedule, times relative to run start, armed with
+          {!Hovercraft_cluster.Chaos.arm}: group [g]'s events are written
+          [Shard (g, e)]. Each applied event lands in [events] of the
+          {!outcome} as ["shardG: <what happened>"]. *)
   duration : Timebase.t;
   warmup : Timebase.t;
   tick : Timebase.t;  (** Window length = control period. *)
@@ -77,7 +63,7 @@ val make :
   ?link_gbps:float ->
   ?rate_rps:float ->
   ?profile:(Timebase.t * float) list ->
-  ?faults:fault list ->
+  ?faults:Hovercraft_cluster.Chaos.step list ->
   ?duration:Timebase.t ->
   ?warmup:Timebase.t ->
   ?tick:Timebase.t ->
@@ -141,7 +127,9 @@ type outcome = {
   worst_p99_us : float;
   actions : (float * string) list;
       (** Controller actions, (seconds from start, description). *)
-  events : (float * string) list;  (** Injected faults, same clock. *)
+  events : (float * string) list;
+      (** Injected faults as applied, same clock, tagged ["shardG: "]
+          ({!Hovercraft_cluster.Chaos.tagged_events}). *)
   notes : (float * string) list;
       (** {!Hovercraft_shard.Shard_deploy.notes}: the migration driver's
           own log, same clock. *)

@@ -85,6 +85,9 @@ type feature_params = {
   bound : int;
   read_mode : read_mode;
   flow_control : bool;
+      (* Deploy.create sets this from its flow_cap (credits exactly when
+         the middlebox is attached); only a node built without Deploy
+         reads a hand-set value. *)
   eager_commit_notify : bool;
   log_retain : int;
   snapshot_interval : int;

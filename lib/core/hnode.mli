@@ -116,7 +116,10 @@ type feature_params = {
   lb_policy : Jbsq.policy;
   bound : int;  (** Bounded-queue B (§3.4). *)
   read_mode : read_mode;
-  flow_control : bool;  (** Send FEEDBACK to the middlebox per reply. *)
+  flow_control : bool;
+      (** Send FEEDBACK to the middlebox per reply. [Deploy.create]
+          sets it from its [flow_cap], so only a node built without
+          [Deploy] reads a hand-set value. *)
   eager_commit_notify : bool;
       (** In plain HovercRaft with reply LB, let the leader broadcast a
           commit hint as soon as the commit index advances, so follower

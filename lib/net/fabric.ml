@@ -111,7 +111,6 @@ let set_link_fault t ~src ~dst ?(drop = 0.) ?(delay = 0) () =
   if drop = 0. && delay = 0 then Hashtbl.remove t.faults (src, dst)
   else Hashtbl.replace t.faults (src, dst) { drop; delay }
 
-let clear_link_fault t ~src ~dst = Hashtbl.remove t.faults (src, dst)
 let clear_link_faults t = Hashtbl.reset t.faults
 
 let partition t sets =

@@ -63,8 +63,8 @@ val set_link_fault :
     zero clears the fault. Raises [Invalid_argument] for [drop] outside
     [0, 1] or a negative [delay]. *)
 
-val clear_link_fault : 'a t -> src:Addr.t -> dst:Addr.t -> unit
 val clear_link_faults : 'a t -> unit
+(** Remove every link fault. *)
 
 val partition : 'a t -> Addr.t list list -> unit
 (** Split the fabric into islands: two endpoints that are both named (in

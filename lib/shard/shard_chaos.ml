@@ -219,15 +219,6 @@ let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
     settle_and_check sd ~snapshots:false ~completed_writes:!completed_writes
   in
   let events =
-    let tagged =
-      List.concat
-        (List.mapi
-           (fun g tl ->
-             List.rev_map
-               (fun (t, s) -> (t, Printf.sprintf "shard%d: %s" g s))
-               !tl)
-           (Array.to_list timelines))
-    in
     let migration_notes =
       List.map
         (fun (at, s) -> (Timebase.to_s_f (at - t0), s))
@@ -235,7 +226,7 @@ let run ?params ?(n = 5) ~shards ?active ?(rate_rps = 120_000.)
     in
     List.stable_sort
       (fun (a, _) (b, _) -> compare a b)
-      (tagged @ List.rev !extra @ migration_notes)
+      (Chaos.tagged_events timelines @ List.rev !extra @ migration_notes)
   in
   {
     report;

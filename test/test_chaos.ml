@@ -124,7 +124,8 @@ let test_random_schedule_keeps_quorum () =
           | Chaos.Kill_leader -> incr anon
           | Chaos.Restart i -> Hashtbl.remove dead i
           | Chaos.Partition _ | Chaos.Heal | Chaos.Add_node
-          | Chaos.Remove_node _ | Chaos.Transfer _ | Chaos.Shard _ ->
+          | Chaos.Remove_node _ | Chaos.Transfer _ | Chaos.Slow _
+          | Chaos.Shard _ ->
               ());
           check "minority dead" true (Hashtbl.length dead + !anon <= 2))
         steps;
@@ -139,6 +140,11 @@ let test_shard_tags_on_one_group () =
     Chaos.run ~n:3 ~rate_rps:20_000. ~duration:(Timebase.ms 400)
       ~schedule:
         [
+          {
+            Chaos.at = Timebase.ms 50;
+            event =
+              Chaos.Shard (0, Chaos.Slow { node = 1; delay = Timebase.us 300 });
+          };
           { Chaos.at = Timebase.ms 100; event = Chaos.Shard (0, Chaos.Kill 1) };
           {
             Chaos.at = Timebase.ms 200;
@@ -149,6 +155,8 @@ let test_shard_tags_on_one_group () =
       ~workload ~seed:23 ()
   in
   let notes = List.map snd outcome.Chaos.events in
+  check "Shard (0, Slow _) reached the group" true
+    (List.mem "slowed node1 (+300us per hop)" notes);
   check "Shard (0, Kill 1) reached the group" true
     (List.mem "killed node1" notes);
   check "Shard (0, Restart 1) reached the group" true

@@ -28,6 +28,24 @@ let test_deploy_client_targets () =
   check "flow control -> middlebox" true
     (Addr.equal (target Hnode.Hover_pp ~flow_cap:100 ()) Addr.Middlebox)
 
+(* Attaching the middlebox is the whole flow-control decision: nodes
+   built from default params (flow_control off) still send the per-reply
+   credit that frees each admitted slot, so a cap of 100 never wedges a
+   load the cluster easily serves. *)
+let test_flow_cap_credits () =
+  let deploy =
+    Deploy.create
+      (Deploy.config ~flow_cap:100 (Hnode.params ~mode:Hnode.Hover ~n:3 ()))
+  in
+  let gen =
+    Loadgen.create deploy ~clients:8 ~rate_rps:200_000.
+      ~workload:(Service.sample (Service.spec ())) ~seed:3 ()
+  in
+  let report = Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 20) () in
+  check_int "all served" report.Loadgen.sent report.Loadgen.completed;
+  check_int "none NACKed" 0 report.Loadgen.nacked;
+  check_int "none lost" 0 report.Loadgen.lost
+
 let test_deploy_hoverpp_has_aggregator () =
   let d = Deploy.create (Deploy.config (Hnode.params ~mode:Hnode.Hover_pp ~n:3 ())) in
   check "aggregator present" true (d.Deploy.aggregator <> None);
@@ -333,6 +351,8 @@ let suite =
   [
     Alcotest.test_case "deploy elects node0" `Quick test_deploy_elects_node0;
     Alcotest.test_case "deploy client targets" `Quick test_deploy_client_targets;
+    Alcotest.test_case "flow cap credits without being told to" `Quick
+      test_flow_cap_credits;
     Alcotest.test_case "deploy aggregator presence" `Quick
       test_deploy_hoverpp_has_aggregator;
     Alcotest.test_case "deploy kill leader reelects" `Quick

@@ -183,7 +183,7 @@ let test_random_reconfig_schedule_model () =
           | Chaos.Restart i -> Hashtbl.remove dead i
           | Chaos.Add_node -> incr members
           | Chaos.Remove_node _ -> decr members
-          | Chaos.Partition _ | Chaos.Heal | Chaos.Transfer _
+          | Chaos.Partition _ | Chaos.Heal | Chaos.Transfer _ | Chaos.Slow _
           | Chaos.Shard _ -> ());
           check "never below three voters" true (!members >= 3);
           check "minority dead" true

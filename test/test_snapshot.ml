@@ -285,8 +285,8 @@ let test_dump_restore_recover_compacted () =
 
 let workload = Service.sample (Service.spec ~read_fraction:0.5 ())
 
-(* Mirror the CLI's chaos params (bounded queue); [Chaos.run] itself
-   forces [flow_control] on to match the middlebox it always attaches. *)
+(* Mirror the CLI's chaos params (bounded queue); [Deploy] turns on
+   [flow_control] because [Chaos.run] always attaches the middlebox. *)
 let cluster_params ~n =
   let p = Hnode.params ~mode:Hnode.Hover_pp ~n () in
   { p with Hnode.features = { p.Hnode.features with Hnode.bound = 32 } }
