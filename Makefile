@@ -68,8 +68,11 @@ golden-modes:
 # cells above reach; the scripted membership change, the snapshot
 # catch-up, the Rabia backend under snapshots, compacting membership
 # churn and shard-tagged faults on the sharded stack cover the rest of
-# the harness. Stdout of each must match test/golden/<name>.out; outputs
-# go under _build/golden-chaos/. A nonzero exit fails the target too.
+# the harness; `make chaos`'s run and three chaos seeds under parallel
+# apply and the pipelined net path (with and without snapshots) pin the
+# checker across the knob space. Stdout of each must match
+# test/golden/<name>.out; outputs go under _build/golden-chaos/. A
+# nonzero exit fails the target too.
 GOLDEN_CHAOS = _build/golden-chaos
 HC = dune exec bin/hovercraft.exe --
 
@@ -86,8 +89,17 @@ golden-chaos:
 	  --snapshot-interval 1000 > $(GOLDEN_CHAOS)/chaos-reconfig-seed4.out
 	$(HC) shard --seed 4 --duration-ms 1500 --events 2 \
 	  > $(GOLDEN_CHAOS)/shard-events2-seed4.out
+	$(HC) chaos --seed 4 --duration-ms 1500 \
+	  > $(GOLDEN_CHAOS)/chaos-1500ms-seed4.out
+	$(HC) chaos --seed 3 --duration-ms 1500 --snapshot-interval 1000 \
+	  --apply-threads 4 > $(GOLDEN_CHAOS)/chaos-apply4-snap-seed3.out
+	$(HC) chaos --seed 5 --duration-ms 1500 --net-stages 4 --apply-threads 4 \
+	  > $(GOLDEN_CHAOS)/chaos-net4-apply4-seed5.out
+	$(HC) chaos --seed 6 --duration-ms 1500 --net-stages 2 \
+	  --snapshot-interval 1000 > $(GOLDEN_CHAOS)/chaos-net2-snap-seed6.out
 	for f in chaos-seed4 reconfig-seed4 snapshot-seed4 chaos-rabia-seed4 \
-	  chaos-reconfig-seed4 shard-events2-seed4; do \
+	  chaos-reconfig-seed4 shard-events2-seed4 chaos-1500ms-seed4 \
+	  chaos-apply4-snap-seed3 chaos-net4-apply4-seed5 chaos-net2-snap-seed6; do \
 	  cmp $(GOLDEN_CHAOS)/$$f.out test/golden/$$f.out || exit 1; \
 	done
 

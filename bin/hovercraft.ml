@@ -272,7 +272,16 @@ let chaos_params ?(backend = Hnode.Raft) ?(apply_threads = 1) ?(net_stages = 1)
       };
   }
 
+(* The one pass rule of every fault run: print each violation and exit 1
+   if there is any. *)
+let exit_on_violations (v : Chaos.verdict) =
+  if v.Chaos.violations <> [] then begin
+    List.iter (Printf.printf "VIOLATION: %s\n") v.Chaos.violations;
+    exit 1
+  end
+
 let print_chaos_outcome ~seed (outcome : Chaos.outcome) =
+  let v = outcome.Chaos.verdict in
   Printf.printf "schedule (seed %d):\n" seed;
   List.iter
     (fun (t_s, what) -> Printf.printf "  t=%.2fs  %s\n" t_s what)
@@ -283,17 +292,14 @@ let print_chaos_outcome ~seed (outcome : Chaos.outcome) =
     outcome.Chaos.report.Loadgen.lost outcome.Chaos.retried;
   Printf.printf
     "exactly-once %b; committed-preserved %b; caught-up %b; consistent %b\n"
-    outcome.Chaos.exactly_once_ok outcome.Chaos.committed_preserved
-    outcome.Chaos.caught_up outcome.Chaos.consistent;
+    v.Chaos.exactly_once_ok v.Chaos.committed_preserved v.Chaos.caught_up
+    v.Chaos.consistent;
   Printf.printf "final members: [%s]; pending recoveries: %d\n"
     (String.concat ";" (List.map string_of_int outcome.Chaos.final_members))
-    outcome.Chaos.pending_recoveries;
+    v.Chaos.pending_recoveries;
   Printf.printf "max log base: %d; snapshot installs: %d\n"
     outcome.Chaos.max_log_base outcome.Chaos.installs;
-  if outcome.Chaos.violations <> [] then begin
-    List.iter (Printf.printf "VIOLATION: %s\n") outcome.Chaos.violations;
-    exit 1
-  end
+  exit_on_violations v
 
 let chaos_workload =
   Service.sample
@@ -395,11 +401,6 @@ let reconfig_cmd =
         ~seed ()
     in
     print_chaos_outcome ~seed outcome;
-    if outcome.Chaos.pending_recoveries <> 0 then begin
-      Printf.printf "VIOLATION: %d pending recoveries after quiesce\n"
-        outcome.Chaos.pending_recoveries;
-      exit 1
-    end;
     (* With snapshots on, the newcomers must have been served the image:
        the leader does not retain history below its base on their behalf. *)
     if snapshots <> None && outcome.Chaos.installs = 0 then begin
@@ -535,16 +536,13 @@ let shard_cmd =
       (outcome.Shard_chaos.report.Loadgen.goodput_rps /. 1e3);
     Printf.printf "migrations %d, final map version %d\n"
       outcome.Shard_chaos.migrations outcome.Shard_chaos.map_version;
+    let v = outcome.Shard_chaos.verdict in
     Printf.printf
       "exactly-once %b; committed-preserved %b; caught-up %b; consistent %b; \
        pending recoveries %d\n"
-      outcome.Shard_chaos.exactly_once_ok
-      outcome.Shard_chaos.committed_preserved outcome.Shard_chaos.caught_up
-      outcome.Shard_chaos.consistent outcome.Shard_chaos.pending_recoveries;
-    if outcome.Shard_chaos.violations <> [] then begin
-      List.iter (Printf.printf "VIOLATION: %s\n") outcome.Shard_chaos.violations;
-      exit 1
-    end
+      v.Chaos.exactly_once_ok v.Chaos.committed_preserved v.Chaos.caught_up
+      v.Chaos.consistent v.Chaos.pending_recoveries;
+    exit_on_violations v
   in
   let shards =
     Arg.(

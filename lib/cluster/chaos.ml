@@ -191,17 +191,21 @@ let random_schedule ?(events = 6) ?(reconfig = false) ?(shards = 1) ~n
     |> List.concat
     |> List.stable_sort (fun a b -> compare a.at b.at)
 
-type outcome = {
-  series : Failure.bucket list;
-  events : (float * string) list;
+type verdict = {
   violations : string list;
   exactly_once_ok : bool;
   committed_preserved : bool;
   caught_up : bool;
   consistent : bool;
+  pending_recoveries : int;
+}
+
+type outcome = {
+  series : Failure.bucket list;
+  events : (float * string) list;
+  verdict : verdict;
   report : Loadgen.report;
   retried : int;
-  pending_recoveries : int;
   final_members : int list;
   max_log_base : int;
   installs : int;
@@ -210,188 +214,245 @@ type outcome = {
 (* -------------------------------------------------------------------- *)
 (* History checker                                                       *)
 
-(* Committed non-internal commands of a node, in log order. Legacy chaos
-   runs pin [log_retain] high enough that nothing compacts, so the scan
-   covers the whole history; snapshot-aware runs scan whatever suffix
-   survives compaction and lean on state fingerprints for the rest. *)
-let committed_cmds node =
-  let hi = min (Hnode.commit_index node) (Hnode.log_length node) in
-  let acc = ref [] in
-  Hnode.iter_log node ~lo:(Hnode.log_first_index node) ~hi
+(* One pass over a node's committed log, oldest first. [visit idx term
+   meta ~fresh] sees each non-internal entry; [fresh] says its rid occurs
+   there for the first time. A shard-migration Merge carries the source
+   group's completion records; at apply time those rids become
+   answered-from-record, so a later ordering of one resolves as a
+   duplicate and never executes — the scan counts them as seen.
+
+   Returns the rids seen and how many state-machine executions the
+   applied prefix (never past the commit index) prescribes under the
+   apply rule: the first occurrence of a rid executes iff it is a write,
+   or a read whose designated replier is this node (Hover modes).
+   Duplicate orderings of a retried rid never execute — that is the
+   exactly-once contract the count verifies. *)
+let scan node visit =
+  let applied = Hnode.applied_index node in
+  let seen = Rid_tbl.create 4096 in
+  let executions = ref 0 in
+  Hnode.iter_log node ~lo:(Hnode.log_first_index node)
+    ~hi:(min (Hnode.commit_index node) (Hnode.log_length node))
     (fun idx term cmd ->
       let m = cmd.Protocol.meta in
-      if not m.Protocol.internal then acc := (idx, term, m) :: !acc);
-  List.rev !acc
-
-(* How many state-machine executions this node's applied log prefix should
-   have produced, under the apply rule: first occurrence of a rid executes
-   iff it is a write, or a read whose designated replier is this node
-   (Hover modes). Duplicate ordings of a retried rid never execute — that
-   is the exactly-once contract the count verifies. *)
-let expected_executions node =
-  if Hnode.mode node = Hnode.Unreplicated then None
-  else begin
-    let hi = min (Hnode.applied_index node) (Hnode.log_length node) in
-    let first = Rid_tbl.create 4096 in
-    let count = ref 0 in
-    Hnode.iter_log node ~lo:(Hnode.log_first_index node) ~hi
-      (fun _ _ cmd ->
-        let m = cmd.Protocol.meta in
-        if (not m.Protocol.internal) && not (Rid_tbl.mem first m.Protocol.rid)
-        then begin
-          Rid_tbl.replace first m.Protocol.rid ();
-          if (not m.Protocol.read_only) || m.Protocol.replier = Hnode.id node
-          then incr count
+      if not m.Protocol.internal then begin
+        let fresh = not (Rid_tbl.mem seen m.Protocol.rid) in
+        if fresh then begin
+          Rid_tbl.replace seen m.Protocol.rid ();
+          if
+            idx <= applied
+            && ((not m.Protocol.read_only) || m.Protocol.replier = Hnode.id node)
+          then incr executions
         end;
-        (* A shard-migration Merge carries the source group's completion
-           records; at apply time those rids become answered-from-record,
-           so any later ordering of one resolves as a duplicate and never
-           executes. Mirror that by seeding the first-occurrence table. *)
-        match cmd.Protocol.body with
-        | Hovercraft_apps.Op.Merge { completions; _ } ->
-            List.iter
-              (fun (c : Hovercraft_apps.Op.completion) ->
-                Rid_tbl.replace first c.Hovercraft_apps.Op.c_rid ())
-              completions
-        | _ -> ());
-    Some !count
-  end
+        visit idx term m ~fresh
+      end;
+      match cmd.Protocol.body with
+      | Hovercraft_apps.Op.Merge { completions; _ } ->
+          List.iter
+            (fun (c : Hovercraft_apps.Op.completion) ->
+              Rid_tbl.replace seen c.Hovercraft_apps.Op.c_rid ())
+            completions
+      | _ -> ());
+  (seen, !executions)
 
-let check ?(snapshots = false) deploy ~completed_writes =
+let check groups ~completed_writes =
   let violations = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let live = Deploy.live_nodes deploy in
-  let mode = deploy.Deploy.params.Hnode.mode in
-  (* The legacy checker's log scans silently lose their teeth on a
-     compacted log — an exactly-once miss below the base would just not be
-     counted. Refuse loudly rather than pass vacuously. *)
-  if not snapshots then
-    List.iter
-      (fun n ->
-        if Hnode.log_base n > 0 then
-          invalid_arg
-            (Printf.sprintf
-               "Chaos.check: node%d compacted its log to base %d under the \
-                legacy history checker; rerun with the snapshot-aware \
-                checker (snapshots:true / --snapshot-interval)"
-               (Hnode.id n) (Hnode.log_base n)))
-      live;
-  (* A node whose history is only partially scannable (compacted prefix,
-     or state installed wholesale from a snapshot) cannot be held to the
-     exact log-derived execution count; catch-up and fingerprint agreement
-     carry the weight for it instead. *)
-  let full_history n = Hnode.log_base n = 0 && Hnode.installs_received n = 0 in
-  (* Reference replica: the live node with the longest committed prefix. *)
-  let reference =
-    List.fold_left
-      (fun best n ->
-        match best with
-        | None -> Some n
-        | Some b ->
-            if Hnode.commit_index n > Hnode.commit_index b then Some n else best)
-      None live
-  in
   let exactly_once_ok = ref true in
-  (* 1. Exactly-once execution: each replica's execution counter equals
-     what its applied log prefix prescribes — retried rids ordered twice
-     must execute once. Exact only for the Hover modes with replicated
-     reads (the configurations chaos runs); elsewhere reads execute on
-     the leader of the moment, so only writes give a firm floor. *)
-  List.iter
-    (fun n ->
-      match (if full_history n then expected_executions n else None) with
-      | None -> ()
-      | Some expected -> (
-          (* Preloaded ops (dataset population outside consensus) bump the
-             raw execution counter but never appear in the log. *)
-          let got = Hnode.executed_ops n - Hnode.preloaded n in
-          match mode with
-          | Hnode.Hover | Hnode.Hover_pp ->
-              if got <> expected then begin
-                exactly_once_ok := false;
-                bad "node%d executed %d ops, log prescribes %d" (Hnode.id n) got
-                  expected
+  let caught_up = ref true in
+  let consistent = ref true in
+  let pending_recoveries = ref 0 in
+  (* Across groups: which groups' reference replicas executed each write,
+     every rid each reference holds, and whether any reference compacted. *)
+  let executed_in = Rid_tbl.create 4096 in
+  let held = ref [] in
+  let compacted = ref false in
+  Array.iteri
+    (fun g d ->
+      let prefix =
+        if Array.length groups > 1 then Printf.sprintf "shard%d: " g else ""
+      in
+      let bad fmt = bad ("%s" ^^ fmt) prefix in
+      let live = Deploy.live_nodes d in
+      let mode = d.Deploy.params.Hnode.mode in
+      (* Without snapshots, a compacted log has no image behind its base:
+         the scans below would silently lose their teeth on the missing
+         prefix (an exactly-once miss there would just not be counted).
+         Refuse loudly rather than pass vacuously. *)
+      if d.Deploy.params.Hnode.features.Hnode.snapshot_interval = 0 then
+        List.iter
+          (fun n ->
+            if Hnode.log_base n > 0 then
+              invalid_arg
+                (Printf.sprintf
+                   "Chaos.check: node%d compacted its log to base %d with \
+                    snapshots off (snapshot_interval = 0); the history \
+                    checker cannot scan the lost prefix"
+                   (Hnode.id n) (Hnode.log_base n)))
+          live;
+      (* A node whose history is only partially scannable (compacted
+         prefix, or state installed wholesale from a snapshot) cannot be
+         held to the exact log-derived execution count; catch-up and
+         fingerprint agreement carry the weight for it instead. *)
+      let full_history n =
+        Hnode.log_base n = 0 && Hnode.installs_received n = 0
+      in
+      (* Reference replica: the live node with the longest committed
+         prefix. Its scan records the term and meta at each committed
+         index; every other live node's scan compares against them. *)
+      let reference =
+        List.fold_left
+          (fun best n ->
+            match best with
+            | Some b when Hnode.commit_index n <= Hnode.commit_index b -> best
+            | _ -> Some n)
+          None live
+      in
+      let diverged = ref [] in
+      let executions =
+        match reference with
+        | None -> []
+        | Some r ->
+            let base = Hnode.log_first_index r in
+            let len =
+              max 0 (min (Hnode.commit_index r) (Hnode.log_length r) - base + 1)
+            in
+            let terms = Array.make len 0 in
+            let metas = Array.make len Protocol.internal_noop.Protocol.meta in
+            let record idx term (m : Protocol.meta) ~fresh =
+              terms.(idx - base) <- term;
+              metas.(idx - base) <- m;
+              if fresh && not m.read_only then
+                let gs = Rid_tbl.find_opt executed_in m.rid in
+                Rid_tbl.replace executed_in m.rid
+                  (g :: Option.value ~default:[] gs)
+            in
+            let compare n idx term (m : Protocol.meta) ~fresh:_ =
+              let i = idx - base in
+              if i >= 0 && i < len then begin
+                let rm = metas.(i) in
+                if
+                  (not rm.internal)
+                  && (terms.(i) <> term || not (R2p2.req_id_equal rm.rid m.rid))
+                then
+                  diverged :=
+                    Printf.sprintf
+                      "committed prefixes diverge at index %d (node%d vs \
+                       node%d)"
+                      idx (Hnode.id n) (Hnode.id r)
+                    :: !diverged
               end
-          | Hnode.Vanilla | Hnode.Unreplicated ->
-              if got < expected then begin
-                exactly_once_ok := false;
-                bad "node%d executed %d ops, log prescribes >= %d" (Hnode.id n)
-                  got expected
-              end))
-    live;
-  (* 2. Committed prefixes agree across live replicas (rid and term at
-     every shared committed index). *)
-  (match reference with
-  | None -> ()
-  | Some ref_node ->
-      let ref_cmds = committed_cmds ref_node in
-      let ref_at = Hashtbl.create 4096 in
-      List.iter (fun (idx, term, m) -> Hashtbl.replace ref_at idx (term, m)) ref_cmds;
+            in
+            let seen, ref_executions = scan r record in
+            held := seen :: !held;
+            if Hnode.log_base r > 0 then compacted := true;
+            List.map
+              (fun n ->
+                ( n,
+                  if Hnode.id n = Hnode.id r then ref_executions
+                  else snd (scan n (compare n)) ))
+              live
+      in
+      (* 1. Exactly-once execution: each replica's execution counter equals
+         what its applied log prefix prescribes — retried rids ordered
+         twice must execute once. Exact only for the Hover modes with
+         replicated reads (the configurations chaos runs); elsewhere reads
+         execute on the leader of the moment, so only writes give a firm
+         floor. Preloaded ops (dataset population outside consensus) bump
+         the raw execution counter but never appear in the log. *)
+      List.iter
+        (fun (n, expected) ->
+          if full_history n then
+            let got = Hnode.executed_ops n - Hnode.preloaded n in
+            match mode with
+            | Hnode.Hover | Hnode.Hover_pp ->
+                if got <> expected then begin
+                  exactly_once_ok := false;
+                  bad "node%d executed %d ops, log prescribes %d" (Hnode.id n)
+                    got expected
+                end
+            | Hnode.Vanilla ->
+                if got < expected then begin
+                  exactly_once_ok := false;
+                  bad "node%d executed %d ops, log prescribes >= %d"
+                    (Hnode.id n) got expected
+                end
+            | Hnode.Unreplicated -> ())
+        executions;
+      (* 2. Committed prefixes agree across live replicas (rid and term at
+         every shared committed index). *)
+      List.iter (bad "%s") (List.rev !diverged);
+      (* 3. Catch-up: after the heal-and-restart epilogue every live
+         replica must have applied everything any replica committed. *)
+      let max_commit =
+        List.fold_left (fun acc n -> max acc (Hnode.commit_index n)) 0 live
+      in
       List.iter
         (fun n ->
-          if Hnode.id n <> Hnode.id ref_node then
-            List.iter
-              (fun (idx, term, (m : Protocol.meta)) ->
-                match Hashtbl.find_opt ref_at idx with
-                | None -> ()
-                | Some (rterm, (rm : Protocol.meta)) ->
-                    if rterm <> term || not (R2p2.req_id_equal rm.rid m.rid) then
-                      bad
-                        "committed prefixes diverge at index %d (node%d vs \
-                         node%d)"
-                        idx (Hnode.id n) (Hnode.id ref_node))
-              (committed_cmds n))
-        live);
-  (* 3. Committed-stays-committed: every write the client saw answered is
-     in the reference replica's committed log, whatever crashed since.
-     Once the reference compacted, writes ordered below its base are no
-     longer scannable — their preservation is then vouched for by the
-     snapshot identity plus fingerprint agreement, so a miss only counts
-     as a violation while the full history is present. *)
+          if Hnode.applied_index n < max_commit then begin
+            caught_up := false;
+            bad "node%d applied %d < cluster commit %d" (Hnode.id n)
+              (Hnode.applied_index n) max_commit
+          end)
+        live;
+      (* 4. Live replicas' application fingerprints agree. *)
+      if not (Deploy.consistent d) then begin
+        consistent := false;
+        bad "live replica fingerprints diverge"
+      end;
+      (* 5. No body recovery is still pending: settle waited for one, so
+         what is left is wedged. *)
+      let pending = Deploy.total_pending_recoveries d in
+      pending_recoveries := !pending_recoveries + pending;
+      if pending > 0 then bad "%d pending recoveries after quiesce" pending)
+    groups;
+  (* 6. Across groups: every write the client saw answered was executed by
+     exactly one group's reference replica — a migration's fence may
+     delay a request but can neither run it on both sides nor lose it —
+     or is vouched for by a Merge's completion records. With one group
+     this is committed-stays-committed: no crash, election or partition
+     un-commits an acknowledged write. Once a reference compacted, writes
+     ordered below its base are no longer scannable; their preservation
+     is then vouched for by the snapshot identity plus fingerprint
+     agreement, so a miss only counts while every history is complete. *)
   let committed_preserved = ref true in
-  (match reference with
-  | None ->
+  let write_id rid = Format.asprintf "%a" R2p2.pp_req_id rid in
+  (match !held with
+  | [] ->
       if completed_writes <> [] then begin
         committed_preserved := false;
         bad "no live replica holds the %d client-completed write(s)"
           (List.length completed_writes)
       end
-  | Some ref_node ->
-      let committed = Rid_tbl.create 4096 in
-      List.iter
-        (fun (_, _, (m : Protocol.meta)) -> Rid_tbl.replace committed m.rid ())
-        (committed_cmds ref_node);
-      let scannable = Hnode.log_base ref_node = 0 in
+  | held ->
       List.iter
         (fun rid ->
-          if not (Rid_tbl.mem committed rid) then
-            if scannable then begin
-              committed_preserved := false;
-              bad "client-completed write %s missing from committed log"
-                (Format.asprintf "%a" R2p2.pp_req_id rid)
-            end)
+          match Rid_tbl.find_opt executed_in rid with
+          | Some (_ :: _ :: _ as gs) ->
+              exactly_once_ok := false;
+              bad "write %s executed in %d groups (%s)" (write_id rid)
+                (List.length gs)
+                (String.concat ","
+                   (List.rev_map (fun g -> "g" ^ string_of_int g) gs))
+          | Some _ -> ()
+          | None ->
+              if
+                not
+                  (!compacted || List.exists (fun h -> Rid_tbl.mem h rid) held)
+              then begin
+                committed_preserved := false;
+                bad "client-completed write %s missing from committed log"
+                  (write_id rid)
+              end)
         completed_writes);
-  (* 4. Catch-up: after the heal-and-restart epilogue every live replica
-     must have applied everything any replica committed. *)
-  let caught_up = ref true in
-  let max_commit =
-    List.fold_left (fun acc n -> max acc (Hnode.commit_index n)) 0 live
-  in
-  List.iter
-    (fun n ->
-      if Hnode.applied_index n < max_commit then begin
-        caught_up := false;
-        bad "node%d applied %d < cluster commit %d" (Hnode.id n)
-          (Hnode.applied_index n) max_commit
-      end)
-    live;
-  let consistent = Deploy.consistent deploy in
-  if not consistent then bad "live replica fingerprints diverge";
-  ( List.rev !violations,
-    !exactly_once_ok,
-    !committed_preserved,
-    !caught_up,
-    consistent )
+  {
+    violations = List.rev !violations;
+    exactly_once_ok = !exactly_once_ok;
+    committed_preserved = !committed_preserved;
+    caught_up = !caught_up;
+    consistent = !consistent;
+    pending_recoveries = !pending_recoveries;
+  }
 
 (* -------------------------------------------------------------------- *)
 (* Driving a run                                                         *)
@@ -502,6 +563,8 @@ let tagged_events timelines =
   |> List.concat
   |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
 
+(* Heal any partition, clear link faults, and restart every dead node
+   still in the configuration, noting the heal and each restart. *)
 let recover deploy ~t0 ~timeline =
   if Fabric.partitioned deploy.Deploy.fabric then
     apply_event deploy ~t0 ~timeline Heal;
@@ -534,6 +597,11 @@ let settle ?(busy = fun () -> false) groups =
     if (not (converged ())) && tries > 0 then go (tries - 1)
   in
   go 50
+
+let conclude ?busy groups ~t0 ~timelines ~completed_writes =
+  Array.iteri (fun g d -> recover d ~t0 ~timeline:timelines.(g)) groups;
+  settle ?busy groups;
+  check groups ~completed_writes
 
 (* Crashes must be recoverable for the whole run: peers keep ordered
    bodies past any downtime (so a restarted node can refetch them). In
@@ -595,10 +663,8 @@ let run ?params ?(n = 5) ?(rate_rps = 120_000.) ?(duration = Timebase.s 2)
   let timeline = ref [] in
   arm [| deploy |] ~t0 ~timelines:[| timeline |] schedule;
   let report = Loadgen.run gen ~warmup:0 ~duration ~drain () in
-  recover deploy ~t0 ~timeline;
-  settle [| deploy |];
-  let violations, exactly_once_ok, committed_preserved, caught_up, consistent =
-    check ~snapshots:(snapshots <> None) deploy
+  let verdict =
+    conclude [| deploy |] ~t0 ~timelines:[| timeline |]
       ~completed_writes:!completed_writes
   in
   let live = Deploy.live_nodes deploy in
@@ -614,14 +680,9 @@ let run ?params ?(n = 5) ?(rate_rps = 120_000.) ?(duration = Timebase.s 2)
         ~completions:(Series.buckets completions)
         ~nacks:(Series.buckets nacks);
     events = List.rev !timeline;
-    violations;
-    exactly_once_ok;
-    committed_preserved;
-    caught_up;
-    consistent;
+    verdict;
     report;
     retried = Loadgen.retried gen;
-    pending_recoveries = Deploy.total_pending_recoveries deploy;
     final_members =
       (match Deploy.leader deploy with
       | Some l -> Hnode.members l

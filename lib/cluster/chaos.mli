@@ -1,21 +1,30 @@
 (** Chaos testing: timed crash / restart / partition / slow-node
-    schedules driven against a deployment under load, with a history
-    checker over the replicas' committed logs and the client-observed
-    completions.
+    schedules driven against one or more Raft groups under load, with one
+    history checker over the replicas' committed logs and the
+    client-observed completions.
 
-    The checker verifies, after a heal-and-restart epilogue:
+    After a heal-and-restart epilogue the checker verifies, in each group:
 
     - {e exactly-once execution}: each replica's execution counter equals
       what its applied log prefix prescribes, so a retried request ordered
       twice still executed once;
     - {e prefix agreement}: live replicas agree (term and request id) at
       every shared committed index;
-    - {e committed-stays-committed}: every write whose reply a client
-      received is present in the longest live committed log — no crash,
-      election or partition un-commits an acknowledged write;
     - {e catch-up}: every live replica (including restarted ones) has
       applied everything any replica committed;
-    - {e consistency}: live replicas' application fingerprints agree.
+    - {e consistency}: live replicas' application fingerprints agree;
+    - {e no wedged recovery}: no body recovery is still pending once the
+      run has settled.
+
+    Across groups, every write whose reply a client received was executed
+    by exactly one group's longest live committed log, or is covered by a
+    shard migration's [Merge] completion records — a migration's fence can
+    neither run a request on both sides nor lose it. With one group this
+    is committed-stays-committed: no crash, election or partition
+    un-commits an acknowledged write.
+
+    A run passes iff the violation list is empty; every failed invariant,
+    a pending recovery included, adds a line to it.
 
     Runs are deterministic per seed: equal seeds replay the same schedule
     against the same simulated load, byte for byte. *)
@@ -47,7 +56,7 @@ type event =
           aggregator, the flow-control middlebox and each other node
           gains [delay] extra wire latency in both directions. The node
           keeps answering, just late (the failure mode leadership
-          transfer exists for). {!recover} clears it. *)
+          transfer exists for). {!conclude} clears it. *)
   | Shard of int * event
       (** Route the inner event to Raft group [g] of a sharded (multi-
           group) deployment; see {!arm}. *)
@@ -83,6 +92,24 @@ val random_schedule :
     single-group generator directly, with zero extra RNG draws, so every
     historical seed replays byte for byte. *)
 
+type verdict = {
+  violations : string list;
+      (** Empty on a correct run. Per-group lines are prefixed
+          ["shardG: "] when there is more than one group. *)
+  exactly_once_ok : bool;
+      (** Per-replica execution counts AND no write executed by more
+          than one group. *)
+  committed_preserved : bool;
+      (** Every client-completed write is in some group's committed log
+          (or vouched for by migrated completion records). *)
+  caught_up : bool;
+  consistent : bool;
+  pending_recoveries : int;
+      (** {!Deploy.total_pending_recoveries} summed over the groups after
+          the final settle; nonzero means a body recovery wedged. *)
+}
+(** The history checker's result. *)
+
 type outcome = {
   series : Failure.bucket list;
       (** Per-bucket throughput / p99 / NACKs, as in {!Failure.run}. *)
@@ -90,16 +117,9 @@ type outcome = {
       (** What was actually applied, (seconds from start, description) —
           includes schedule entries skipped as illegal and the epilogue's
           heals/restarts. *)
-  violations : string list;  (** Empty on a correct run. *)
-  exactly_once_ok : bool;
-  committed_preserved : bool;
-  caught_up : bool;
-  consistent : bool;
+  verdict : verdict;
   report : Loadgen.report;
   retried : int;  (** Client retransmissions (same rid, exactly-once). *)
-  pending_recoveries : int;
-      (** {!Deploy.total_pending_recoveries} after the final quiesce;
-          nonzero means a body recovery wedged. *)
   final_members : int list;
       (** The leader's applied configuration after the epilogue — what the
           membership churn converged to. *)
@@ -136,44 +156,44 @@ val tagged_events : (float * string) list ref array -> (float * string) list
 (** The groups' timelines as one list, oldest first, each note prefixed
     ["shardG: "] by its group [G]; ties keep group order. *)
 
-val recover :
-  Deploy.t -> t0:Timebase.t -> timeline:(float * string) list ref -> unit
-(** The post-run epilogue: heal any partition, clear link faults, then
-    restart every dead node still in the configuration, noting the heal
-    and each restart on [timeline]. *)
-
-val settle : ?busy:(unit -> bool) -> Deploy.t array -> unit
-(** Quiesce the groups' shared engine 200 ms at a time, for at most 50
-    more rounds after the first, until [busy ()] (default: never) is
-    false and every group has no pending body recovery and every live
-    replica has applied its group's commit index. A wedge still ends the
-    loop, and the checkers then fail it. *)
-
 val widen :
   Hnode.params -> duration:Timebase.t -> snapshots:int option -> Hnode.params
 (** The parameter widening {!run} applies for a [duration] run (see
     there), exposed so runners that stand up their own deployments keep
     crashes recoverable the same way. *)
 
-val check :
-  ?snapshots:bool ->
-  Deploy.t ->
-  completed_writes:R2p2.req_id list ->
-  string list * bool * bool * bool * bool
-(** Run the history checker against a quiesced deployment.
-    [completed_writes] are the request ids of non-read operations whose
-    replies clients received. Returns
-    [(violations, exactly_once_ok, committed_preserved, caught_up,
-    consistent)]. Exposed for tests; {!run} calls it for you. With no
-    live replica left, any completed write is a violation.
+val check : Deploy.t array -> completed_writes:R2p2.req_id list -> verdict
+(** Run the history checker against quiesced groups (one {!Deploy.t} per
+    Raft group). [completed_writes] are the request ids of non-read
+    operations whose replies clients received. Exposed for tests;
+    {!conclude} calls it for you. With no live replica left in any group,
+    any completed write is a violation.
 
-    With [snapshots] (default false) the checker is compaction-aware:
-    exact log-derived execution counts apply only to nodes whose full
-    history is scannable (base 0, no installs); catch-up-via-install is
-    verified through state fingerprints instead of raw log prefixes, and
-    committed-stays-committed only flags misses while the reference log
-    is complete. Without it, any compacted log raises [Invalid_argument]
-    immediately — the legacy scans would otherwise pass vacuously. *)
+    The checker is compaction-aware: exact log-derived execution counts
+    apply only to nodes whose full history is scannable (base 0, no
+    installs); catch-up via install is verified through state
+    fingerprints instead of raw log prefixes, and a completed write
+    missing from every log is a violation only while no group's longest
+    log has compacted. Compacting with snapshots off leaves nothing
+    behind the base to vouch for it, so a live node with [log_base > 0]
+    in a group whose [snapshot_interval = 0] raises [Invalid_argument]
+    rather than passing vacuously. *)
+
+val conclude :
+  ?busy:(unit -> bool) ->
+  Deploy.t array ->
+  t0:Timebase.t ->
+  timelines:(float * string) list ref array ->
+  completed_writes:R2p2.req_id list ->
+  verdict
+(** The epilogue of every fault run. For each group: heal any partition,
+    clear link faults and restart every dead node still in the
+    configuration, noting each heal and restart on the group's timeline.
+    Then quiesce the shared engine 200 ms at a time, for at most 50 more
+    rounds after the first, until [busy ()] (default: never) is false and
+    every group has no pending body recovery and every live replica has
+    applied its group's commit index; a wedge still ends the loop, and
+    the checker then fails it. Last, {!check}. *)
 
 val run :
   ?params:Hnode.params ->
@@ -197,6 +217,5 @@ val run :
     compaction for its duration. With [snapshots = Some interval] the run
     instead checkpoints every [interval] applied entries and retains only
     [interval] log entries, forcing lagging or restarted nodes through
-    the [Install_snapshot] path, and the snapshot-aware checker is used.
-    After the load window and a 100 ms drain, {!recover} and {!settle}
-    run, then the history checker. *)
+    the [Install_snapshot] path. After the load window and a 100 ms
+    drain, {!conclude} runs. *)

@@ -13,11 +13,9 @@
     generator's latency windows at every [tick] boundary, judges each
     completed window against the p99 objective (a window with almost no
     completions counts as bad — an outage is not "fast"), optionally
-    gives the {!Controller} its tick, and after the run clears all
-    faults, converges the deployment chaos-style, and runs the
-    per-group prefix/exactly-once checkers, the cross-map
-    nothing-lost/exactly-once check and the replica fingerprint
-    comparison. *)
+    gives the {!Controller} its tick, and after the run ends with
+    {!Hovercraft_cluster.Chaos.conclude}: it clears all faults, converges
+    the deployment and runs the history checker over every group. *)
 
 open Hovercraft_sim
 module Loadgen = Hovercraft_cluster.Loadgen
@@ -138,6 +136,8 @@ type outcome = {
   committed_preserved : bool;
   caught_up : bool;
   consistent : bool;
+      (** These five and [pending_recoveries] are the fields of the
+          {!Hovercraft_cluster.Chaos.verdict}. *)
   retried : int;
   rerouted : int;
   migrations : int;
@@ -149,8 +149,8 @@ val slo_held : ?fraction:float -> outcome -> bool
 (** At least [fraction] (default 0.9) of judged windows were good. *)
 
 val checkers_green : outcome -> bool
-(** No history violations, exactly-once and nothing-lost hold, all
-    replicas caught up with agreeing fingerprints, no stuck recovery. *)
+(** No history violations — the one pass rule of every fault run: a
+    failed invariant or a stuck recovery each add a violation. *)
 
 val run : ?controller:Controller.config -> spec -> seed:int -> unit -> outcome
 (** Execute the scenario. [controller = None] is the baseline (no

@@ -36,17 +36,48 @@ let mode_of_string = function
    [features] toggles protocol variants and their knobs. The top level
    keeps only the identity of the experiment (mode, bootstrap size, seed). *)
 
+(* The calibrated CPU prices and clocks no experiment varies
+   (DESIGN.md §5). *)
+
+(* Base cost of receiving any packet. *)
+let net_rx_packet_ns = 150
+
+(* Base cost of sending any packet. *)
+let net_tx_packet_ns = 30
+
+(* Payload touch cost, both directions. *)
+let net_per_byte_ns = 0.35
+
+(* Protocol work per consensus message. *)
+let raft_msg_extra_ns = 400
+
+(* Serializing one entry into an AE. *)
+let per_entry_tx_ns = 85
+
+(* Processing one entry from an AE. *)
+let per_entry_rx_ns = 30
+
+(* VanillaRaft's extra fixed cost per entry per follower AE (request
+   fetch, buffer management); HovercRaft appends flat metadata. *)
+let vanilla_entry_extra_ns = 75
+
+(* Copying request bodies into per-follower AEs (VanillaRaft only —
+   HovercRaft's AEs carry no bodies). *)
+let ae_body_ns_per_byte = 0.5
+
+(* Apply-loop overhead per log entry. *)
+let app_per_op_ns = 20
+
+(* Period of the GC loop (completion-record expiry, body GC,
+   compaction). *)
+let gc_interval = Timebase.ms 10
+
+(* First retry delay of a body recovery request; it doubles per retry,
+   capped at 10 ms. *)
+let recovery_timeout = Timebase.us 200
+
 type cost_params = {
   link_gbps : float;
-  net_rx_packet_ns : int;
-  net_tx_packet_ns : int;
-  net_per_byte_ns : float;
-  raft_msg_extra_ns : int;
-  per_entry_tx_ns : int;
-  per_entry_rx_ns : int;
-  vanilla_entry_extra_ns : int;
-  ae_body_ns_per_byte : float;
-  app_per_op_ns : int;
   stage_handoff_ns : int;
       (* Queue hop between pipeline stages of the compartmentalized net
          path (net_stages > 1): enqueue + cacheline transfer between
@@ -58,10 +89,8 @@ type timing_params = {
   election_min : Timebase.t;
   election_max : Timebase.t;
   lease_window : Timebase.t;
-  gc_interval : Timebase.t;
   gc_unordered : Timebase.t;
   gc_ordered : Timebase.t;
-  recovery_timeout : Timebase.t;
 }
 
 type feature_params = {
@@ -128,8 +157,6 @@ let validate_params p =
       "lease_window (%d) must stay below election_min (%d): a lease that \
        can outlive an election breaks read safety"
       p.timing.lease_window p.timing.election_min;
-  if p.timing.gc_interval <= 0 then fail "gc_interval must be positive";
-  if p.timing.recovery_timeout <= 0 then fail "recovery_timeout must be positive";
   if p.features.bound < 1 then fail "bound must be >= 1 (got %d)" p.features.bound;
   if p.features.apply_threads < 1 || p.features.apply_threads > 64 then
     fail "apply_threads must be in 1..64 (got %d)" p.features.apply_threads;
@@ -170,15 +197,6 @@ let params ?(mode = Hover) ?(backend = Raft) ?(n = 3) () =
       cost =
         {
           link_gbps = 10.0;
-          net_rx_packet_ns = 150;
-          net_tx_packet_ns = 30;
-          net_per_byte_ns = 0.35;
-          raft_msg_extra_ns = 400;
-          per_entry_tx_ns = 85;
-          per_entry_rx_ns = 30;
-          vanilla_entry_extra_ns = 75;
-          ae_body_ns_per_byte = 0.5;
-          app_per_op_ns = 20;
           stage_handoff_ns = 40;
         };
       timing =
@@ -187,10 +205,8 @@ let params ?(mode = Hover) ?(backend = Raft) ?(n = 3) () =
           election_min = Timebase.ms 2;
           election_max = Timebase.ms 4;
           lease_window = Timebase.ms 1;
-          gc_interval = Timebase.ms 10;
           gc_unordered = Timebase.ms 50;
           gc_ordered = Timebase.ms 100;
-          recovery_timeout = Timebase.us 200;
         };
       features =
         {
@@ -420,15 +436,15 @@ let stage_handoff t role =
 (* ------------------------------------------------------------------ *)
 (* Transmission                                                        *)
 
-let tx_cost t ~bytes ~extra =
-  t.p.cost.net_tx_packet_ns
-  + int_of_float (t.p.cost.net_per_byte_ns *. float_of_int bytes)
+let tx_cost ~bytes ~extra =
+  net_tx_packet_ns
+  + int_of_float (net_per_byte_ns *. float_of_int bytes)
   + extra
 
 (* Consensus and recovery traffic leaves through the network thread's TX
    queue; client replies leave through the application thread's (§6). *)
 let transmit_on t cpu ~dst ~bytes ~extra payload =
-  Cpu.exec cpu ~cost:(tx_cost t ~bytes ~extra) (fun () ->
+  Cpu.exec cpu ~cost:(tx_cost ~bytes ~extra) (fun () ->
       match t.port with
       | Some port when t.alive -> Fabric.send t.fabric port ~dst ~bytes payload
       | Some _ | None -> ())
@@ -462,7 +478,7 @@ let rearm_aggregator t ~term members =
 
 (* The share of a reply's wire cost its app CPU pays, on top of the work
    that produced the reply. *)
-let app_reply_tx t ~bytes = if staged t then 0 else tx_cost t ~bytes ~extra:0
+let app_reply_tx t ~bytes = if staged t then 0 else tx_cost ~bytes ~extra:0
 
 (* Send a reply once its app CPU is done: at once on the monolithic net
    (that CPU already paid [app_reply_tx]), through the replier stage
@@ -471,7 +487,7 @@ let hand_off_reply t ~bytes send =
   if staged t then
     Cpu.exec
       (stage_handoff t stage_replier)
-      ~cost:(tx_cost t ~bytes ~extra:t.p.cost.stage_handoff_ns)
+      ~cost:(tx_cost ~bytes ~extra:t.p.cost.stage_handoff_ns)
       send
   else send ()
 
@@ -603,7 +619,7 @@ let leader_hint t =
 
 let raft_send_extra t = function
   | Rtypes.Append_entries { entries; _ } ->
-      let base = t.p.cost.per_entry_tx_ns * Array.length entries in
+      let base = per_entry_tx_ns * Array.length entries in
       if with_bodies t then begin
         (* VanillaRaft: for every entry of every per-follower AE the leader
            fetches the request and copies its body; HovercRaft appends
@@ -615,14 +631,14 @@ let raft_send_extra t = function
             0 entries
         in
         base
-        + (t.p.cost.vanilla_entry_extra_ns * Array.length entries)
-        + int_of_float (t.p.cost.ae_body_ns_per_byte *. float_of_int body_bytes)
+        + (vanilla_entry_extra_ns * Array.length entries)
+        + int_of_float (ae_body_ns_per_byte *. float_of_int body_bytes)
       end
       else base
   | Rtypes.Install_snapshot { len; _ } ->
       (* Serializing a chunk of the image costs like serializing the same
          bytes of entry bodies. *)
-      int_of_float (t.p.cost.ae_body_ns_per_byte *. float_of_int len)
+      int_of_float (ae_body_ns_per_byte *. float_of_int len)
   | Rtypes.Request_vote _ | Rtypes.Vote _ | Rtypes.Append_ack _
   | Rtypes.Commit_to _ | Rtypes.Agg_ack _ | Rtypes.Timeout_now _
   | Rtypes.Install_ack _ ->
@@ -642,12 +658,12 @@ let rabia_msg_entries = function
       List.fold_left (fun acc (_, v) -> acc + rabia_value_entries v) 0 decisions
   | Rb.Status _ | Rb.Snap _ -> 0
 
-let rabia_send_extra t = function
+let rabia_send_extra = function
   | Rb.Snap { meta; _ } ->
       int_of_float
-        (t.p.cost.ae_body_ns_per_byte
+        (ae_body_ns_per_byte
         *. float_of_int meta.Hovercraft_raft.Snapshot.size)
-  | msg -> t.p.cost.per_entry_tx_ns * rabia_msg_entries msg
+  | msg -> per_entry_tx_ns * rabia_msg_entries msg
 
 let rec feed_raft t input =
   match t.order with
@@ -711,7 +727,7 @@ and feed_rabia t input =
 and perform_rabia t rb members action =
   match action with
   | Rb.Send (peer, msg) ->
-      transmit_net t ~dst:(Addr.Node peer) ~extra:(rabia_send_extra t msg)
+      transmit_net t ~dst:(Addr.Node peer) ~extra:(rabia_send_extra msg)
         (Protocol.Rabia msg)
   | Rb.Commit_advanced _ -> pump t
   | Rb.Appended_range (lo, hi) -> on_rabia_appended t rb members lo hi
@@ -1134,7 +1150,7 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
     if should_reply then R2p2.header_bytes + Op.reply_bytes op result else 0
   in
   let cost =
-    t.p.cost.app_per_op_ns + exec_cost
+    app_per_op_ns + exec_cost
     + if should_reply then app_reply_tx t ~bytes:reply_bytes else 0
   in
   (* The state mutation above, the completion record and the applied
@@ -1257,7 +1273,7 @@ and send_recovery t rid retries =
     | None -> ());
     let backoff =
       min
-        (t.p.timing.recovery_timeout * (1 lsl Int.min retries 6))
+        (recovery_timeout * (1 lsl Int.min retries 6))
         (Timebase.ms 10)
     in
     Engine.after t.engine backoff (fun () ->
@@ -1276,26 +1292,26 @@ and send_recovery t rid retries =
    per-entry ingest) belongs to the packet's stage. The monolithic path
    charges their sum on the one net CPU — exactly the historical
    formula. *)
-let rx_decode_cost t (pkt : Protocol.payload Fabric.packet) =
-  t.p.cost.net_rx_packet_ns
-  + int_of_float (t.p.cost.net_per_byte_ns *. float_of_int pkt.bytes)
+let rx_decode_cost (pkt : Protocol.payload Fabric.packet) =
+  net_rx_packet_ns
+  + int_of_float (net_per_byte_ns *. float_of_int pkt.bytes)
 
-let rx_proto_cost t (pkt : Protocol.payload Fabric.packet) =
+let rx_proto_cost (pkt : Protocol.payload Fabric.packet) =
   match pkt.payload with
   | Protocol.Raft (Rtypes.Append_entries { entries; _ }) ->
-      t.p.cost.raft_msg_extra_ns
-      + (t.p.cost.per_entry_rx_ns * Array.length entries)
-  | Protocol.Raft _ | Protocol.Agg_commit _ -> t.p.cost.raft_msg_extra_ns
+      raft_msg_extra_ns
+      + (per_entry_rx_ns * Array.length entries)
+  | Protocol.Raft _ | Protocol.Agg_commit _ -> raft_msg_extra_ns
   | Protocol.Rabia msg ->
-      t.p.cost.raft_msg_extra_ns
-      + (t.p.cost.per_entry_rx_ns * rabia_msg_entries msg)
+      raft_msg_extra_ns
+      + (per_entry_rx_ns * rabia_msg_entries msg)
   | Protocol.Request _ | Protocol.Response _ | Protocol.Recovery_request _
   | Protocol.Recovery_response _ | Protocol.Probe _ | Protocol.Probe_reply _
   | Protocol.Feedback _ | Protocol.Nack _ | Protocol.Wrong_shard _
   | Protocol.Reconfig _ ->
       0
 
-let rx_cost t pkt = rx_decode_cost t pkt + rx_proto_cost t pkt
+let rx_cost pkt = rx_decode_cost pkt + rx_proto_cost pkt
 
 (* Which stage handles a packet after ingress decodes it: ordering input
    (client requests, the whole replicated log feed, elections) goes to
@@ -1363,7 +1379,7 @@ let execute_locally ?feedback t rid op =
   let result, exec_cost = Op.apply t.app_state op in
   let bytes = R2p2.header_bytes + Op.reply_bytes op result in
   Cpu.exec (local_exec_cpu t op)
-    ~cost:(t.p.cost.app_per_op_ns + exec_cost + app_reply_tx t ~bytes)
+    ~cost:(app_per_op_ns + exec_cost + app_reply_tx t ~bytes)
     (fun () ->
       hand_off_reply t ~bytes (fun () ->
           Metrics.incr t.c_replies;
@@ -1586,13 +1602,13 @@ let on_packet t pkt =
       if role = stage_ingress || not (staged t) then
         (* Handled (or dropped) at decode, or the monolithic net, where
            every role is the one net CPU: no handoff. *)
-        Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_cost t pkt) (fun () ->
+        Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_cost pkt) (fun () ->
             dispatch t pkt)
       else
-        Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_decode_cost t pkt)
+        Cpu.exec (stage_cpu t stage_ingress) ~cost:(rx_decode_cost pkt)
           (fun () ->
             Cpu.exec (stage_handoff t role)
-              ~cost:(rx_proto_cost t pkt + t.p.cost.stage_handoff_ns)
+              ~cost:(rx_proto_cost pkt + t.p.cost.stage_handoff_ns)
               (fun () -> dispatch t pkt))
     end
   end
@@ -1651,7 +1667,7 @@ let start_gc_loop t =
   let life = t.life in
   let retain = t.p.features.log_retain in
   let rec loop () =
-    Engine.after t.engine t.p.timing.gc_interval (fun () ->
+    Engine.after t.engine gc_interval (fun () ->
         if t.alive && t.life = life then begin
           Completions.expire t.completions ~now:(Engine.now t.engine)
             ~retain:t.p.timing.gc_ordered;

@@ -52,19 +52,6 @@ val mode_of_string : string -> (mode, string) result
 (** Network- and application-thread CPU cost model. *)
 type cost_params = {
   link_gbps : float;
-  net_rx_packet_ns : int;  (** Base cost of receiving any packet. *)
-  net_tx_packet_ns : int;  (** Base cost of sending any packet. *)
-  net_per_byte_ns : float;  (** Payload touch cost, both directions. *)
-  raft_msg_extra_ns : int;  (** Protocol work per consensus message. *)
-  per_entry_tx_ns : int;  (** Serializing one entry into an AE. *)
-  per_entry_rx_ns : int;  (** Processing one entry from an AE. *)
-  vanilla_entry_extra_ns : int;
-      (** VanillaRaft's extra fixed cost per entry per follower AE (request
-          fetch, buffer management); HovercRaft appends flat metadata. *)
-  ae_body_ns_per_byte : float;
-      (** Copying request bodies into per-follower AEs (VanillaRaft only —
-          HovercRaft's AEs carry no bodies). *)
-  app_per_op_ns : int;  (** Apply-loop overhead per log entry. *)
   stage_handoff_ns : int;
       (** Queue hop between pipeline stages of the compartmentalized net
           path (enqueue + cacheline transfer between cores). Only charged
@@ -79,10 +66,8 @@ type timing_params = {
   lease_window : Timebase.t;
       (** Quorum-contact freshness required to serve a lease read; must
           stay below [election_min] (validated). *)
-  gc_interval : Timebase.t;
   gc_unordered : Timebase.t;
   gc_ordered : Timebase.t;
-  recovery_timeout : Timebase.t;
 }
 
 (** Protocol variants and their knobs. *)

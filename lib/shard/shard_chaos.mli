@@ -1,14 +1,15 @@
 (** Chaos testing for sharded deployments: per-group fault schedules and
-    live migrations under shard-routed load, with a shard-aware history
-    checker.
+    live migrations under shard-routed load, judged by the one
+    {!Hovercraft_cluster.Chaos} history checker over every group.
 
-    Per group, the {!Hovercraft_cluster.Chaos} invariants hold (prefix
-    agreement, per-replica exactly-once, catch-up). Across the map, every
-    write a client saw answered must appear in EXACTLY one group's
-    committed history — a migration's dual-ownership fence may delay a
-    request, but can neither double-execute it (both sides of a move) nor
-    lose it (the flip dropping an acknowledged write). A rid carried by a
-    [Merge]'s completion records counts as executed at the source. *)
+    Per group the checker's invariants hold (prefix agreement,
+    per-replica exactly-once, catch-up, fingerprints, no wedged
+    recovery). Across the map, every write a client saw answered must
+    appear in EXACTLY one group's committed history — a migration's
+    dual-ownership fence may delay a request, but can neither
+    double-execute it (both sides of a move) nor lose it (the flip
+    dropping an acknowledged write). A rid carried by a [Merge]'s
+    completion records counts as executed at the source. *)
 
 open Hovercraft_sim
 open Hovercraft_core
@@ -22,42 +23,17 @@ type migration =
 
 val pp_migration : Format.formatter -> migration -> unit
 
-val settle_and_check :
-  Shard_deploy.t ->
-  snapshots:bool ->
-  completed_writes:Hovercraft_r2p2.R2p2.req_id list ->
-  string list * bool * bool * bool * bool
-(** The post-run epilogue shared by every sharded runner, after
-    {!Hovercraft_cluster.Chaos.recover} on each group:
-    {!Hovercraft_cluster.Chaos.settle}, busy while a migration is in
-    flight; then run the per-group
-    {!Hovercraft_cluster.Chaos.check} (compaction-aware with
-    [snapshots]), the map-level check over the client-completed writes
-    (none in more than one group's committed history, none lost; needs
-    [log_retain] pinned high so full histories are scannable) and the
-    fingerprint comparison. Returns [(violations, exactly_once_ok,
-    committed_preserved, caught_up, consistent)], per-group violations
-    ["shardN: "]-prefixed. *)
-
 type outcome = {
   report : Hovercraft_cluster.Loadgen.report;
   events : (float * string) list;
       (** Faults applied (["shardN: ..."]-prefixed), migration phases, and
           skipped entries, (seconds from start, description), time-sorted. *)
-  violations : string list;  (** Empty on a correct run. *)
-  exactly_once_ok : bool;
-      (** Per-replica counts AND no write executed in more than one
-          group. *)
-  committed_preserved : bool;
-      (** Every client-completed write is in some group's committed log
-          (or vouched for by migrated completion records). *)
-  caught_up : bool;
-  consistent : bool;
+  verdict : Hovercraft_cluster.Chaos.verdict;
+      (** Per-group violations ["shardN: "]-prefixed. *)
   retried : int;  (** Timeout retransmissions (same rid). *)
   rerouted : int;  (** [Wrong_shard]-triggered re-sends. *)
   migrations : int;  (** Completed migrations. *)
   map_version : int;  (** Final shard-map version (1 = never moved). *)
-  pending_recoveries : int;
 }
 
 val run :
@@ -79,8 +55,9 @@ val run :
     [migrations] (each started at its offset; skipped with a note if
     another is still in flight) against a fresh {!Shard_deploy} under
     shard-routed load with client retries and the
-    {!Hovercraft_cluster.Chaos} flow cap and drain, then recover every
-    group, converge — waiting out any in-flight migration — and check.
+    {!Hovercraft_cluster.Chaos} flow cap and drain, then
+    {!Hovercraft_cluster.Chaos.conclude}: recover every group, converge —
+    waiting out any in-flight migration — and check.
 
     Raises [Invalid_argument] on [shards < 2]: a one-group run is
     {!Hovercraft_cluster.Chaos.run}. *)

@@ -227,13 +227,6 @@ let preload t ops =
       | l -> Array.iter (fun node -> Hnode.preload node l) d.Deploy.nodes)
     t.groups
 
-let consistent t = Array.for_all Deploy.consistent t.groups
-
-let total_pending_recoveries t =
-  Array.fold_left
-    (fun acc d -> acc + Deploy.total_pending_recoveries d)
-    0 t.groups
-
 let driver_propose t ~group op ~on_done =
   let d = t.drivers.(group) in
   let rid = R2p2.Id_source.next d.d_ids in

@@ -91,9 +91,6 @@ val refresh_filters : t -> unit
     ({!Deploy.add_node}): a node born after {!create} has no filter until
     the next map flip would install one. *)
 
-val consistent : t -> bool
-val total_pending_recoveries : t -> int
-
 val move_shard :
   t -> ?on_done:(unit -> unit) -> slots:int list -> target:int -> unit -> unit
 (** Start a live migration of [slots] (all owned by one group) to

@@ -177,11 +177,11 @@ let test_chaos_k4_with_snapshots () =
       ~duration:(Timebase.ms 700) ~snapshots:400 ~workload:kv_workload ~seed:23
       ()
   in
-  Alcotest.(check (list string)) "no checker violations" [] o.Chaos.violations;
-  check "exactly once" true o.Chaos.exactly_once_ok;
-  check "committed preserved" true o.Chaos.committed_preserved;
-  check "caught up" true o.Chaos.caught_up;
-  check "consistent" true o.Chaos.consistent;
+  Alcotest.(check (list string)) "no checker violations" [] o.Chaos.verdict.Chaos.violations;
+  check "exactly once" true o.Chaos.verdict.Chaos.exactly_once_ok;
+  check "committed preserved" true o.Chaos.verdict.Chaos.committed_preserved;
+  check "caught up" true o.Chaos.verdict.Chaos.caught_up;
+  check "consistent" true o.Chaos.verdict.Chaos.consistent;
   check "compaction ran" true (o.Chaos.max_log_base > 0)
 
 let suite =

@@ -187,11 +187,11 @@ let chaos_outcome ~backend ~seed ?snapshots () =
 let assert_clean name (o : Chaos.outcome) =
   Alcotest.(check (list string))
     (name ^ ": no checker violations")
-    [] o.Chaos.violations;
-  check (name ^ ": exactly once") true o.Chaos.exactly_once_ok;
-  check (name ^ ": committed preserved") true o.Chaos.committed_preserved;
-  check (name ^ ": caught up") true o.Chaos.caught_up;
-  check (name ^ ": consistent") true o.Chaos.consistent;
+    [] o.Chaos.verdict.Chaos.violations;
+  check (name ^ ": exactly once") true o.Chaos.verdict.Chaos.exactly_once_ok;
+  check (name ^ ": committed preserved") true o.Chaos.verdict.Chaos.committed_preserved;
+  check (name ^ ": caught up") true o.Chaos.verdict.Chaos.caught_up;
+  check (name ^ ": consistent") true o.Chaos.verdict.Chaos.consistent;
   check (name ^ ": progress") true (o.Chaos.report.Loadgen.completed > 0)
 
 let test_cross_backend_chaos () =

@@ -67,11 +67,11 @@ let test_kill_restart_kill_new_leader () =
   check_int "three scheduled events applied (plus epilogue)" 4
     (List.length outcome.Chaos.events);
   Alcotest.(check (list string)) "no checker violations" []
-    outcome.Chaos.violations;
-  check "consistent" true outcome.Chaos.consistent;
-  check "caught up" true outcome.Chaos.caught_up;
-  check "exactly once" true outcome.Chaos.exactly_once_ok;
-  check "committed preserved" true outcome.Chaos.committed_preserved;
+    outcome.Chaos.verdict.Chaos.violations;
+  check "consistent" true outcome.Chaos.verdict.Chaos.consistent;
+  check "caught up" true outcome.Chaos.verdict.Chaos.caught_up;
+  check "exactly once" true outcome.Chaos.verdict.Chaos.exactly_once_ok;
+  check "committed preserved" true outcome.Chaos.verdict.Chaos.committed_preserved;
   check "progress was made" true (outcome.Chaos.report.Loadgen.completed > 0)
 
 (* A minority partition severs the leader from nothing it needs; healing
@@ -90,11 +90,11 @@ let test_partition_then_heal () =
       ~workload ~seed:31 ()
   in
   Alcotest.(check (list string)) "no checker violations" []
-    outcome.Chaos.violations;
+    outcome.Chaos.verdict.Chaos.violations;
   check "committed replies survived the partition" true
-    outcome.Chaos.committed_preserved;
-  check "consistent after heal" true outcome.Chaos.consistent;
-  check "caught up after heal" true outcome.Chaos.caught_up
+    outcome.Chaos.verdict.Chaos.committed_preserved;
+  check "consistent after heal" true outcome.Chaos.verdict.Chaos.consistent;
+  check "caught up after heal" true outcome.Chaos.verdict.Chaos.caught_up
 
 (* Equal seeds must replay the same schedule against the same load. *)
 let test_chaos_deterministic () =
@@ -164,7 +164,7 @@ let test_shard_tags_on_one_group () =
   check "Shard (3, _) noted as skipped" true
     (List.mem "shard3 event skipped (no such group): kill node0" notes);
   Alcotest.(check (list string)) "no checker violations" []
-    outcome.Chaos.violations
+    outcome.Chaos.verdict.Chaos.violations
 
 (* With every replica dead nothing vouches for an acknowledged write: the
    checker must say so in its violation list, which is what makes the
@@ -183,11 +183,43 @@ let test_check_reports_no_live_replica () =
       src_port = 0;
     }
   in
-  let violations, _, committed_preserved, _, _ =
-    Chaos.check deploy ~completed_writes:[ rid ]
+  let v = Chaos.check [| deploy |] ~completed_writes:[ rid ] in
+  check "committed-preserved fails" false v.Chaos.committed_preserved;
+  check_int "one violation reported" 1 (List.length v.Chaos.violations)
+
+(* A follower that never receives a client multicast and whose recovery
+   requests all vanish can never fetch a body: settling cannot fix that,
+   so the checker must report the stuck recoveries as a violation rather
+   than leave them in a counter nobody gates on. *)
+let test_check_reports_wedged_recovery () =
+  let deploy =
+    Deploy.create (Deploy.config (Hnode.params ~mode:Hnode.Hover ~n:3 ()))
   in
-  check "committed-preserved fails" false committed_preserved;
-  check_int "one violation reported" 1 (List.length violations)
+  let fabric = deploy.Deploy.fabric in
+  let clients = 4 in
+  let drop ~src ~dst =
+    Hovercraft_net.Fabric.set_link_fault fabric ~src ~dst ~drop:1. ()
+  in
+  for c = 0 to clients - 1 do
+    drop ~src:(Hovercraft_net.Addr.Client c) ~dst:(Hovercraft_net.Addr.Node 2)
+  done;
+  List.iter
+    (fun peer ->
+      drop ~src:(Hovercraft_net.Addr.Node 2)
+        ~dst:(Hovercraft_net.Addr.Node peer))
+    [ 0; 1 ];
+  let gen =
+    Loadgen.create deploy ~clients ~rate_rps:20_000. ~workload ~seed:3 ()
+  in
+  ignore (Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 50) ());
+  Deploy.quiesce deploy ~extra:(Timebase.ms 50) ();
+  let v = Chaos.check [| deploy |] ~completed_writes:[] in
+  check "recoveries pending" true (v.Chaos.pending_recoveries > 0);
+  check "pending recoveries reported as a violation" true
+    (List.mem
+       (Printf.sprintf "%d pending recoveries after quiesce"
+          v.Chaos.pending_recoveries)
+       v.Chaos.violations)
 
 let suite =
   [
@@ -204,4 +236,6 @@ let suite =
       test_shard_tags_on_one_group;
     Alcotest.test_case "check reports no live replica" `Quick
       test_check_reports_no_live_replica;
+    Alcotest.test_case "check reports a wedged recovery" `Quick
+      test_check_reports_wedged_recovery;
   ]

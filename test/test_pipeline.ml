@@ -301,11 +301,11 @@ let chaos_outcome ~seed =
 let test_chaos_replay_pipelined () =
   let o1 = chaos_outcome ~seed:61 in
   let o2 = chaos_outcome ~seed:61 in
-  Alcotest.(check (list string)) "no checker violations" [] o1.Chaos.violations;
-  check "exactly once" true o1.Chaos.exactly_once_ok;
-  check "committed preserved" true o1.Chaos.committed_preserved;
-  check "caught up" true o1.Chaos.caught_up;
-  check "consistent" true o1.Chaos.consistent;
+  Alcotest.(check (list string)) "no checker violations" [] o1.Chaos.verdict.Chaos.violations;
+  check "exactly once" true o1.Chaos.verdict.Chaos.exactly_once_ok;
+  check "committed preserved" true o1.Chaos.verdict.Chaos.committed_preserved;
+  check "caught up" true o1.Chaos.verdict.Chaos.caught_up;
+  check "consistent" true o1.Chaos.verdict.Chaos.consistent;
   check "replay: same events" true (o1.Chaos.events = o2.Chaos.events);
   check_int "replay: same completions" o1.Chaos.report.Loadgen.completed
     o2.Chaos.report.Loadgen.completed;
@@ -328,9 +328,9 @@ let test_snapshot_pipelined () =
       ~duration:(Timebase.ms 700) ~snapshots:400 ~workload:kv_workload ~seed:67
       ()
   in
-  Alcotest.(check (list string)) "no checker violations" [] o.Chaos.violations;
-  check "exactly once" true o.Chaos.exactly_once_ok;
-  check "consistent" true o.Chaos.consistent;
+  Alcotest.(check (list string)) "no checker violations" [] o.Chaos.verdict.Chaos.violations;
+  check "exactly once" true o.Chaos.verdict.Chaos.exactly_once_ok;
+  check "consistent" true o.Chaos.verdict.Chaos.consistent;
   check "compaction ran" true (o.Chaos.max_log_base > 0)
 
 (* ------------------------------------------------------------------ *)

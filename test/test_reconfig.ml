@@ -15,13 +15,13 @@ let check_members = Alcotest.(check (list int))
 let workload = Service.sample (Service.spec ~read_fraction:0.5 ())
 
 let assert_clean (o : Chaos.outcome) =
-  Alcotest.(check (list string)) "no checker violations" [] o.Chaos.violations;
-  check "exactly once" true o.Chaos.exactly_once_ok;
-  check "committed preserved" true o.Chaos.committed_preserved;
-  check "caught up" true o.Chaos.caught_up;
-  check "consistent" true o.Chaos.consistent;
+  Alcotest.(check (list string)) "no checker violations" [] o.Chaos.verdict.Chaos.violations;
+  check "exactly once" true o.Chaos.verdict.Chaos.exactly_once_ok;
+  check "committed preserved" true o.Chaos.verdict.Chaos.committed_preserved;
+  check "caught up" true o.Chaos.verdict.Chaos.caught_up;
+  check "consistent" true o.Chaos.verdict.Chaos.consistent;
   check "progress was made" true (o.Chaos.report.Loadgen.completed > 0);
-  check_int "no stuck recoveries" 0 o.Chaos.pending_recoveries
+  check_int "no stuck recoveries" 0 o.Chaos.verdict.Chaos.pending_recoveries
 
 (* Grow 3 -> 5 one voter at a time, under open-loop load. *)
 let test_grow_under_load () =

@@ -139,11 +139,11 @@ let test_sharded_load_clean () =
     Shard_chaos.run ~n:3 ~shards:2 ~rate_rps:30_000.
       ~duration:(Timebase.ms 400) ~schedule:[] ~workload:kv_workload ~seed:5 ()
   in
-  check "violations" true (o.Shard_chaos.violations = []);
-  check "exactly once" true o.Shard_chaos.exactly_once_ok;
-  check "preserved" true o.Shard_chaos.committed_preserved;
-  check "caught up" true o.Shard_chaos.caught_up;
-  check "consistent" true o.Shard_chaos.consistent;
+  check "violations" true (o.Shard_chaos.verdict.Chaos.violations = []);
+  check "exactly once" true o.Shard_chaos.verdict.Chaos.exactly_once_ok;
+  check "preserved" true o.Shard_chaos.verdict.Chaos.committed_preserved;
+  check "caught up" true o.Shard_chaos.verdict.Chaos.caught_up;
+  check "consistent" true o.Shard_chaos.verdict.Chaos.consistent;
   check "completed some" true (o.Shard_chaos.report.Loadgen.completed > 1_000);
   check_int "lost" 0 o.Shard_chaos.report.Loadgen.lost;
   check_int "map untouched" 1 o.Shard_chaos.map_version
@@ -159,10 +159,10 @@ let test_live_split_under_load () =
       ~migrations:[ (Timebase.ms 150, Shard_chaos.Split { source = 0; target = 1 }) ]
       ~workload:kv_workload ~seed:8 ()
   in
-  check "violations" true (o.Shard_chaos.violations = []);
-  check "exactly once across map" true o.Shard_chaos.exactly_once_ok;
-  check "no committed write lost" true o.Shard_chaos.committed_preserved;
-  check "consistent" true o.Shard_chaos.consistent;
+  check "violations" true (o.Shard_chaos.verdict.Chaos.violations = []);
+  check "exactly once across map" true o.Shard_chaos.verdict.Chaos.exactly_once_ok;
+  check "no committed write lost" true o.Shard_chaos.verdict.Chaos.committed_preserved;
+  check "consistent" true o.Shard_chaos.verdict.Chaos.consistent;
   check_int "one migration" 1 o.Shard_chaos.migrations;
   check_int "map flipped" 2 o.Shard_chaos.map_version;
   check_int "lost" 0 o.Shard_chaos.report.Loadgen.lost
@@ -181,9 +181,9 @@ let test_sharded_chaos_events () =
         ]
       ~workload:kv_workload ~seed:13 ()
   in
-  check "violations" true (o.Shard_chaos.violations = []);
-  check "exactly once" true o.Shard_chaos.exactly_once_ok;
-  check "caught up" true o.Shard_chaos.caught_up;
+  check "violations" true (o.Shard_chaos.verdict.Chaos.violations = []);
+  check "exactly once" true o.Shard_chaos.verdict.Chaos.exactly_once_ok;
+  check "caught up" true o.Shard_chaos.verdict.Chaos.caught_up;
   check "events noted" true
     (List.exists
        (fun (_, s) -> s = "shard0: killed node1")
@@ -224,6 +224,162 @@ let test_backoff_table_drains () =
   check_int "exhausted rids left no backoff entries" 0 !late_entries;
   check_int "table empty after run" 0 (Loadgen.backoff_entries gen)
 
+(* ------------------------------------------------------------------ *)
+(* The history checker over many groups                                *)
+
+(* A bare client endpoint on every group's fabric that orders a request
+   under a rid the test chooses — a real client's retransmission, aimed
+   wherever the test says. Replies are ignored. *)
+let raw_client sd =
+  let groups = Shard_deploy.groups sd in
+  let addr = Hovercraft_net.Addr.Client 0 in
+  let ports =
+    Array.map
+      (fun (d : Deploy.t) ->
+        Hovercraft_net.Fabric.attach d.Deploy.fabric ~addr ~rate_gbps:10.
+          ~handler:ignore)
+      groups
+  in
+  fun ~group rid op ->
+    let d = groups.(group) in
+    let payload =
+      Hovercraft_core.Protocol.Request
+        { rid; policy = Hovercraft_r2p2.R2p2.Replicated_req; op }
+    in
+    Hovercraft_net.Fabric.send d.Deploy.fabric ports.(group)
+      ~dst:(Deploy.client_target d)
+      ~bytes:(Hovercraft_core.Protocol.payload_bytes ~with_bodies:false payload)
+      payload
+
+let rid0 =
+  {
+    Hovercraft_r2p2.R2p2.id = 7;
+    src_addr = Hovercraft_net.Addr.Client 0;
+    src_port = 1000;
+  }
+
+(* The first key (user%08d) each group owns under the hash map. *)
+let key_of_group sd g =
+  let map = Shard_deploy.map sd in
+  let rec find i =
+    let k = Printf.sprintf "user%08d" i in
+    if Shard_map.owner_of_key map k = g then k else find (i + 1)
+  in
+  find 0
+
+let settle sd =
+  let rec go tries =
+    Deploy.quiesce (Shard_deploy.groups sd).(0) ~extra:(Timebase.ms 20) ();
+    if Shard_deploy.migrating sd && tries > 0 then go (tries - 1)
+  in
+  go 50
+
+(* How many times [rid] sits in the committed log of a group's node 0. *)
+let ordered_in sd ~group rid =
+  let node = (Shard_deploy.groups sd).(group).Deploy.nodes.(0) in
+  let count = ref 0 in
+  Hnode.iter_log node ~lo:(Hnode.log_first_index node)
+    ~hi:(Hnode.commit_index node) (fun _ _ cmd ->
+      if
+        Hovercraft_r2p2.R2p2.req_id_equal
+          cmd.Hovercraft_core.Protocol.meta.Hovercraft_core.Protocol.rid rid
+      then incr count);
+  !count
+
+(* A diverging group is one violation, tagged with its group — not a
+   second, untagged copy from a map-level fingerprint pass. *)
+let test_fingerprint_divergence_reported_once () =
+  let sd =
+    Shard_deploy.create
+      (Shard_deploy.config ~shards:2 (Hnode.params ~mode:Hnode.Hover ~n:3 ()))
+  in
+  let g1 = (Shard_deploy.groups sd).(1) in
+  Hnode.preload g1.Deploy.nodes.(2) [ Op.Kv (Kvstore.Put ("user00000001", "x")) ];
+  let v = Chaos.check (Shard_deploy.groups sd) ~completed_writes:[] in
+  check "inconsistent" false v.Chaos.consistent;
+  check_int "shard1's divergence reported exactly once" 1
+    (List.length
+       (List.filter
+          (String.equal "shard1: live replica fingerprints diverge")
+          v.Chaos.violations));
+  Alcotest.(check (list string))
+    "nothing else reported"
+    [ "shard1: live replica fingerprints diverge" ]
+    v.Chaos.violations
+
+(* One rid ordered as a write by two groups is a double execution across
+   the map, even though each group alone is exactly-once. *)
+let test_write_in_two_groups () =
+  let sd =
+    Shard_deploy.create
+      (Shard_deploy.config ~shards:2 (Hnode.params ~mode:Hnode.Hover ~n:3 ()))
+  in
+  let send = raw_client sd in
+  send ~group:0 rid0 (Op.Kv (Kvstore.Put (key_of_group sd 0, "a")));
+  send ~group:1 rid0 (Op.Kv (Kvstore.Put (key_of_group sd 1, "b")));
+  settle sd;
+  check_int "ordered in group 0" 1 (ordered_in sd ~group:0 rid0);
+  check_int "ordered in group 1" 1 (ordered_in sd ~group:1 rid0);
+  let v = Chaos.check (Shard_deploy.groups sd) ~completed_writes:[ rid0 ] in
+  check "exactly once fails" false v.Chaos.exactly_once_ok;
+  Alcotest.(check (list string))
+    "one cross-map violation"
+    [
+      Format.asprintf "write %a executed in 2 groups (g0,g1)"
+        Hovercraft_r2p2.R2p2.pp_req_id rid0;
+    ]
+    v.Chaos.violations
+
+(* Whether a group's leader holds a Merge it has ordered but not yet
+   applied. *)
+let merge_unapplied (d : Deploy.t) =
+  match Deploy.leader d with
+  | None -> false
+  | Some l ->
+      let found = ref false in
+      Hnode.iter_log l ~lo:(Hnode.applied_index l + 1) ~hi:(Hnode.log_length l)
+        (fun _ _ cmd ->
+          match cmd.Hovercraft_core.Protocol.body with
+          | Op.Merge _ -> found := true
+          | _ -> ());
+      !found
+
+(* A migration's Merge ships the source leader's completion records, and
+   the target answers any later ordering of one of those rids from the
+   record instead of executing it. Here a write completes at the source,
+   its slot moves, and the same rid reaches the target leader while the
+   Merge is ordered but not yet applied, so it is ordered after the
+   Merge (its op is keyed to a slot the target already owns, so the
+   leader orders it rather than bouncing it). That is one execution —
+   the source's — not a second one in the target, and not an
+   exactly-once miss on the target's replicas. *)
+let test_retry_after_move_is_one_execution () =
+  let sd =
+    Shard_deploy.create
+      (Shard_deploy.config ~shards:2 (Hnode.params ~mode:Hnode.Hover ~n:3 ()))
+  in
+  let engine = Shard_deploy.engine sd in
+  let send = raw_client sd in
+  let k0 = key_of_group sd 0 in
+  send ~group:0 rid0 (Op.Kv (Kvstore.Put (k0, "a")));
+  settle sd;
+  let target = (Shard_deploy.groups sd).(1) in
+  let rec retry_during_merge () =
+    if merge_unapplied target then
+      send ~group:1 rid0 (Op.Kv (Kvstore.Put (key_of_group sd 1, "a")))
+    else Engine.after engine (Timebase.us 1) retry_during_merge
+  in
+  Shard_deploy.move_shard sd
+    ~slots:[ Shard_map.slot_of_key (Shard_deploy.map sd) k0 ]
+    ~target:1 ();
+  retry_during_merge ();
+  settle sd;
+  check "slot moved" true (Shard_map.owner_of_key (Shard_deploy.map sd) k0 = 1);
+  check_int "ordered by the source" 1 (ordered_in sd ~group:0 rid0);
+  check_int "ordered again by the target" 1 (ordered_in sd ~group:1 rid0);
+  let v = Chaos.check (Shard_deploy.groups sd) ~completed_writes:[ rid0 ] in
+  Alcotest.(check (list string)) "no violations" [] v.Chaos.violations
+
 (* A one-group run is [Chaos.run]; the sharded runner refuses it up front
    rather than running a second, copied single-group path. *)
 let test_single_group_rejected () =
@@ -250,6 +406,12 @@ let suite =
     Alcotest.test_case "live split under load" `Slow test_live_split_under_load;
     Alcotest.test_case "per-shard chaos events" `Slow test_sharded_chaos_events;
     Alcotest.test_case "backoff table drains" `Slow test_backoff_table_drains;
+    Alcotest.test_case "check: divergence reported once" `Quick
+      test_fingerprint_divergence_reported_once;
+    Alcotest.test_case "check: write in two groups" `Quick
+      test_write_in_two_groups;
+    Alcotest.test_case "check: retry after move is one execution" `Quick
+      test_retry_after_move_is_one_execution;
     Alcotest.test_case "run: shards=1 rejected" `Quick
       test_single_group_rejected;
   ]

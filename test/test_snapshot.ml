@@ -306,9 +306,9 @@ let test_cluster_restart_via_install () =
       ~workload ~seed:5 ()
   in
   Alcotest.(check (list string)) "no checker violations" []
-    outcome.Chaos.violations;
-  check "consistent" true outcome.Chaos.consistent;
-  check "caught up" true outcome.Chaos.caught_up;
+    outcome.Chaos.verdict.Chaos.violations;
+  check "consistent" true outcome.Chaos.verdict.Chaos.consistent;
+  check "caught up" true outcome.Chaos.verdict.Chaos.caught_up;
   check "log compacted past the crash window" true
     (outcome.Chaos.max_log_base > 0);
   check "restart went through install, not replay" true
@@ -325,12 +325,12 @@ let test_add_node_catches_up_via_install () =
       ~workload ~seed:6 ()
   in
   Alcotest.(check (list string)) "no checker violations" []
-    outcome.Chaos.violations;
+    outcome.Chaos.verdict.Chaos.violations;
   check_int "newcomer in the final configuration" 6
     (List.length outcome.Chaos.final_members);
   check "newcomer caught up via install" true (outcome.Chaos.installs >= 1);
-  check "caught up" true outcome.Chaos.caught_up;
-  check "consistent" true outcome.Chaos.consistent
+  check "caught up" true outcome.Chaos.verdict.Chaos.caught_up;
+  check "consistent" true outcome.Chaos.verdict.Chaos.consistent
 
 (* Random kill/restart/partition churn with an aggressive checkpoint
    interval: compaction and transfers happen constantly and nothing may
@@ -342,10 +342,10 @@ let test_chaos_with_aggressive_interval () =
       ~workload ~seed:77 ()
   in
   Alcotest.(check (list string)) "no checker violations" []
-    outcome.Chaos.violations;
-  check "consistent" true outcome.Chaos.consistent;
-  check "caught up" true outcome.Chaos.caught_up;
-  check "exactly once" true outcome.Chaos.exactly_once_ok;
+    outcome.Chaos.verdict.Chaos.violations;
+  check "consistent" true outcome.Chaos.verdict.Chaos.consistent;
+  check "caught up" true outcome.Chaos.verdict.Chaos.caught_up;
+  check "exactly once" true outcome.Chaos.verdict.Chaos.exactly_once_ok;
   check "compaction actually ran" true (outcome.Chaos.max_log_base > 0)
 
 (* The preload counter is part of the durable application state: a node
@@ -397,50 +397,54 @@ let test_preloaded_rides_snapshots () =
     (Hnode.preloaded deploy.Deploy.nodes.(1));
   check "replicas consistent" true (Deploy.consistent deploy)
 
-(* The legacy (pre-snapshot) history checker scans full logs from index
-   1; on a compacted log those scans would pass vacuously, so it must
-   refuse loudly — and the snapshot-aware checker must handle the same
-   deployment. Also pins the Hnode observability surface, under both
-   ordering backends (rabia only runs under Hover). *)
+(* The history checker scans logs. A deployment that compacts with
+   snapshots off has no image behind its base to vouch for the lost
+   prefix, so the checker must refuse it loudly rather than pass
+   vacuously; the same load with snapshots on compacts too, and the
+   checker handles it. Also pins the Hnode observability surface, under
+   both ordering backends (rabia only runs under Hover). *)
 let test_legacy_checker_rejects_compacted_logs () =
   List.iter
     (fun (label, mode, backend) ->
       let name what = label ^ ": " ^ what in
-      let params =
-        let p = Hnode.params ~mode ~backend ~n:3 () in
-        {
-          p with
-          Hnode.seed = 9;
-          features =
-            {
-              p.Hnode.features with
-              Hnode.snapshot_interval = 200;
-              log_retain = 200;
-            };
-        }
+      let loaded ~snapshot_interval =
+        let params =
+          let p = Hnode.params ~mode ~backend ~n:3 () in
+          {
+            p with
+            Hnode.seed = 9;
+            features =
+              { p.Hnode.features with Hnode.snapshot_interval; log_retain = 200 };
+          }
+        in
+        let deploy = Deploy.create (Deploy.config params) in
+        let gen =
+          Loadgen.create deploy ~clients:4 ~rate_rps:40_000. ~workload ~seed:9 ()
+        in
+        ignore (Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 200) ());
+        Deploy.quiesce deploy ();
+        deploy
       in
-      let deploy = Deploy.create (Deploy.config params) in
-      let gen =
-        Loadgen.create deploy ~clients:4 ~rate_rps:40_000. ~workload ~seed:9 ()
-      in
-      ignore (Loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 200) ());
-      Deploy.quiesce deploy ();
+      let bare = loaded ~snapshot_interval:0 in
+      let b0 = bare.Deploy.nodes.(0) in
+      check (name "no checkpoint without snapshots") true
+        (Hnode.snapshots_taken b0 = 0);
+      check (name "log compacted without snapshots") true (Hnode.log_base b0 > 0);
+      check (name "checker fails fast on compaction without snapshots") true
+        (try
+           ignore (Chaos.check [| bare |] ~completed_writes:[]);
+           false
+         with Invalid_argument _ -> true);
+      let deploy = loaded ~snapshot_interval:200 in
       let n0 = deploy.Deploy.nodes.(0) in
       check (name "node checkpointed") true (Hnode.snapshots_taken n0 > 0);
       check (name "snapshot index advanced") true (Hnode.snapshot_index n0 > 0);
       check (name "log compacted") true (Hnode.log_base n0 > 0);
-      check (name "legacy checker fails fast on a compacted log") true
-        (try
-           ignore (Chaos.check deploy ~completed_writes:[]);
-           false
-         with Invalid_argument _ -> true);
-      let violations, _, _, _, consistent =
-        Chaos.check ~snapshots:true deploy ~completed_writes:[]
-      in
+      let v = Chaos.check [| deploy |] ~completed_writes:[] in
       Alcotest.(check (list string))
         (name "snapshot-aware checker passes")
-        [] violations;
-      check (name "replicas consistent") true consistent)
+        [] v.Chaos.violations;
+      check (name "replicas consistent") true v.Chaos.consistent)
     [ ("raft", Hnode.Hover_pp, Hnode.Raft); ("rabia", Hnode.Hover, Hnode.Rabia) ]
 
 let suite =
