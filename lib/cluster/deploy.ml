@@ -271,6 +271,21 @@ let add_node t =
     invalid_arg
       "Deploy.add_node: the rabia backend is fixed-membership (no \
        leader to drive a reconfiguration)";
+  (* Without snapshots a newcomer catches up by replaying the log from
+     index 1, so once any node has compacted, the prefix it needs may be
+     gone — and the leader that has to serve it would fail deep inside the
+     engine. Refuse before anything changes. *)
+  if t.params.Hnode.features.Hnode.snapshot_interval = 0 then
+    List.iter
+      (fun n ->
+        if Hnode.log_base n > 0 then
+          invalid_arg
+            (Printf.sprintf
+               "Deploy.add_node: node%d compacted its log to base %d with \
+                snapshots off (snapshot_interval = 0); a new node replays \
+                from index 1 and nothing can serve the discarded prefix"
+               (Hnode.id n) (Hnode.log_base n)))
+      (live_nodes t);
   let id = Array.length t.nodes in
   let members = List.sort_uniq compare (id :: current_membership t) in
   let node =

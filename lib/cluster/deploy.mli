@@ -138,7 +138,10 @@ val add_node : t -> int
     completes asynchronously as the engine runs. When the leader holds a
     snapshot, the newcomer catches up by installing the image rather than
     replaying history — the leader need not retain any entry below its
-    compaction base on its behalf. *)
+    compaction base on its behalf. Without snapshots
+    ([snapshot_interval = 0]) replay from index 1 is the only catch-up
+    path, so it raises [Invalid_argument], changing nothing, once any live
+    node has compacted its log ({!Hnode.log_base} > 0). *)
 
 val remove_node : t -> int -> unit
 (** Shrink the cluster by one voter. The leader itself is a valid target:

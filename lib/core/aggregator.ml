@@ -8,8 +8,15 @@ type t = {
   mutable members : int list;
   cluster_group : int;
   followers_group : int;
-  match_reg : (int, int) Hashtbl.t;
-  completed_reg : (int, int) Hashtbl.t;
+  (* The register file, indexed by node id and at least [width] long:
+     membership, and each node's match and completed counts this term
+     (0 = nothing acknowledged yet). *)
+  mutable member : bool array;
+  mutable match_reg : int array;
+  mutable completed_reg : int array;
+  mutable width : int;  (* 1 + the largest id among members and leader *)
+  mutable quorum : int;
+  mutable top : int array;  (* scratch for [quorum_match] *)
   mutable term : int;
   mutable leader : int;
   mutable leader_last : int;
@@ -20,9 +27,26 @@ type t = {
   mutable commits_sent : int;
 }
 
-let n_members t = List.length t.members
-let quorum t = (n_members t / 2) + 1
-let reg_get reg i = Option.value ~default:0 (Hashtbl.find_opt reg i)
+let reg_get reg i = if i >= 0 && i < Array.length reg then reg.(i) else 0
+
+(* Re-derive what depends on who the members and the leader are, growing
+   the registers when a higher id appears; [flush] resets their values. *)
+let resize t =
+  t.width <- 1 + List.fold_left Int.max t.leader t.members;
+  if Array.length t.match_reg < t.width then begin
+    let grow reg =
+      let bigger = Array.make t.width 0 in
+      Array.blit reg 0 bigger 0 (Array.length reg);
+      bigger
+    in
+    t.match_reg <- grow t.match_reg;
+    t.completed_reg <- grow t.completed_reg;
+    t.member <- Array.make t.width false
+  end;
+  Array.fill t.member 0 (Array.length t.member) false;
+  List.iter (fun i -> t.member.(i) <- true) t.members;
+  t.quorum <- (List.length t.members / 2) + 1;
+  if Array.length t.top < t.quorum then t.top <- Array.make t.quorum 0
 
 let sync_followers_group t =
   (* Followers group = current members minus the leader. Membership and
@@ -36,8 +60,8 @@ let sync_followers_group t =
     t.members
 
 let flush t ~term ~leader =
-  Hashtbl.reset t.match_reg;
-  Hashtbl.reset t.completed_reg;
+  Array.fill t.match_reg 0 (Array.length t.match_reg) 0;
+  Array.fill t.completed_reg 0 (Array.length t.completed_reg) 0;
   t.term <- term;
   t.leader_last <- 0;
   t.commit <- 0;
@@ -46,6 +70,7 @@ let flush t ~term ~leader =
     (* Rebuild the follower fan-out group around the new leader. *)
     let old = t.leader in
     t.leader <- leader;
+    resize t;
     if old >= 0 && List.mem old t.members then
       Fabric.join t.fabric ~group:t.followers_group (Addr.Node old);
     sync_followers_group t
@@ -58,6 +83,7 @@ let reconfigure t ~term ~members =
   if term >= t.term then begin
     let previous = t.members in
     t.members <- List.sort_uniq compare (Array.to_list members);
+    resize t;
     List.iter
       (fun i ->
         if not (List.mem i t.members) then
@@ -76,9 +102,7 @@ let transmit t ~dst payload =
 (* AGG_COMMIT carries per-node completed counts as a dense array indexed
    by node id (the wire format of the P4 register file); ids outside the
    current membership read 0. *)
-let completed_array t =
-  let max_id = List.fold_left max t.leader t.members in
-  Array.init (max_id + 1) (fun i -> reg_get t.completed_reg i)
+let completed_array t = Array.sub t.completed_reg 0 t.width
 
 let send_agg_commit t =
   t.commits_sent <- t.commits_sent + 1;
@@ -86,19 +110,34 @@ let send_agg_commit t =
     (Protocol.Agg_commit
        { term = t.term; commit = t.commit; applied = completed_array t })
 
+(* Keep [top.(0 .. needed-1)] the largest follower matches seen so far,
+   descending (registers are non-negative, so a 0-filled slot is the same
+   as a missing follower). *)
+let rec collect_top t top needed = function
+  | [] -> ()
+  | i :: rest ->
+      (if i <> t.leader then
+         let m = t.match_reg.(i) in
+         if m > top.(needed - 1) then begin
+           let j = ref (needed - 1) in
+           while !j > 0 && top.(!j - 1) < m do
+             top.(!j) <- top.(!j - 1);
+             decr j
+           done;
+           top.(!j) <- m
+         end);
+      collect_top t top needed rest
+
 (* Largest index acknowledged by enough followers that, together with the
-   leader, a quorum holds it. *)
+   leader, a quorum holds it: the needed-th largest follower match. *)
 let quorum_match t =
-  let needed = quorum t - 1 in
+  let needed = t.quorum - 1 in
   if needed = 0 then t.leader_last
   else begin
-    let followers = List.filter (fun i -> i <> t.leader) t.members in
-    let sorted =
-      List.sort (fun a b -> compare b a)
-        (List.map (fun i -> reg_get t.match_reg i) followers)
-    in
-    (* The needed-th largest follower match (1-based from the top). *)
-    match List.nth_opt sorted (needed - 1) with Some m -> m | None -> 0
+    let top = t.top in
+    Array.fill top 0 needed 0;
+    collect_top t top needed t.members;
+    top.(needed - 1)
   end
 
 let on_append_entries t ~term ~leader ~end_idx pkt_payload =
@@ -112,10 +151,9 @@ let on_append_entries t ~term ~leader ~end_idx pkt_payload =
   end
 
 let on_append_ack t ~term ~from ~match_idx ~applied_idx =
-  if term = t.term && List.mem from t.members then begin
-    Hashtbl.replace t.match_reg from (max (reg_get t.match_reg from) match_idx);
-    Hashtbl.replace t.completed_reg from
-      (max (reg_get t.completed_reg from) applied_idx);
+  if term = t.term && from >= 0 && from < t.width && t.member.(from) then begin
+    t.match_reg.(from) <- Int.max t.match_reg.(from) match_idx;
+    t.completed_reg.(from) <- Int.max t.completed_reg.(from) applied_idx;
     let candidate = min (quorum_match t) t.leader_last in
     if candidate > t.commit then begin
       t.commit <- candidate;
@@ -178,8 +216,12 @@ let create engine fabric ~members ~cluster_group ~followers_group ~rate_gbps =
       members = List.sort_uniq compare members;
       cluster_group;
       followers_group;
-      match_reg = Hashtbl.create 16;
-      completed_reg = Hashtbl.create 16;
+      member = [||];
+      match_reg = [||];
+      completed_reg = [||];
+      width = 0;
+      quorum = 0;
+      top = [||];
       term = 0;
       leader = -1;
       leader_last = 0;
@@ -190,6 +232,7 @@ let create engine fabric ~members ~cluster_group ~followers_group ~rate_gbps =
       commits_sent = 0;
     }
   in
+  resize t;
   let port = Fabric.attach fabric ~addr:Addr.Netagg ~rate_gbps ~handler:(handle t) in
   t.port <- Some port;
   t

@@ -1514,8 +1514,17 @@ let on_agg_commit t ~term ~commit ~applied =
   if is_leader t then begin
     (* A quorum acknowledged through the aggregator: the lease renews. *)
     Array.iteri (fun node _ -> lease_note_contact t node) applied;
+    (* The completed registers are the only per-follower progress the
+       leader sees in this mode: they feed the bounded queues and, with no
+       snapshot, the Raft layer's compaction bound. *)
     Array.iteri
-      (fun node a -> if node <> t.id then note_applied t ~node ~applied:a)
+      (fun node a ->
+        if node <> t.id then begin
+          (match t.order with
+          | Raft raft -> Rnode.note_peer_applied raft node a
+          | Local | Rabia _ -> ());
+          note_applied t ~node ~applied:a
+        end)
       applied;
     feed_raft t (Rnode.Receive (Rtypes.Agg_ack { term; commit }))
   end

@@ -59,9 +59,14 @@ type ('cmd, 'snap) t = {
   mutable applied : int;
   mutable next_slot : int;  (* the slot currently being agreed (1-based) *)
   decisions : (int, 'cmd value) Hashtbl.t;
-      (* Every decided slot above the snapshot point, for Repair service.
-         Pruned by [set_snapshot]; below the prune line laggards get the
-         image instead. *)
+      (* Decided slots kept for Repair service. Pruned by [set_snapshot]
+         (below the snapshot point laggards get the image instead) and by
+         [compact] (below every replica's next slot nobody can ask). *)
+  peer_next : int array;
+      (* By node id: a lower bound on each peer's [next_slot], from the
+         slots its consensus messages name and the [Status] it sends. *)
+  mutable pruned_below : int;
+      (* [compact] has dropped every decision below this slot. *)
   mutable pool : 'cmd Smap.t;
       (* Undecided client commands, keyed (and hence totally ordered) by
          [key_of]. The order is load-bearing: every node proposes the
@@ -116,6 +121,8 @@ let create cfg ~key_of =
     applied = 0;
     next_slot = 1;
     decisions = Hashtbl.create 256;
+    peer_next = Array.make (List.fold_left max 0 members + 1) 1;
+    pruned_below = 1;
     pool = Smap.empty;
     my_prop = None;
     proposals = Hashtbl.create 8;
@@ -234,6 +241,20 @@ let take_batch t =
 
 (* ------------------------------------------------------------------ *)
 (* The per-slot protocol                                               *)
+
+(* A peer sending a consensus message for slot s has decided every slot
+   below it; a [Status] names its next slot outright. Next slots only
+   grow, so the bound keeps the largest seen. *)
+let note_peer_next t msg =
+  match msg with
+  | Proposal { from; slot; _ }
+  | State { from; slot; _ }
+  | Vote { from; slot; _ }
+  | Status { from; next_slot = slot } ->
+      if from >= 0 && from < Array.length t.peer_next
+         && slot > t.peer_next.(from)
+      then t.peer_next.(from) <- slot
+  | Repair _ | Snap _ -> ()
 
 let rec maybe_start t acts =
   if t.my_prop = None && ((not (Smap.is_empty t.pool)) || Hashtbl.length t.proposals > 0)
@@ -402,6 +423,7 @@ and repair_for t ~peer ~their_next acts =
   end
 
 and handle_msg t msg acts =
+  note_peer_next t msg;
   let slot_of = function
     | Proposal { slot; _ } | State { slot; _ } | Vote { slot; _ } -> Some slot
     | Status _ | Repair _ | Snap _ -> None
@@ -646,7 +668,24 @@ let snapshot t = t.snap
 let snapshot_index t =
   match t.snap with Some m -> m.Snapshot.last_idx | None -> 0
 
+(* Decisions below every replica's next slot can never be asked for
+   again: [repair_for] serves from the asker's next slot up, and next
+   slots only grow. While a peer is silent (dead, partitioned) its bound
+   stalls and so does pruning — the trade-off a Raft leader makes for a
+   crashed follower. The watermark makes each pass cost O(pruned). *)
+let prune_decisions t =
+  let floor =
+    List.fold_left
+      (fun acc m -> if m = t.cfg.id then acc else min acc t.peer_next.(m))
+      t.next_slot t.members
+  in
+  for s = t.pruned_below to floor - 1 do
+    Hashtbl.remove t.decisions s
+  done;
+  t.pruned_below <- max t.pruned_below floor
+
 let compact t ~retain =
+  prune_decisions t;
   let bound =
     match t.snap with Some m -> m.Snapshot.last_idx | None -> t.applied
   in

@@ -144,7 +144,9 @@ val snapshot_index : ('cmd, 'snap) t -> int
 val compact : ('cmd, 'snap) t -> retain:int -> int
 (** Compact the log up to the snapshot's covered prefix (or the applied
     index when no snapshot exists), always retaining the most recent
-    [retain] entries; returns the new base. *)
+    [retain] entries; returns the new base. Also drops the decisions
+    below every replica's next slot (as far as this node has heard), which
+    no Repair can ask for any more. *)
 
 (** {1 Crash recovery} *)
 

@@ -216,6 +216,11 @@ let applied_index_of t p =
 let match_index_of t p =
   match peer_opt t p with Some st -> st.p_match | None -> 0
 
+let note_peer_applied t p applied =
+  match (t.role, peer_opt t p) with
+  | Leader, Some st -> st.p_applied <- Int.max st.p_applied applied
+  | (Leader | Follower | Candidate), _ -> ()
+
 let set_announce_gate t g = t.gate <- g
 let set_observer t f = t.observer <- f
 let notify t e = match t.observer with Some f -> f e | None -> ()
@@ -948,15 +953,23 @@ let handle t input =
    so a crashed follower no longer pins the leader's bound. Without one
    (the embedder never checkpoints — the pure-Raft tests and the model
    checker run so) replay is the only recovery path, and the bound falls
-   back to the pre-snapshot rule: applied locally and, on a leader, known
-   replicated on every follower. *)
+   back to the pre-snapshot rule: applied locally and, on a leader, held
+   by every follower. A follower holds an entry when it acknowledged it
+   (match index) or applied it: an entry at or below a follower's applied
+   index is committed, so it sits, identical, in that follower's durable
+   log and replay never has to serve it. In aggregated mode (HovercRaft++)
+   the switch counts the quorum and the leader sees no per-follower
+   match, so the applied indices the aggregator's completed registers
+   report ({!note_peer_applied}) are what let the leader's log shrink at
+   all. The caller's retention window is still kept on top. *)
 let compaction_bound t =
   match t.snapshot with
   | Some snap -> snap.Snapshot.last_idx
   | None ->
       if t.role = Leader then
         List.fold_left
-          (fun acc p -> Int.min acc (match_index_of t p))
+          (fun acc p ->
+            Int.min acc (Int.max (match_index_of t p) (applied_index_of t p)))
           t.applied (current_peers t)
       else t.applied
 

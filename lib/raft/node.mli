@@ -148,6 +148,14 @@ val applied_index_of : ('cmd, 'snap) t -> Types.node_id -> int
 
 val match_index_of : ('cmd, 'snap) t -> Types.node_id -> int
 
+val note_peer_applied : ('cmd, 'snap) t -> Types.node_id -> int -> unit
+(** [note_peer_applied t p applied]: a leader learns that peer [p] has
+    applied up to [applied] by a route other than [p]'s own ack — in
+    HovercRaft++ the aggregator's completed registers. Raises the peer's
+    known applied index (never lowers it); ignored off-leader and for
+    non-peers. Without a snapshot it bounds compaction
+    (see {!compaction_bound}). *)
+
 (** {1 Replication knobs} *)
 
 val set_announce_gate : ('cmd, 'snap) t -> (int -> 'cmd -> bool) option -> unit
@@ -199,8 +207,9 @@ val snapshot_index : ('cmd, 'snap) t -> int
 val compaction_bound : ('cmd, 'snap) t -> int
 (** Highest index safe to discard: the snapshot's covered prefix when one
     exists (lagging followers are served the image); otherwise applied
-    locally and, on a leader, replicated on every follower (replay being
-    the only recovery path then). *)
+    locally and, on a leader, held by every follower — acknowledged
+    (match index) or applied there ({!note_peer_applied}) — replay being
+    the only recovery path then. *)
 
 val compact : ('cmd, 'snap) t -> retain:int -> int
 (** Compact the log up to [compaction_bound] while always retaining the

@@ -302,6 +302,13 @@ let driver_propose t ~group op ~on_done =
 let poll = Timebase.us 200
 
 let move_shard t ?(on_done = fun () -> ()) ~slots ~target () =
+  (* The cut below waits for the source group's leader, which a
+     leaderless group never has: refuse rather than poll forever with the
+     slots fenced. *)
+  if t.cfg.params.Hnode.backend = Hnode.Rabia then
+    invalid_arg
+      "Shard_deploy.move_shard: the rabia backend has no leader to cut the \
+       source log at";
   if t.migrating then
     invalid_arg "Shard_deploy.move_shard: a migration is already running";
   if slots = [] then invalid_arg "Shard_deploy.move_shard: empty slot list";

@@ -98,7 +98,9 @@ val move_shard :
     target's log, map flip, [Prune] at the source. Runs on the engine;
     [on_done] fires after the prune commits. One migration at a time;
     raises [Invalid_argument] while one is running, on an empty or
-    mixed-ownership slot list, or if [target] already owns the slots. *)
+    mixed-ownership slot list, if [target] already owns the slots, or on
+    the leaderless rabia backend (the cut is taken at the source
+    leader's log). Nothing is fenced when it raises. *)
 
 val split_shard :
   t -> ?on_done:(unit -> unit) -> source:int -> target:int -> unit -> unit

@@ -144,6 +144,32 @@ let test_aggregator_quorum_updates () =
   check_members "aggregator reloaded membership" [ 0; 1; 2; 3 ]
     (Aggregator.members agg)
 
+(* Without snapshots a newcomer replays from index 1, which a compacted
+   log cannot serve: add_node refuses up front, leaves the deployment as
+   it was, and the cluster keeps serving. *)
+let test_add_node_rejects_compaction_hole () =
+  let p = Hnode.params ~mode:Hnode.Hover ~n:3 () in
+  let p = { p with Hnode.features = { p.Hnode.features with Hnode.log_retain = 200 } } in
+  let d = Deploy.create (Deploy.config p) in
+  let load () =
+    let g = Loadgen.create d ~clients:8 ~rate_rps:100_000. ~workload ~seed:57 () in
+    Loadgen.run g ~warmup:0 ~duration:(Timebase.ms 100) ()
+  in
+  ignore (load ());
+  check "some node compacted" true
+    (List.exists (fun n -> Hnode.log_base n > 0) (Deploy.live_nodes d));
+  (match Deploy.add_node d with
+  | _ -> Alcotest.fail "add_node accepted a compacted, snapshot-less group"
+  | exception Invalid_argument _ -> ());
+  check_int "no node was created" 3 (Array.length d.Deploy.nodes);
+  let r = load () in
+  check "still serving" true (r.Loadgen.completed > 0 && r.Loadgen.lost = 0);
+  Deploy.quiesce d ();
+  check "consistent" true (Deploy.consistent d);
+  (match Deploy.leader d with
+  | Some l -> check_members "membership unchanged" [ 0; 1; 2 ] (Hnode.members l)
+  | None -> Alcotest.fail "no leader")
+
 (* Membership churn interleaved with crashes and a restart, all through
    the history checker. *)
 let test_mixed_chaos_reconfig () =
@@ -237,6 +263,8 @@ let suite =
       test_transfer_latency;
     Alcotest.test_case "aggregator reloads quorum on config apply" `Quick
       test_aggregator_quorum_updates;
+    Alcotest.test_case "add_node refuses a compacted log without snapshots"
+      `Quick test_add_node_rejects_compaction_hole;
     Alcotest.test_case "mixed kill/restart/add/remove/transfer chaos" `Slow
       test_mixed_chaos_reconfig;
     Alcotest.test_case "random reconfig schedules keep quorum" `Quick

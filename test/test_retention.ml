@@ -6,7 +6,8 @@
    [Rid_table] under both is checked against a model too, with ids chosen
    to reach both its client windows and its overflow index; its hot
    cycles must allocate nothing, and the load generator's send/reply
-   cycle must stay under a per-request allocation bound. *)
+   cycle must stay under a per-request allocation bound. In every mode a
+   deployment's live heap must not grow with run length. *)
 
 open Hovercraft_r2p2
 open Hovercraft_core
@@ -814,6 +815,104 @@ let test_loadgen_cycle_allocation () =
   if per_req > 145. then
     Alcotest.failf "send/reply cycle allocates %.1f minor words per request" per_req
 
+(* --- retained memory is bounded by the retention windows -------------- *)
+
+(* What a deployment keeps after a run must be set by its retention
+   windows (completion records and bodies for [gc_ordered] /
+   [gc_unordered], [log_retain] log entries), not by how long it ran. Each
+   cell runs a short and a long fault-free load with the windows shrunk
+   so both runs are past the point where they fill; live words after a
+   full collection may grow by at most [words_per_request] per extra
+   request. The load generator's latency samples (one word each, in an
+   array that doubles) are what is left. Before the Hover++ leader
+   compacted from the aggregator's completed registers it kept every
+   entry it appended (~25 words a request here: the aggregator counts the
+   quorum, so the leader saw no follower's progress), and Rabia kept
+   every decision (~51). *)
+let words_per_request = 3.
+
+let sweep_params ?(backend = Hnode.Raft) ?(apply_threads = 1) ?(net_stages = 1)
+    ?(read_mode = Hnode.Replicated_reads) mode =
+  let p = Hnode.params ~mode ~backend ~n:(if mode = Hnode.Unreplicated then 1 else 3) () in
+  let ms = Hovercraft_sim.Timebase.ms in
+  {
+    p with
+    Hnode.timing = { p.Hnode.timing with gc_unordered = ms 5; gc_ordered = ms 5 };
+    features =
+      { p.Hnode.features with log_retain = 64; apply_threads; net_stages; read_mode };
+  }
+
+(* Live words after a full collection while the system that ran, [sys],
+   is still reachable; and the requests sent. *)
+let live_after_run sys run =
+  let sent = run () in
+  Gc.full_major ();
+  let live = (Gc.quick_stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity sys);
+  (live, sent)
+
+let one_group ?flow_cap ?router_bound ?(read_fraction = 0.) params ~duration =
+  let module Deploy = Hovercraft_cluster.Deploy in
+  let module Loadgen = Hovercraft_cluster.Loadgen in
+  let d = Deploy.create (Deploy.config ?flow_cap ?router_bound params) in
+  let spec = Hovercraft_apps.Service.spec ~read_fraction () in
+  live_after_run d (fun () ->
+      let g =
+        Loadgen.create d ~clients:8 ~rate_rps:50_000.
+          ~workload:(Hovercraft_apps.Service.sample spec)
+          ~unrestricted_reads:(router_bound <> None) ~seed:5 ()
+      in
+      (Loadgen.run g ~warmup:0 ~duration ()).Loadgen.sent)
+
+let two_groups params ~duration =
+  let module Sd = Hovercraft_shard.Shard_deploy in
+  let module Sl = Hovercraft_shard.Shard_loadgen in
+  let sd = Sd.create (Sd.config ~shards:2 params) in
+  let spec = Hovercraft_apps.Service.spec () in
+  live_after_run sd (fun () ->
+      let g =
+        Sl.create sd ~clients:8 ~rate_rps:50_000.
+          ~workload:(Hovercraft_apps.Service.sample spec) ~seed:5 ()
+      in
+      (Sl.run g ~warmup:0 ~duration ()).Hovercraft_cluster.Loadgen.sent)
+
+let retention_cells =
+  [
+    ("unrep", one_group (sweep_params Hnode.Unreplicated));
+    ("vanilla", one_group (sweep_params Hnode.Vanilla));
+    ("hover", one_group (sweep_params Hnode.Hover));
+    ("hoverpp, flow cap", one_group ~flow_cap:64 (sweep_params Hnode.Hover_pp));
+    ( "hoverpp, 4 stages, 4 apply threads",
+      one_group (sweep_params ~net_stages:4 ~apply_threads:4 Hnode.Hover_pp) );
+    ( "hoverpp, router",
+      one_group ~router_bound:16 ~read_fraction:0.5 (sweep_params Hnode.Hover_pp) );
+    ( "hover, leases",
+      one_group ~read_fraction:0.5
+        (sweep_params ~read_mode:Hnode.Leader_leases Hnode.Hover) );
+    ("hover/rabia", one_group (sweep_params ~backend:Hnode.Rabia Hnode.Hover));
+    ("two-group hoverpp", two_groups (sweep_params Hnode.Hover_pp));
+  ]
+
+let test_retained_memory_bounded () =
+  let ms = Hovercraft_sim.Timebase.ms in
+  let over =
+    List.filter_map
+      (fun (name, cell) ->
+        let live_short, sent_short = cell ~duration:(ms 60) in
+        let live_long, sent_long = cell ~duration:(ms 300) in
+        let per_req =
+          float_of_int (live_long - live_short)
+          /. float_of_int (sent_long - sent_short)
+        in
+        if per_req > words_per_request then
+          Some (Printf.sprintf "%s: %.1f" name per_req)
+        else None)
+      retention_cells
+  in
+  if over <> [] then
+    Alcotest.failf "live words per extra request above %.0f: %s"
+      words_per_request (String.concat "; " over)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_unordered_matches_full_scan;
@@ -832,4 +931,6 @@ let suite =
     Alcotest.test_case "re-add across window growth" `Quick test_readd_across_growth;
     Alcotest.test_case "trim moves window and overflow entries" `Quick
       test_trim_windows_and_overflow;
+    Alcotest.test_case "retained memory bounded in every mode" `Quick
+      test_retained_memory_bounded;
   ]

@@ -390,6 +390,29 @@ let test_single_group_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A migration's cut waits for the source group's leader; on the
+   leaderless rabia backend there is none, so both entry points refuse
+   before fencing anything, and the group keeps serving the slot. *)
+let test_rabia_migration_rejected () =
+  let p = Hnode.params ~mode:Hnode.Hover ~backend:Hnode.Rabia ~n:3 () in
+  let sd = Shard_deploy.create (Shard_deploy.config ~shards:2 p) in
+  let map = Shard_deploy.map sd in
+  let slot = List.hd (Shard_map.slots_of_group map 0) in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  check "move_shard raises" true
+    (raises (fun () -> Shard_deploy.move_shard sd ~slots:[ slot ] ~target:1 ()));
+  check "split_shard raises" true
+    (raises (fun () -> Shard_deploy.split_shard sd ~source:0 ~target:1 ()));
+  check "no migration started" false (Shard_deploy.migrating sd);
+  check_int "no migration counted" 0 (Shard_deploy.migrations sd);
+  let gen =
+    Shard_loadgen.create sd ~clients:4 ~rate_rps:20_000. ~workload:kv_workload
+      ~seed:23 ()
+  in
+  let r = Shard_loadgen.run gen ~warmup:0 ~duration:(Timebase.ms 50) () in
+  check "served" true (r.Loadgen.completed > 0 && r.Loadgen.lost = 0);
+  check_int "nothing rerouted" 0 (Loadgen.rerouted gen)
+
 let suite =
   [
     Alcotest.test_case "map: blocks and assign" `Quick test_map_blocks_and_assign;
@@ -414,4 +437,6 @@ let suite =
       test_retry_after_move_is_one_execution;
     Alcotest.test_case "run: shards=1 rejected" `Quick
       test_single_group_rejected;
+    Alcotest.test_case "migration refused on the rabia backend" `Quick
+      test_rabia_migration_rejected;
   ]
