@@ -34,6 +34,18 @@ type state = {
 let create_state () =
   { kv = Kvstore.create (); applied = 0; rw_ops = 0; synth_digest = 0 }
 
+(* Replies that carry no data are shared: a completion record holding
+   one owns no block. *)
+let ok_reply = Kv_reply Kvstore.Ok
+let absent_reply = Kv_reply (Kvstore.Value None)
+let wrong_type_reply = Kv_reply Kvstore.Wrong_type
+
+let kv_result : Kvstore.reply -> result = function
+  | Ok -> ok_reply
+  | Value None -> absent_reply
+  | Wrong_type -> wrong_type_reply
+  | (Value (Some _) | Values _ | Records _ | Count _) as reply -> Kv_reply reply
+
 let apply state op =
   state.applied <- state.applied + 1;
   match op with
@@ -50,7 +62,7 @@ let apply state op =
       (Done, cost)
   | Kv cmd ->
       let reply = Kvstore.execute state.kv cmd in
-      (Kv_reply reply, Kvstore.cost_ns cmd reply)
+      (kv_result reply, Kvstore.cost_ns cmd reply)
   | Merge { chunk; _ } ->
       (* The sub-range lands in the store wholesale; cost scales with the
          image (a memcpy-rate install, not per-command execution). The

@@ -13,10 +13,27 @@ let spec ?(service = Dist.Fixed (Timebase.us 1)) ?(req_bytes = 24)
     invalid_arg "Service.spec: read_fraction outside [0,1]";
   { service; req_bytes; rep_bytes; read_fraction }
 
-let sample t rng =
-  let cost = Dist.sample t.service rng in
-  let read_only = t.read_fraction > 0. && Rng.bool rng t.read_fraction in
+let synth t cost read_only =
   Op.Synth { cost; read_only; req_bytes = t.req_bytes; rep_bytes = t.rep_bytes }
+
+let rec index_of costs cost i =
+  if i = Array.length costs then -1
+  else if costs.(i) = cost then i
+  else index_of costs cost (i + 1)
+
+(* When the service time takes finitely many values, every request with
+   the same (cost, read_only) shares one body, built with the sampler:
+   the nodes that retain a request then hold no body of their own. *)
+let sample t =
+  let costs = Dist.support t.service in
+  let bodies =
+    Array.init (2 * Array.length costs) (fun i -> synth t costs.(i / 2) (i mod 2 = 1))
+  in
+  fun rng ->
+    let cost = Dist.sample t.service rng in
+    let read_only = t.read_fraction > 0. && Rng.bool rng t.read_fraction in
+    let i = index_of costs cost 0 in
+    if i < 0 then synth t cost read_only else bodies.((2 * i) + Bool.to_int read_only)
 
 let pp_spec fmt t =
   Format.fprintf fmt "synth{S=%a, req=%dB, rep=%dB, ro=%.0f%%}" Dist.pp

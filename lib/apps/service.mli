@@ -22,7 +22,9 @@ val spec :
     24-byte requests, 8-byte replies, no read-only operations. *)
 
 val sample : spec -> Rng.t -> Op.t
-(** Draw one operation. *)
+(** Draw one operation. [sample spec] builds the sampler once: under a
+    [Fixed] or [Bimodal] service time it hands out one shared body per
+    (cost, read-only) pair, so apply it once per load generator. *)
 
 val pp_spec : Format.formatter -> spec -> unit
 

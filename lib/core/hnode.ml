@@ -229,8 +229,6 @@ let params ?(mode = Hover) ?(backend = Raft) ?(n = 3) () =
   validate_params p;
   p
 
-module Rid_tbl = R2p2.Rid_tbl
-
 (* The ordering layer under the dataplane, chosen once at creation from
    (mode, backend). Everything below it (apply loop, recovery, replier
    accounting, snapshots) is shared; the Raft-only duties (leadership,
@@ -305,7 +303,7 @@ type t = {
       (* The dispatcher is mid-loop: re-entrant pumps (a
          checkpoint cut inside the loop feeds the consensus layer, whose
          actions pump again) must not start a second loop. *)
-  pending_recovery : (int * Timebase.t) Rid_tbl.t;  (* rid -> retries, issued-at *)
+  pending_recovery : int Rid_table.t;  (* rid -> retries, stamped when issued *)
   lease_heard : (int, Timebase.t) Hashtbl.t;  (* leader: last contact per node *)
   completions : Completions.t;
       (* RIFL-style completion records, built deterministically during
@@ -547,16 +545,18 @@ let tr t sev ~kind detail =
    still-pending always holds. *)
 let resolve_recovery t rid =
   (* Runs on every apply; on a loss-free run the table is empty. *)
-  if Rid_tbl.length t.pending_recovery > 0 then
-    match Rid_tbl.find_opt t.pending_recovery rid with
-    | None -> ()
-    | Some (retries, issued_at) ->
-        Rid_tbl.remove t.pending_recovery rid;
-        Metrics.incr t.c_recoveries_resolved;
-        Metrics.observe t.h_recovery_ns (Engine.now t.engine - issued_at);
-        tr t Trace.Info ~kind:"recovery_resolved" (fun () ->
-            Format.asprintf "%a after %d retries, %dns" R2p2.pp_req_id rid retries
-              (Engine.now t.engine - issued_at))
+  if Rid_table.length t.pending_recovery > 0 then
+    let h = Rid_table.find t.pending_recovery rid in
+    if not (Rid_table.is_nil h) then begin
+      let retries = Rid_table.value t.pending_recovery h
+      and issued_at = Rid_table.stamp t.pending_recovery h in
+      Rid_table.remove_node t.pending_recovery h;
+      Metrics.incr t.c_recoveries_resolved;
+      Metrics.observe t.h_recovery_ns (Engine.now t.engine - issued_at);
+      tr t Trace.Info ~kind:"recovery_resolved" (fun () ->
+          Format.asprintf "%a after %d retries, %dns" R2p2.pp_req_id rid retries
+            (Engine.now t.engine - issued_at))
+    end
 
 (* Power the node down (crash, or retirement after removal from the
    configuration). Needed by the apply path, so it lives before it;
@@ -569,7 +569,7 @@ let halt t =
     Array.iter Cpu.halt t.apps;
     (* Pending recoveries are volatile: their retry timers check this
        table, so clearing it also disarms them. *)
-    Rid_tbl.reset t.pending_recovery;
+    Rid_table.reset t.pending_recovery;
     (* So is the dispatcher's in-flight window: the CPUs' queued
        closures died with the halt above. The watermark is recomputed
        from the durable applied index at restart. *)
@@ -1050,7 +1050,7 @@ and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta
     (s : Protocol.snap) =
   Op.install t.app_state s.Protocol.s_app;
   Completions.install t.completions s.Protocol.s_completions;
-  Rid_tbl.reset t.pending_recovery;
+  Rid_table.reset t.pending_recovery;
   t.members <- meta.Hovercraft_raft.Snapshot.members;
   t.applied_ptr <- Int.max t.applied_ptr meta.Hovercraft_raft.Snapshot.last_idx;
   t.apply_watermark <-
@@ -1229,8 +1229,8 @@ and recovery_target t retries =
           Some (Addr.Node arr.(Rng.int t.rng (Array.length arr))))
 
 and request_recovery t rid =
-  if not (Rid_tbl.mem t.pending_recovery rid) then begin
-    Rid_tbl.replace t.pending_recovery rid (0, Engine.now t.engine);
+  if not (Rid_table.mem t.pending_recovery rid) then begin
+    ignore (Rid_table.add t.pending_recovery rid 0 ~stamp:(Engine.now t.engine) ~list:0);
     tr t Trace.Info ~kind:"recovery_issued" (fun () ->
         Format.asprintf "%a applied=%d commit=%d" R2p2.pp_req_id rid
           t.applied_ptr (commit_index_internal t));
@@ -1249,7 +1249,7 @@ and request_recovery t rid =
    waiting for. The healthy path is unaffected: the first probe resolves
    in an RTT. *)
 and send_recovery t rid retries =
-  if t.alive && Rid_tbl.mem t.pending_recovery rid then begin
+  if t.alive && Rid_table.mem t.pending_recovery rid then begin
     let escalated = retries >= t.p.features.recovery_retry_max in
     if escalated && retries = t.p.features.recovery_retry_max then begin
       Metrics.incr t.c_recovery_escalations;
@@ -1277,11 +1277,15 @@ and send_recovery t rid retries =
         (Timebase.ms 10)
     in
     Engine.after t.engine backoff (fun () ->
-        match Rid_tbl.find_opt t.pending_recovery rid with
-        | Some (r, issued_at) when r = retries ->
-            Rid_tbl.replace t.pending_recovery rid (retries + 1, issued_at);
-            send_recovery t rid (retries + 1)
-        | Some _ | None -> ())
+        let h = Rid_table.find t.pending_recovery rid in
+        if (not (Rid_table.is_nil h)) && Rid_table.value t.pending_recovery h = retries
+        then begin
+          let issued_at = Rid_table.stamp t.pending_recovery h in
+          Rid_table.remove_node t.pending_recovery h;
+          ignore
+            (Rid_table.add t.pending_recovery rid (retries + 1) ~stamp:issued_at ~list:0);
+          send_recovery t rid (retries + 1)
+        end)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1576,7 +1580,7 @@ let dispatch t (pkt : Protocol.payload Fabric.packet) =
             (Protocol.Recovery_response { rid; op })
       | None -> ())
   | Protocol.Recovery_response { rid; op } ->
-      if Rid_tbl.mem t.pending_recovery rid then begin
+      if Rid_table.mem t.pending_recovery rid then begin
         Unordered.add t.store rid op;
         ignore (Unordered.mark_ordered t.store rid);
         resolve_recovery t rid;
@@ -1872,7 +1876,7 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       apply_watermark = 0;
       apply_rr = 0;
       pumping = false;
-      pending_recovery = Rid_tbl.create 64;
+      pending_recovery = Rid_table.create ~capacity:64 ~lists:1 ();
       lease_heard = Hashtbl.create 16;
       completions = Completions.create ();
       ack_override = None;
@@ -1966,7 +1970,7 @@ let store_size t = Unordered.size t.store
 
 let recoveries_sent t = Metrics.value t.c_recoveries
 let recovery_escalations t = Metrics.value t.c_recovery_escalations
-let pending_recoveries t = Rid_tbl.length t.pending_recovery
+let pending_recoveries t = Rid_table.length t.pending_recovery
 let port t = Option.get t.port
 
 let net_busy_time t =
@@ -2091,7 +2095,7 @@ let snapshot t =
       ("log_base", Json.Int (log_base t));
       ("snapshot_index", Json.Int (snapshot_index t));
       ("store_size", Json.Int (Unordered.size t.store));
-      ("pending_recoveries", Json.Int (Rid_tbl.length t.pending_recovery));
+      ("pending_recoveries", Json.Int (Rid_table.length t.pending_recovery));
       ("net_busy_ns", Json.Int (net_busy_time t));
       ("app_busy_ns", Json.Int (app_busy_time t));
       ("apply_threads", Json.Int (Array.length t.apps));

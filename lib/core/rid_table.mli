@@ -1,8 +1,9 @@
 (** Request-id tables whose entries expire in time order.
 
     Flat storage keyed by {!R2p2.req_id}. An entry is an [int] {e handle}
-    into parallel per-chunk arrays: the ids, the values, and an int block
-    holding each entry's stamp, tag and list links side by side. Each
+    into per-chunk arrays: the values, and an int block holding three
+    words per entry side by side — its stamp, its tag (insertion order,
+    where its id is filed, and its list) and its list links. Each
     entry sits on one of up to four doubly linked {e lists}. A list is
     kept in the order its entries were appended, and an entry is appended
     with the current time as its stamp, so on a monotone clock every list
@@ -19,12 +20,15 @@
     slot held by a live id, the window doubles until the two part, as
     long as it stays within {!window_cap} slots.
 
-    What no window holds goes to the overflow, an open-addressed index of
-    one [int] per slot (linear probing, load at most 3/4, backward-shift
-    deletion) packing the id's 31-bit hash above [handle + 1]: negative
-    or huge ids, an id colliding with a live one {!window_cap} or more
-    away, clients past the first {!clients}, and handles too wide to
-    pack. A lookup that misses its window probes the overflow only when
+    No entry stores its id. A window slot already holds it, so {!rid}
+    rebuilds it from there and the client's address and port; only the
+    overflow keeps ids. That is an open-addressed index of one [int] per
+    slot (linear probing, load at most 3/4, backward-shift deletion)
+    packing a 21-bit fingerprint of the id above [handle + 1], beside an
+    array of the ids themselves, both allocated by the first spill. It
+    takes negative or huge ids, an id colliding with a live one
+    {!window_cap} or more away, clients past the first {!clients}, and
+    handles too wide to pack. A lookup that misses its window probes the overflow only when
     it holds something. Growing a window or the overflow never touches
     an entry.
 
@@ -47,6 +51,9 @@ type 'a t
 
 val is_nil : int -> bool
 val rid : 'a t -> int -> R2p2.req_id
+(** The entry's id, structurally equal to the one it was added with. A
+    window entry's is built afresh on each call. *)
+
 val value : 'a t -> int -> 'a
 
 val stamp : 'a t -> int -> Timebase.t
@@ -69,8 +76,8 @@ val create : capacity:int -> lists:int -> unit -> 'a t
     [capacity] (rounded up to a power of two) is the overflow index size
     the first spill allocates; it doubles whenever it would pass 3/4
     full. A client's window is allocated at its first add; nothing is
-    allocated for the overflow until it is needed, nor for the entries
-    until the first add. *)
+    allocated for the direct table of clients or the overflow until it
+    is needed, nor for the entries until the first add. *)
 
 val length : 'a t -> int
 
@@ -86,7 +93,9 @@ val find : 'a t -> R2p2.req_id -> int
 val mem : 'a t -> R2p2.req_id -> bool
 
 val add : 'a t -> R2p2.req_id -> 'a -> stamp:Timebase.t -> list:int -> int
-(** Insert a new entry at the tail of [list]. The id must be absent. *)
+(** Insert a new entry at the tail of [list]. The id must be absent.
+    Raises [Invalid_argument] rather than wrap when the table would hold
+    more than 2^31 entries at once, or past its 2^38-th add. *)
 
 val move : 'a t -> int -> list:int -> stamp:Timebase.t -> unit
 (** Restamp an entry and move it to the tail of [list] (its own list

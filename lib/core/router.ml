@@ -3,13 +3,11 @@ open Hovercraft_r2p2
 module Fabric = Hovercraft_net.Fabric
 module Addr = Hovercraft_net.Addr
 
-module Rid_tbl = R2p2.Rid_tbl
-
 type t = {
   fabric : Protocol.payload Fabric.t;
   mutable port : Protocol.payload Fabric.port option;
   queues : Jbsq.t;
-  assigned : int Rid_tbl.t;  (* rid -> server, for FEEDBACK accounting *)
+  assigned : int Rid_table.t;  (* rid -> server, for FEEDBACK accounting *)
   mutable forwarded : int;
   mutable rejected : int;
 }
@@ -25,19 +23,21 @@ let handle t (pkt : Protocol.payload Fabric.packet) =
       match Jbsq.pick t.queues with
       | Some server ->
           Jbsq.assign t.queues server;
-          Rid_tbl.replace t.assigned rid server;
+          Rid_table.remove t.assigned rid;
+          ignore (Rid_table.add t.assigned rid server ~stamp:0 ~list:0);
           t.forwarded <- t.forwarded + 1;
           transmit t ~dst:(Addr.Node server) pkt.payload ~bytes:pkt.bytes
       | None ->
           t.rejected <- t.rejected + 1;
           transmit t ~dst:pkt.src (Protocol.Nack { rid })
             ~bytes:(Protocol.payload_bytes ~with_bodies:false (Protocol.Nack { rid })))
-  | Protocol.Feedback { rid } -> (
-      match Rid_tbl.find_opt t.assigned rid with
-      | Some server ->
-          Rid_tbl.remove t.assigned rid;
-          if Jbsq.depth t.queues server > 0 then Jbsq.complete t.queues server
-      | None -> ())
+  | Protocol.Feedback { rid } ->
+      let h = Rid_table.find t.assigned rid in
+      if not (Rid_table.is_nil h) then begin
+        let server = Rid_table.value t.assigned h in
+        Rid_table.remove_node t.assigned h;
+        if Jbsq.depth t.queues server > 0 then Jbsq.complete t.queues server
+      end
   | Protocol.Response _ | Protocol.Raft _ | Protocol.Recovery_request _
   | Protocol.Recovery_response _ | Protocol.Probe _ | Protocol.Probe_reply _
   | Protocol.Agg_commit _ | Protocol.Nack _ | Protocol.Wrong_shard _
@@ -51,7 +51,7 @@ let create engine fabric ~n ?(bound = 16) ?(seed = 97) ~rate_gbps () =
       fabric;
       port = None;
       queues = Jbsq.create Jbsq.Jbsq ~bound ~n ~rng:(Rng.create seed);
-      assigned = Rid_tbl.create 1024;
+      assigned = Rid_table.create ~capacity:1024 ~lists:1 ();
       forwarded = 0;
       rejected = 0;
     }

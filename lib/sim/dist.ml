@@ -15,6 +15,8 @@ let mean = function
   | Uniform (lo, hi) -> float_of_int (lo + hi) /. 2.
   | Bimodal { mean; _ } -> float_of_int mean
 
+let to_time v = max 0 (int_of_float (Float.round v))
+
 let sample t rng =
   let v =
     match t with
@@ -27,7 +29,14 @@ let sample t rng =
         let short, long = bimodal_modes ~mean ~long_fraction ~ratio in
         if Rng.bool rng long_fraction then long else short
   in
-  max 0 (int_of_float (Float.round v))
+  to_time v
+
+let support = function
+  | Fixed d -> [| to_time (float_of_int d) |]
+  | Bimodal { mean; long_fraction; ratio } ->
+      let short, long = bimodal_modes ~mean ~long_fraction ~ratio in
+      [| to_time short; to_time long |]
+  | Exponential _ | Uniform _ -> [||]
 
 let pp fmt = function
   | Fixed d -> Format.fprintf fmt "fixed(%a)" Timebase.pp d

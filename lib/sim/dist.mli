@@ -24,6 +24,10 @@ val mean : t -> float
 val sample : t -> Rng.t -> Timebase.t
 (** Draw one duration; always >= 0. *)
 
+val support : t -> Timebase.t array
+(** Every duration {!sample} can draw, when there are finitely many
+    ([Fixed] and [Bimodal]); empty otherwise. *)
+
 val bimodal_modes : mean:Timebase.t -> long_fraction:float -> ratio:float -> float * float
 (** [(short, long)] mode durations (ns) solving
     [(1-p)*short + p*ratio*short = mean]. *)

@@ -612,12 +612,17 @@ let test_rid_table_trim () =
 let client_rid ?(addr = Addr.Client 0) ?(port = 1) id =
   { R2p2.id; src_addr = addr; src_port = port }
 
+(* Each id is found with its value, and the table gives the id back
+   structurally equal, from its window or its overflow slot. *)
 let check_values what t ids =
   List.iter
     (fun (rid, v) ->
       let h = Rid_table.find t rid in
       if Rid_table.is_nil h then Alcotest.failf "%s: %a missing" what R2p2.pp_req_id rid;
-      Alcotest.(check int) (what ^ ": value") v (Rid_table.value t h))
+      Alcotest.(check int) (what ^ ": value") v (Rid_table.value t h);
+      if Rid_table.rid t h <> rid then
+        Alcotest.failf "%s: %a came back as %a" what R2p2.pp_req_id rid R2p2.pp_req_id
+          (Rid_table.rid t h))
     ids
 
 (* Each way an entry reaches the overflow, and what it takes to leave
@@ -729,6 +734,63 @@ let test_trim_windows_and_overflow () =
       if k mod 20 = 0 then
         Alcotest.(check bool) "removed after trim" false (Rid_table.mem t (rid_of k)))
     kept
+
+(* What a retained entry costs: three int words and a value slot, plus
+   its share of its client's window. The id is not kept — its window
+   slot and its client's direct-table slot give it back — so an id the
+   caller drops is garbage even while its entry lives. *)
+let test_entry_words () =
+  let n = 4096 in
+  let t = Rid_table.create ~capacity:16 ~lists:1 () in
+  let weak = Weak.create 1 in
+  let add i =
+    let rid = client_rid (Sys.opaque_identity i) in
+    if i = 7 then Weak.set weak 0 (Some rid);
+    ignore (Rid_table.add t rid () ~stamp:i ~list:0)
+  in
+  for i = 0 to n - 1 do
+    add i
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "the added id is garbage" true (Weak.get weak 0 = None);
+  List.iter
+    (fun i ->
+      let h = Rid_table.find t (client_rid i) in
+      Alcotest.(check bool) "found" false (Rid_table.is_nil h);
+      Alcotest.(check bool) "given back" true (Rid_table.rid t h = client_rid i))
+    [ 0; 7; n - 1 ];
+  (* One client's live ids 0 .. n-1 need a window of [n] slots; what is
+     left over is the table's fixed cost and one header per array. *)
+  let window = n + 1 and fixed = 256 in
+  let words = Obj.reachable_words (Obj.repr t) in
+  if words > (4 * n) + window + fixed then
+    Alcotest.failf "%d entries take %d words: %.2f an entry past the window" n words
+      (float_of_int (words - window) /. float_of_int n)
+
+(* Ids the table files each way — in a window, negative or huge, one
+   [window_cap] apart from a live one, and of clients past the direct
+   table's — come back structurally equal and in order through the two
+   stores that export them. *)
+let test_rids_round_trip_through_stores () =
+  let cap = Rid_table.window_cap in
+  let rids =
+    List.init (2 * (Rid_table.clients + 4)) (fun k ->
+        client_rid ~port:(k mod (Rid_table.clients + 4)) (k / (Rid_table.clients + 4)))
+    @ [ client_rid (-3); client_rid min_int; client_rid max_int ]
+    @ [ client_rid 5; client_rid (5 + cap); client_rid (5 + (2 * cap)) ]
+  in
+  let c = Completions.create () in
+  List.iteri (fun i rid -> Completions.record c rid (Op.Kv_reply (K.Count i)) ~at:i) rids;
+  Alcotest.(check bool) "completion records" true
+    (Completions.records c = List.mapi (fun i rid -> (rid, Op.Kv_reply (K.Count i), i)) rids);
+  let fresh = Completions.create () in
+  Completions.install fresh (Completions.records c);
+  Alcotest.(check bool) "installed records" true
+    (Completions.records fresh = Completions.records c);
+  let s = Unordered.create ~now:(fun () -> 0) ~gc_unordered:10 ~gc_ordered:10 () in
+  List.iteri (fun i rid -> Unordered.add s rid (op i)) rids;
+  Alcotest.(check bool) "unordered bindings" true
+    (Unordered.unordered_bindings s = List.mapi (fun i rid -> (rid, op i)) rids)
 
 (* Once the table has reached its working size, the hot cycle of a
    retention table — add a new id, look one up, restamp it onto another
@@ -893,6 +955,36 @@ let retention_cells =
     ("two-group hoverpp", two_groups (sweep_params Hnode.Hover_pp));
   ]
 
+(* The synth-hover cell (Hover, three nodes, the default service and
+   retention windows) retains every request of a 75 ms run: nothing is
+   older than [gc_ordered]'s 100 ms. Each node keeps a body-store entry
+   and a completion record per request. With ids kept only in the client
+   windows, three-int entries and shared bodies the run adds 35.2 live
+   words a request; with an id slot, a boxed id and four ints per entry
+   and a body per request it added 55.8. *)
+let synth_hover_words = 45.
+
+let test_synth_hover_words_per_request () =
+  let module Deploy = Hovercraft_cluster.Deploy in
+  let module Loadgen = Hovercraft_cluster.Loadgen in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.live_words in
+  let d = Deploy.create (Deploy.config (Hnode.params ~mode:Hnode.Hover ~n:3 ())) in
+  let spec = Hovercraft_apps.Service.spec () in
+  let live, sent =
+    live_after_run d (fun () ->
+        let g =
+          Loadgen.create d ~clients:8 ~rate_rps:800_000.
+            ~workload:(Hovercraft_apps.Service.sample spec) ~seed:7 ()
+        in
+        (Loadgen.run g ~warmup:0 ~duration:(Hovercraft_sim.Timebase.ms 75) ()).Loadgen.sent)
+  in
+  let per_req = float_of_int (live - before) /. float_of_int sent in
+  Alcotest.(check bool) "about 60 k requests" true (sent > 55_000);
+  if per_req > synth_hover_words then
+    Alcotest.failf "synth-hover retains %.1f live words per request (bound %.0f)" per_req
+      synth_hover_words
+
 let test_retained_memory_bounded () =
   let ms = Hovercraft_sim.Timebase.ms in
   let over =
@@ -931,6 +1023,11 @@ let suite =
     Alcotest.test_case "re-add across window growth" `Quick test_readd_across_growth;
     Alcotest.test_case "trim moves window and overflow entries" `Quick
       test_trim_windows_and_overflow;
+    Alcotest.test_case "an entry is three ints and a value slot" `Quick test_entry_words;
+    Alcotest.test_case "ids round-trip through the stores" `Quick
+      test_rids_round_trip_through_stores;
+    Alcotest.test_case "synth-hover words per request" `Quick
+      test_synth_hover_words_per_request;
     Alcotest.test_case "retained memory bounded in every mode" `Quick
       test_retained_memory_bounded;
   ]
