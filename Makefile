@@ -70,7 +70,10 @@ golden-modes:
 # churn and shard-tagged faults on the sharded stack cover the rest of
 # the harness; `make chaos`'s run and three chaos seeds under parallel
 # apply and the pipelined net path (with and without snapshots) pin the
-# checker across the knob space. Stdout of each must match
+# checker across the knob space; two Rabia seeds with two net stages and
+# checkpoints, where a replica that applied entries long after its peers
+# once re-executed a request or wedged, pin exactly-once to the log
+# clock. Stdout of each must match
 # test/golden/<name>.out; outputs go under _build/golden-chaos/. A
 # nonzero exit fails the target too.
 GOLDEN_CHAOS = _build/golden-chaos
@@ -97,9 +100,15 @@ golden-chaos:
 	  > $(GOLDEN_CHAOS)/chaos-net4-apply4-seed5.out
 	$(HC) chaos --seed 6 --duration-ms 1500 --net-stages 2 \
 	  --snapshot-interval 1000 > $(GOLDEN_CHAOS)/chaos-net2-snap-seed6.out
+	for s in 102 113; do \
+	  $(HC) chaos --duration-ms 1000 --backend rabia --net-stages 2 \
+	    --snapshot-interval 1000 --seed $$s \
+	    > $(GOLDEN_CHAOS)/chaos-rabia-net2-snap-seed$$s.out || exit 1; \
+	done
 	for f in chaos-seed4 reconfig-seed4 snapshot-seed4 chaos-rabia-seed4 \
 	  chaos-reconfig-seed4 shard-events2-seed4 chaos-1500ms-seed4 \
-	  chaos-apply4-snap-seed3 chaos-net4-apply4-seed5 chaos-net2-snap-seed6; do \
+	  chaos-apply4-snap-seed3 chaos-net4-apply4-seed5 chaos-net2-snap-seed6 \
+	  chaos-rabia-net2-snap-seed102 chaos-rabia-net2-snap-seed113; do \
 	  cmp $(GOLDEN_CHAOS)/$$f.out test/golden/$$f.out || exit 1; \
 	done
 

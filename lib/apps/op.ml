@@ -20,8 +20,7 @@ and completion = {
   c_at : Timebase.t;
 }
 
-(* Roughly a rid triple + result + timestamp on the wire; matches the
-   snapshot subsystem's per-record accounting. *)
+(* Roughly a rid triple + result + timestamp on the wire. *)
 let completion_wire_bytes = 40
 
 type state = {

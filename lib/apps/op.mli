@@ -33,9 +33,13 @@ and completion = {
   c_result : result;
   c_at : Timebase.t;
 }
-(** One exactly-once completion record riding inside a [Merge]. *)
+(** One exactly-once completion record, as checkpoints and [Merge]s
+    carry it: the request, its result and the log-clock time it was
+    recorded at. *)
 
 val completion_wire_bytes : int
+(** What one record costs on the wire, in checkpoints and [Merge]s
+    alike. *)
 
 type state
 (** One replica's application state. *)

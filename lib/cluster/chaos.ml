@@ -331,9 +331,13 @@ let check groups ~completed_writes =
               let i = idx - base in
               if i >= 0 && i < len then begin
                 let rm = metas.(i) in
+                (* The stamp counts too: the apply layer's log clock
+                   runs on it. *)
                 if
                   (not rm.internal)
-                  && (terms.(i) <> term || not (R2p2.req_id_equal rm.rid m.rid))
+                  && (terms.(i) <> term
+                     || (not (R2p2.req_id_equal rm.rid m.rid))
+                     || rm.ordered_at <> m.ordered_at)
                 then
                   diverged :=
                     Printf.sprintf

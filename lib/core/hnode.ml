@@ -9,6 +9,7 @@ module Rnode = Hovercraft_raft.Node
 module Rtypes = Hovercraft_raft.Types
 module Rlog = Hovercraft_raft.Log
 module Rb = Hovercraft_ordering.Rabia
+module Snapshot = Hovercraft_raft.Snapshot
 module Metrics = Hovercraft_obs.Metrics
 module Trace = Hovercraft_obs.Trace
 module Json = Hovercraft_obs.Json
@@ -236,9 +237,9 @@ let params ?(mode = Hover) ?(backend = Raft) ?(n = 3) () =
    take the concrete node from the [Raft] arm. *)
 type ordering =
   | Local  (* unreplicated: no consensus, the node acts as its own leader *)
-  | Raft of (Protocol.cmd, Protocol.snap) Rnode.t
+  | Raft of (Protocol.cmd, Apply.image) Rnode.t
   | Rabia of {
-      rb : (Protocol.cmd, Protocol.snap) Rb.t;
+      rb : (Protocol.cmd, Apply.image) Rb.t;
       members : int array;
           (* Sorted static membership (reconfig is leader-shaped and
              rejected under rabia): drives the deterministic replier
@@ -267,7 +268,9 @@ type t = {
       (* The body store is RAM: a crash empties it (bodies for unapplied
          entries come back via the recovery path after restart). *)
   replier : Replier.t;
-  app_state : Op.state;
+  apply : Apply.t;
+      (* The state machine and its completion records: durable, so a
+         crash keeps them and an installed image replaces them. *)
   mutable members : int list;
       (* The membership as of the *applied* prefix — every config entry at
          or below [applied_ptr] has taken effect here. The Raft layer's
@@ -305,10 +308,6 @@ type t = {
          actions pump again) must not start a second loop. *)
   pending_recovery : int Rid_table.t;  (* rid -> retries, stamped when issued *)
   lease_heard : (int, Timebase.t) Hashtbl.t;  (* leader: last contact per node *)
-  completions : Completions.t;
-      (* RIFL-style completion records, built deterministically during
-         apply on every replica; replays answer retransmitted requests
-         without re-execution. *)
   mutable ack_override : Addr.t option;
   mutable probe_sent_term : int;
   mutable last_transfer : int option;
@@ -325,10 +324,6 @@ type t = {
   mutable shard_version : int;
       (* Version of the shard map the filter was installed under; rides in
          Wrong_shard NACKs so clients know how stale their map is. *)
-  mutable preloaded : int;
-      (* Operations applied via [preload] (dataset population outside
-         consensus); the history checker subtracts these from the raw
-         execution counter, which they inflate without log entries. *)
   xfer_start : (int, Timebase.t) Hashtbl.t;
       (* Leader: when the in-flight snapshot transfer to each peer began,
          for the install-latency histogram. *)
@@ -391,9 +386,15 @@ let term t = match t.order with Raft r -> Rnode.term r | Local | Rabia _ -> 0
 
 let with_bodies t = t.p.mode = Vanilla
 
-(* The live completion records in FIFO (insertion/expiry) order — the
-   form both checkpoints and shard-migration exports ship them in. *)
-let completion_records t = Completions.records t.completions
+let completion_records t = Apply.records t.apply
+
+(* Whether the entry carrying [meta] would replay its completion record,
+   were it applied next: then it needs no body. *)
+let replays_record t (meta : Protocol.meta) =
+  Option.is_some (Apply.find t.apply meta.rid ~ordered_at:meta.ordered_at)
+
+(* Names a command for the leaderless backend's proposal pool. *)
+let rabia_key rid = Format.asprintf "%a" R2p2.pp_req_id rid
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages of the network hot path                             *)
@@ -660,10 +661,12 @@ let rabia_msg_entries = function
 
 let rabia_send_extra = function
   | Rb.Snap { meta; _ } ->
-      int_of_float
-        (ae_body_ns_per_byte
-        *. float_of_int meta.Hovercraft_raft.Snapshot.size)
+      int_of_float (ae_body_ns_per_byte *. float_of_int meta.Snapshot.size)
   | msg -> per_entry_tx_ns * rabia_msg_entries msg
+
+(* A client command as the Raft leader orders it, stamped with its clock
+   (the stamp the apply layer's log clock runs on). *)
+let client_cmd t rid op = Protocol.client_cmd ~rid ~at:(Engine.now t.engine) op
 
 let rec feed_raft t input =
   match t.order with
@@ -749,11 +752,11 @@ and on_rabia_appended t rb members lo hi =
          appender assigns; the rule is index-determined, so every replica
          computes the same node. *)
       if meta.replier < 0 && n > 0 then meta.replier <- members.(idx mod n);
-      if idx > t.applied_ptr then
-        if
-          (not (Unordered.mark_ordered t.store meta.rid))
-          && not (Completions.mem t.completions meta.rid)
-        then request_recovery t meta.rid
+      if
+        idx > t.applied_ptr
+        && (not (Unordered.mark_ordered t.store meta.rid))
+        && not (replays_record t meta)
+      then request_recovery t meta.rid
     end
   done
 
@@ -796,7 +799,7 @@ and on_became_leader t raft =
       (* Ingest requests the previous leader never ordered (§5). *)
       List.iter
         (fun (rid, op) ->
-          feed_raft t (Rnode.Client_command (Protocol.client_cmd ~rid op)))
+          feed_raft t (Rnode.Client_command (client_cmd t rid op)))
         (Unordered.unordered_bindings t.store)
   | Vanilla | Unreplicated -> ());
   if t.p.mode = Hover_pp then
@@ -889,13 +892,12 @@ and pump t =
       let entry = Rlog.get (consensus_log t) idx in
       let cmd = entry.Rtypes.cmd in
       match body_for t cmd with
-      | None when Completions.mem t.completions cmd.meta.rid ->
+      | None when replays_record t cmd.meta ->
           (* A re-ordered duplicate of an already-applied command (a
              leaderless backend can decide the same rid at two slots
              after a snapshot catch-up): the body may be gone everywhere,
-             but the completion record already holds the result — no
-             recovery could ever succeed, and none is needed to replay
-             it. *)
+             but the completion record holds the result — no recovery
+             could ever succeed, and none is needed to replay it. *)
           dispatch_one t idx cmd Op.Nop
       | None ->
           request_recovery t cmd.meta.rid;
@@ -1019,86 +1021,57 @@ and on_config_applied t ms =
   end
 
 (* The consensus layer accepted a full snapshot (emitted strictly before
-   the accompanying commit advance): replace the state machine wholesale.
-   The completion records ride in the image — a retransmission of a
-   request the snapshot covers must be answered from the record, never
-   re-executed, so exactly-once survives the install. Everything volatile
-   that referred to the replaced prefix (pending body recoveries) is
-   superseded by the image and dropped. *)
-and on_snapshot_installed t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta) =
-  let s = meta.Hovercraft_raft.Snapshot.data in
-  if meta.Hovercraft_raft.Snapshot.last_idx <= t.applied_ptr then begin
-    (* The image is a prefix of what this replica has already executed —
-       possible under parallel apply, where the dispatch pointer runs
-       ahead of the durable watermark the consensus layer advertises
-       (installs are accepted against that watermark). The running state
-       strictly covers the image; overwriting would roll executed entries
-       back and diverge the replicas. Keep the state, record the
-       checkpoint. *)
-    t.last_snap <- Int.max t.last_snap meta.Hovercraft_raft.Snapshot.last_idx;
-    Metrics.incr t.c_installs_recv;
-    Metrics.set t.g_snap_index
-      (Int.max meta.Hovercraft_raft.Snapshot.last_idx
-         (Metrics.gauge_value t.g_snap_index));
-    tr t Trace.Info ~kind:"snapshot_skipped" (fun () ->
-        Printf.sprintf "idx=%d already applied (applied=%d)"
-          meta.Hovercraft_raft.Snapshot.last_idx t.applied_ptr)
-  end
-  else install_snapshot_state t meta s
-
-and install_snapshot_state t (meta : Protocol.snap Hovercraft_raft.Snapshot.meta)
-    (s : Protocol.snap) =
-  Op.install t.app_state s.Protocol.s_app;
-  Completions.install t.completions s.Protocol.s_completions;
-  Rid_table.reset t.pending_recovery;
-  t.members <- meta.Hovercraft_raft.Snapshot.members;
-  t.applied_ptr <- Int.max t.applied_ptr meta.Hovercraft_raft.Snapshot.last_idx;
-  t.apply_watermark <-
-    Int.max t.apply_watermark meta.Hovercraft_raft.Snapshot.last_idx;
-  (* The preload counter is part of the applied-prefix state: the checker
-     computes consensus-driven executions as [executed - preloaded], and
-     the image's execution counter includes the source's preloads. *)
-  t.preloaded <- s.Protocol.s_preloaded;
-  t.last_snap <- Int.max t.last_snap meta.Hovercraft_raft.Snapshot.last_idx;
+   the accompanying commit advance): replace the state machine wholesale
+   ({!Apply.install}: records and log clock ride in the image, so
+   exactly-once survives the install) and drop everything volatile that
+   referred to the replaced prefix (pending body recoveries). An image at
+   or below the dispatch pointer is a prefix of what this replica already
+   executed — possible under parallel apply, where dispatch runs ahead of
+   the watermark installs are accepted against. Overwriting would roll
+   executed entries back and diverge the replicas, so the state stays and
+   only the checkpoint is recorded. *)
+and on_snapshot_installed t (meta : Apply.image Snapshot.meta) =
+  let idx = meta.Snapshot.last_idx in
+  t.last_snap <- Int.max t.last_snap idx;
   Metrics.incr t.c_installs_recv;
-  Metrics.set t.g_snap_index meta.Hovercraft_raft.Snapshot.last_idx;
-  tr t Trace.Info ~kind:"snapshot_installed" (fun () ->
-      Printf.sprintf "idx=%d term=%d bytes=%d"
-        meta.Hovercraft_raft.Snapshot.last_idx
-        meta.Hovercraft_raft.Snapshot.last_term
-        meta.Hovercraft_raft.Snapshot.size);
-  (* Catching up through an image skips the per-slot decisions it
-     covers, so the leaderless proposal pool may still hold commands the
-     cluster decided inside that window; left alone they would be
-     re-proposed and ordered a second time. The restored completion
-     records say which ones those are. *)
-  (match t.order with
-  | Rabia { rb; _ } ->
-      Rb.filter_pending rb ~keep:(fun (c : Protocol.cmd) ->
-          not (Completions.mem t.completions c.Protocol.meta.rid))
-  | Local | Raft _ -> ());
-  if not (List.mem t.id t.members) then retire_if_still_removed t
-  else if is_leader t then Replier.set_nodes t.replier t.members
+  Metrics.set t.g_snap_index (Int.max idx (Metrics.gauge_value t.g_snap_index));
+  if idx <= t.applied_ptr then
+    tr t Trace.Info ~kind:"snapshot_skipped" (fun () ->
+        Printf.sprintf "idx=%d already applied (applied=%d)" idx t.applied_ptr)
+  else begin
+    Apply.install t.apply meta.Snapshot.data;
+    Rid_table.reset t.pending_recovery;
+    t.members <- meta.Snapshot.members;
+    t.applied_ptr <- idx;
+    t.apply_watermark <- Int.max t.apply_watermark idx;
+    tr t Trace.Info ~kind:"snapshot_installed" (fun () ->
+        Printf.sprintf "idx=%d term=%d bytes=%d" idx meta.Snapshot.last_term
+          meta.Snapshot.size);
+    (* Catching up through an image skips the per-slot decisions it
+       covers, so the leaderless proposal pool may still hold commands the
+       cluster decided inside that window; left alone they would be
+       re-proposed and ordered a second time. The restored completion
+       records say which ones those are. *)
+    (match t.order with
+    | Rabia { rb; _ } ->
+        Rb.filter_pending rb ~keep:(fun (c : Protocol.cmd) ->
+            not (replays_record t c.Protocol.meta))
+    | Local | Raft _ -> ());
+    if not (List.mem t.id t.members) then retire_if_still_removed t
+    else if is_leader t then Replier.set_nodes t.replier t.members
+  end
 
-(* Cut a checkpoint of the applied state machine: the deep-copied image,
-   the live completion records (in FIFO order, so expiry keeps working
-   after an install) and the applied-prefix membership, identified by
-   (idx, term-at-idx). Runs inside [apply_atomic], before the entry's CPU
-   delay, so the image is exactly the state after entry [idx]. Counted
-   here, where both backends cut. *)
+(* Cut a checkpoint of the applied state machine ({!Apply.image}) and the
+   applied-prefix membership, identified by (idx, term-at-idx). Runs
+   inside [apply_atomic], before the entry's CPU delay, so the image is
+   exactly the state after entry [idx]. Counted here, where both
+   backends cut. *)
 and take_snapshot t idx =
-  let completions = completion_records t in
-  let data =
-    {
-      Protocol.s_app = Op.snapshot t.app_state;
-      s_completions = completions;
-      s_preloaded = t.preloaded;
-    }
-  in
+  let data = Apply.image t.apply in
   let last_term = (Rlog.get (consensus_log t) idx).Rtypes.term in
   let meta =
-    Hovercraft_raft.Snapshot.make ~last_idx:idx ~last_term ~members:t.members
-      ~size:(Protocol.snap_bytes data) ~data
+    Snapshot.make ~last_idx:idx ~last_term ~members:t.members
+      ~size:(Apply.image_bytes data) ~data
   in
   (* The consensus layer's applied counter normally advances after the
      apply delay (it only feeds ack piggybacking); the checkpoint is cut
@@ -1114,37 +1087,27 @@ and take_snapshot t idx =
   Metrics.set t.g_snap_index idx
 
 (* The pre-delay atomic section of applying an entry: the
-   execute-or-replay decision, the state mutation, the completion record,
-   the applied-pointer advance, the config effect and the checkpoint cut.
-   All of it happens at dispatch time, in log order — which is what keeps
-   replicas byte-identical under parallel apply: thread timing never
-   touches state, only the clock. Returns the entry's CPU cost and what
-   the delayed epilogue needs. *)
+   execute-or-replay step ({!Apply.apply}), the applied-pointer advance,
+   the config effect and the checkpoint cut, all at dispatch time and in
+   log order. That is what keeps replicas byte-identical under parallel
+   apply, and a crash inside the CPU delay from leaving an
+   executed-but-unrecorded entry behind: thread timing never touches
+   state, only the clock. Returns the entry's CPU cost and what the
+   delayed epilogue needs. *)
 and apply_atomic t idx (cmd : Protocol.cmd) op =
   let meta = cmd.Protocol.meta in
-  let is_replier = meta.replier = t.id in
-  let recorded =
-    if meta.internal then None else Completions.find t.completions meta.rid
-  in
-  let execute =
-    (not meta.internal) && Option.is_none recorded
-    &&
-    match t.p.mode with
-    | Vanilla -> (not meta.read_only) || is_leader t
-    | Hover | Hover_pp -> (not meta.read_only) || is_replier
-    | Unreplicated -> true
-  in
-  let result, exec_cost =
-    if execute then Op.apply t.app_state op
-    else match recorded with Some r -> (r, 0) | None -> (Op.Done, 0)
-  in
+  (* The node that replies is the one that runs reads. *)
   let should_reply =
     (not meta.internal)
     &&
     match t.p.mode with
     | Vanilla -> is_leader t
-    | Hover | Hover_pp -> is_replier
+    | Hover | Hover_pp -> meta.replier = t.id
     | Unreplicated -> true
+  in
+  let result, exec_cost =
+    Apply.apply t.apply ~runs_reads:should_reply ~internal:meta.internal
+      ~rid:meta.rid ~read_only:meta.read_only ~ordered_at:meta.ordered_at op
   in
   let reply_bytes =
     if should_reply then R2p2.header_bytes + Op.reply_bytes op result else 0
@@ -1153,42 +1116,12 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
     app_per_op_ns + exec_cost
     + if should_reply then app_reply_tx t ~bytes:reply_bytes else 0
   in
-  (* The state mutation above, the completion record and the applied
-     pointer advance together, BEFORE the CPU delay: a crash landing
-     inside the delayed closure must not leave an executed-but-unrecorded
-     entry behind, or restart would re-execute it (exactly-once would
-     break, replicas would diverge). Only externally visible work — the
-     reply, bookkeeping — waits for the CPU. Membership is part of the
-     durable state, so config entries take effect inside the checkpoint
-     too. *)
   t.applied_ptr <- idx;
-  (* A migration Merge carries the source group's completion records: seed
-     them before this entry's own record, inside the same atomic section.
-     A rid the source group already answered must never re-execute here —
-     e.g. a client retry of a pre-migration write that this group ordered
-     again after the map flipped resolves as a duplicate, because the
-     Merge sits earlier in the log. *)
-  (match op with
-  | Op.Merge { completions; _ } ->
-      List.iter
-        (fun { Op.c_rid; c_result; c_at } ->
-          Completions.record t.completions c_rid c_result ~at:c_at)
-        completions;
-      if not meta.internal then
-        Completions.record t.completions meta.rid result
-          ~at:(Engine.now t.engine)
-  | _ ->
-      (* Nothing was seeded since the lookup above: a miss there is
-         still a miss. *)
-      if (not meta.internal) && Option.is_none recorded then
-        Completions.record_absent t.completions meta.rid result
-          ~at:(Engine.now t.engine));
   (match cmd.Protocol.config with
   | Some ms -> on_config_applied t ms
   | None -> ());
-  (* Checkpointing is part of the same atomic section: the image must
-     reflect exactly the prefix up to [idx], including the completion
-     record and membership written just above. *)
+  (* The image must reflect exactly the prefix up to [idx], including
+     the record and membership written just above. *)
   if snapshot_due t idx then take_snapshot t idx;
   (cost, should_reply, reply_bytes)
 
@@ -1380,7 +1313,7 @@ let local_exec_cpu t op =
    reads, and router-balanced unrestricted requests. [feedback] is where a
    completion credit goes (flow-control middlebox or request router). *)
 let execute_locally ?feedback t rid op =
-  let result, exec_cost = Op.apply t.app_state op in
+  let result, exec_cost = Op.apply (Apply.state t.apply) op in
   let bytes = R2p2.header_bytes + Op.reply_bytes op result in
   Cpu.exec (local_exec_cpu t op)
     ~cost:(app_per_op_ns + exec_cost + app_reply_tx t ~bytes)
@@ -1394,7 +1327,7 @@ let execute_locally ?feedback t rid op =
    applied) is ignored — its reply is coming. On the monolithic net the
    replay rides the footprint-spread app CPU, not a hardwired apps.(0). *)
 let replay_completion t rid op =
-  match Completions.find t.completions rid with
+  match Apply.find t.apply rid ~ordered_at:0 with
   | Some result ->
       let cpu, extra = reply_tx_cpu t ~app:(local_exec_cpu t op) in
       transmit_on t cpu ~dst:rid.R2p2.src_addr
@@ -1422,7 +1355,7 @@ let shard_rejects t rid op =
       true
   | Some _ | None -> false
 
-let rec on_client_request t ~src ~policy rid op =
+let rec on_client_request t ~src ~sent_at ~policy rid op =
   match policy with
   | R2p2.Unrestricted ->
       (* A non-replicated request (§6.1): executed here and now, never
@@ -1430,29 +1363,19 @@ let rec on_client_request t ~src ~policy rid op =
          returns to the router that balanced it here. *)
       let feedback = if Addr.equal src Addr.Router then Some Addr.Router else None in
       execute_locally ?feedback t rid op
-  | R2p2.Replicated_req | R2p2.Replicated_req_r -> on_client_replicated t rid op
+  | R2p2.Replicated_req | R2p2.Replicated_req_r ->
+      (* Only one node replays ([replays_here]: the leader, the node
+         itself when unreplicated, or the rid's hash-owner under the
+         leaderless backend), so a retransmission multicast to the whole
+         group yields one reply. Followers keep storing bodies even for
+         disowned keys: an operation ordered just before the fence
+         engaged still needs its body everywhere. *)
+      let owner = replays_here t rid in
+      if owner && replay_completion t rid op then ()
+      else if owner && shard_rejects t rid op then ()
+      else on_client_request_fresh t ~sent_at rid op
 
-and on_client_replicated t rid op =
-  match t.p.mode with
-  | Unreplicated ->
-      if replay_completion t rid op then ()
-      else if shard_rejects t rid op then ()
-      else on_client_request_fresh t rid op
-  | Vanilla ->
-      if is_leader t && replay_completion t rid op then ()
-      else if is_leader t && shard_rejects t rid op then ()
-      else on_client_request_fresh t rid op
-  | Hover | Hover_pp ->
-      (* Only one node replays ([replays_here]: the leader, or the rid's
-         hash-owner under the leaderless backend), so a retransmission
-         multicast to the whole group yields one reply. Followers keep
-         storing bodies even for disowned keys: an operation ordered just
-         before the fence engaged still needs its body everywhere. *)
-      if replays_here t rid && replay_completion t rid op then ()
-      else if replays_here t rid && shard_rejects t rid op then ()
-      else on_client_request_fresh t rid op
-
-and on_client_request_fresh t rid op =
+and on_client_request_fresh t ~sent_at rid op =
   let lease_read =
     t.p.features.read_mode = Leader_leases
     && Op.read_only op
@@ -1464,18 +1387,18 @@ and on_client_request_fresh t rid op =
        valid lease falls through to the ordered path for safety. *)
     if is_leader t then
       if lease_valid t then execute_locally t rid op
-      else on_client_request_ordered t rid op
+      else on_client_request_ordered t ~sent_at rid op
   end
-  else on_client_request_ordered t rid op
+  else on_client_request_ordered t ~sent_at rid op
 
-and on_client_request_ordered t rid op =
+and on_client_request_ordered t ~sent_at rid op =
   match t.p.mode with
   | Unreplicated ->
       (* No consensus: hand straight to the application thread. *)
       execute_locally t rid op
   | Vanilla ->
       if is_leader t then
-        feed_raft t (Rnode.Client_command (Protocol.client_cmd ~rid op))
+        feed_raft t (Rnode.Client_command (client_cmd t rid op))
       else Metrics.incr t.c_rejected
   | Hover | Hover_pp -> (
       let already_ordered = Unordered.ingest t.store rid op in
@@ -1484,16 +1407,20 @@ and on_client_request_ordered t rid op =
       | Rabia _ ->
           (* Leaderless: every replica ingests the command into its
              proposal pool (the backend dedups by rid); the pools
-             converge through proposal adoption. *)
+             converge through proposal adoption. The stamp is the
+             request packet's send time, the same on every replica the
+             multicast reached; a resend that reached only some carries
+             a later one, and Rabia keeps the least (its [stamp_of]). *)
           if not already_ordered then
-            feed_rabia t (Rb.Client_command (Protocol.client_cmd ~rid op));
+            feed_rabia t
+              (Rb.Client_command (Protocol.client_cmd ~rid ~at:sent_at op));
           pump t
       | Local | Raft _ ->
           if is_leader t then begin
             (* Duplicate suppression: a retransmission of a request that
                is already in the log must not be ordered twice. *)
             if not already_ordered then
-              feed_raft t (Rnode.Client_command (Protocol.client_cmd ~rid op))
+              feed_raft t (Rnode.Client_command (client_cmd t rid op))
           end
           else pump t)
 
@@ -1537,7 +1464,7 @@ let on_agg_commit t ~term ~commit ~applied =
 let dispatch t (pkt : Protocol.payload Fabric.packet) =
   match pkt.payload with
   | Protocol.Request { rid; policy; op } ->
-      on_client_request t ~src:pkt.src ~policy rid op
+      on_client_request t ~src:pkt.src ~sent_at:pkt.sent_at ~policy rid op
   | Protocol.Raft msg ->
       (match msg with
       | Rtypes.Append_entries { entries; prev_idx; _ } ->
@@ -1675,15 +1602,15 @@ let start_rabia_ticker t =
 
 (* Body GC, completion-record expiry and log compaction. The three
    tables are independent, so each backend's arm can run its own body GC
-   and compaction after the shared expiry. *)
+   and compaction after the shared expiry. Records expire by the log
+   clock ({!Apply.expire}), never by this node's. *)
 let start_gc_loop t =
   let life = t.life in
   let retain = t.p.features.log_retain in
   let rec loop () =
     Engine.after t.engine gc_interval (fun () ->
         if t.alive && t.life = life then begin
-          Completions.expire t.completions ~now:(Engine.now t.engine)
-            ~retain:t.p.timing.gc_ordered;
+          Apply.expire t.apply;
           (match t.order with
           | Local -> ()
           | Raft raft ->
@@ -1692,9 +1619,8 @@ let start_gc_loop t =
           | Rabia { rb; _ } ->
               (* Bodies still in the leaderless proposal pool are pinned:
                  their time-to-order is unbounded (see {!Unordered.gc}). *)
-              ignore
-                (Unordered.gc t.store ~keep:(fun rid ->
-                     Rb.pending_mem rb (Format.asprintf "%a" R2p2.pp_req_id rid)));
+              let pinned rid = Rb.pending_mem rb (rabia_key rid) in
+              ignore (Unordered.gc t.store ~keep:pinned);
               Metrics.set t.g_log_base (Rb.compact rb ~retain));
           loop ()
         end)
@@ -1835,8 +1761,8 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
                      seed, not the per-node one. *)
                   coin_seed = p.seed;
                 }
-                ~key_of:(fun (c : Protocol.cmd) ->
-                  Format.asprintf "%a" R2p2.pp_req_id c.Protocol.meta.rid);
+                ~key_of:(fun (c : Protocol.cmd) -> rabia_key c.Protocol.meta.rid)
+                ~stamp_of:(fun (c : Protocol.cmd) -> c.Protocol.meta.ordered_at);
             members = Array.of_list members;
           }
   in
@@ -1862,7 +1788,7 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       replier =
         Replier.create p.features.lb_policy ~bound:p.features.bound
           ~nodes:members ~rng:(Rng.split rng);
-      app_state = Op.create_state ();
+      apply = Apply.create ~window:p.timing.gc_ordered ();
       members;
       alive = true;
       life = 0;
@@ -1878,14 +1804,12 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       pumping = false;
       pending_recovery = Rid_table.create ~capacity:64 ~lists:1 ();
       lease_heard = Hashtbl.create 16;
-      completions = Completions.create ();
       ack_override = None;
       probe_sent_term = -1;
       last_transfer = None;
       last_snap = 0;
       shard_filter = None;
       shard_version = 0;
-      preloaded = 0;
       xfer_start = Hashtbl.create 8;
       metrics;
       trace;
@@ -1963,8 +1887,8 @@ let snapshot_index t =
 let snapshots_taken t = Metrics.value t.c_snapshots
 let installs_received t = Metrics.value t.c_installs_recv
 
-let app_fingerprint t = Op.fingerprint t.app_state
-let executed_ops t = Op.executed t.app_state
+let app_fingerprint t = Op.fingerprint (Apply.state t.apply)
+let executed_ops t = Op.executed (Apply.state t.apply)
 let replies_sent t = Metrics.value t.c_replies
 let store_size t = Unordered.size t.store
 
@@ -2052,17 +1976,14 @@ let transfer_leadership t ~target =
          is no leadership to transfer"
   | Local | Raft _ -> feed_raft t (Rnode.Transfer_leadership target)
 
-let preload t ops =
-  List.iter (fun op -> ignore (Op.apply t.app_state op)) ops;
-  t.preloaded <- t.preloaded + List.length ops
-
-let preloaded t = t.preloaded
+let preload t ops = Apply.preload t.apply ops
+let preloaded t = Apply.preloaded t.apply
 
 let set_shard_filter t ~version owns =
   t.shard_filter <- Some owns;
   t.shard_version <- version
 
-let extract_range t ~keep = Op.extract_kv t.app_state ~keep
+let extract_range t ~keep = Op.extract_kv (Apply.state t.apply) ~keep
 
 (* Receive census, kept as an accessor over the "rx.<tag>" counters. The
    counters are pre-interned (all tags exist from creation), so only the
@@ -2131,11 +2052,12 @@ let kill = halt
 (* Crash–recovery (DESIGN.md): what survives is the Raft persistent state
    (term, vote, log — and the configuration stack, derived from it) and
    the state machine up to the applied index — including the exactly-once
-   completion records and the applied membership view, which are part of
-   it. Everything else is rebuilt: the node re-attaches its NIC, re-enters
-   as a follower with a fresh election clock, and catches up on entries
-   committed while it was down through the ordinary append-entries
-   backtracking, fetching bodies it missed via recovery requests. *)
+   completion records, the log clock and the applied membership view,
+   which are part of it. Everything else is rebuilt: the node re-attaches
+   its NIC, re-enters as a follower with a fresh election clock, and
+   catches up on entries committed while it was down through the ordinary
+   append-entries backtracking, fetching bodies it missed via recovery
+   requests. *)
 let restart t =
   if t.alive then invalid_arg "Hnode.restart: node is alive";
   t.alive <- true;

@@ -381,8 +381,7 @@ val set_shard_filter :
 (** Install (or replace) the shard-routing filter. [version] is the shard
     map version the filter reflects. *)
 
-val completion_records :
-  t -> (R2p2.req_id * Hovercraft_apps.Op.result * Timebase.t) list
+val completion_records : t -> Hovercraft_apps.Op.completion list
 (** The live exactly-once completion records in FIFO order — what a
     checkpoint ships, and what a shard migration exports alongside the
     sub-range image. *)

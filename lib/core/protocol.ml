@@ -8,6 +8,7 @@ type meta = {
   mutable replier : int;
   body_hash : int;
   internal : bool;
+  ordered_at : Hovercraft_sim.Timebase.t;
 }
 
 type cmd = {
@@ -19,7 +20,7 @@ type cmd = {
           but is interpreted by the consensus layer, not the app. *)
 }
 
-let client_cmd ~rid op =
+let client_cmd ~rid ~at op =
   {
     meta =
       {
@@ -28,6 +29,7 @@ let client_cmd ~rid op =
         replier = -1;
         body_hash = Hashtbl.hash op;
         internal = false;
+        ordered_at = at;
       };
     body = op;
     config = None;
@@ -42,6 +44,7 @@ let internal_noop =
         replier = -1;
         body_hash = 0;
         internal = true;
+        ordered_at = 0;
       };
     body = Op.Nop;
     config = None;
@@ -52,27 +55,10 @@ let internal_noop =
 let config_cmd ~members =
   { internal_noop with config = Some (Array.copy members) }
 
-type snap = {
-  s_app : Op.image;
-  s_completions : (R2p2.req_id * Op.result * Hovercraft_sim.Timebase.t) list;
-  s_preloaded : int;
-}
-
-(* Completion records ride inside the snapshot image: a replica that
-   installs one must answer retransmissions of covered requests from the
-   record, not by re-executing them (exactly-once across install). Each
-   record is roughly a rid triple + result + timestamp on the wire. *)
-let completion_wire_bytes = 40
-
-let snap_bytes s =
-  Op.image_bytes s.s_app
-  + (completion_wire_bytes * List.length s.s_completions)
-  + 8 (* preload counter *)
-
 type payload =
   | Request of { rid : R2p2.req_id; policy : R2p2.policy; op : Op.t }
   | Response of { rid : R2p2.req_id }
-  | Raft of (cmd, snap) Rtypes.message
+  | Raft of (cmd, Apply.image) Rtypes.message
   | Recovery_request of { rid : R2p2.req_id; asker : int }
   | Recovery_response of { rid : R2p2.req_id; op : Op.t }
   | Probe of { term : int; leader : int }
@@ -88,7 +74,7 @@ type payload =
   | Reconfig of { term : int; members : int array }
       (** Leader -> aggregator: the membership changed; flush soft state,
           resize the quorum and rebuild the followers fan-out group. *)
-  | Rabia of (cmd, snap) Hovercraft_ordering.Rabia.msg
+  | Rabia of (cmd, Apply.image) Hovercraft_ordering.Rabia.msg
       (** Leaderless randomized-agreement traffic (the rabia ordering
           backend). Like HovercRaft append_entries, batch values on the
           wire are metadata-sized — bodies ride the client multicast. *)

@@ -17,6 +17,12 @@ type meta = {
           immutable afterwards (§3.3). *)
   body_hash : int;  (** Guards against metadata collisions (§5). *)
   internal : bool;  (** Leader no-op entries: no client, no multicast body. *)
+  ordered_at : Hovercraft_sim.Timebase.t;
+      (** When the command was taken in for ordering: the Raft leader's
+          clock, or on Rabia the request packet's send time (the same on
+          every replica the multicast reached; Rabia agrees on it with
+          the command). 0 on internal and config entries. The apply
+          layer's log clock runs on these ({!Apply}). *)
 }
 
 type cmd = {
@@ -27,38 +33,20 @@ type cmd = {
           full new member list, interpreted by the consensus layer. *)
 }
 
-val client_cmd : rid:R2p2.req_id -> Hovercraft_apps.Op.t -> cmd
+val client_cmd :
+  rid:R2p2.req_id -> at:Hovercraft_sim.Timebase.t -> Hovercraft_apps.Op.t -> cmd
+(** A client command stamped [ordered_at = at]. *)
+
 val internal_noop : cmd
 
 val config_cmd : members:Hovercraft_raft.Types.node_id array -> cmd
 (** An internal membership-change command carrying the new member list. *)
 
-type snap = {
-  s_app : Hovercraft_apps.Op.image;
-      (** Deep-copied application state at the checkpoint index. *)
-  s_completions :
-    (R2p2.req_id * Hovercraft_apps.Op.result * Hovercraft_sim.Timebase.t) list;
-      (** Exactly-once completion records covering the checkpoint:
-          without them, a retransmission of an already-applied request
-          would re-execute on a freshly installed replica. *)
-  s_preloaded : int;
-      (** How many of the image's executed operations were preloaded
-          outside consensus (dataset population). Part of the durable
-          applied-prefix state: the history checker subtracts it from the
-          raw execution counter, so a replica that installs the image
-          must inherit it or the exactly-once arithmetic skews. *)
-}
-(** What a snapshot carries besides the consensus metadata: this is the
-    ['snap] instantiation the whole core layer uses. *)
-
-val snap_bytes : snap -> int
-(** Estimated serialized size — what chunked transfer divides up. *)
-
 (** Everything a fabric packet can carry. *)
 type payload =
   | Request of { rid : R2p2.req_id; policy : R2p2.policy; op : Hovercraft_apps.Op.t }
   | Response of { rid : R2p2.req_id }
-  | Raft of (cmd, snap) Hovercraft_raft.Types.message
+  | Raft of (cmd, Apply.image) Hovercraft_raft.Types.message
   | Recovery_request of { rid : R2p2.req_id; asker : int }
   | Recovery_response of { rid : R2p2.req_id; op : Hovercraft_apps.Op.t }
   | Probe of { term : int; leader : int }
@@ -77,7 +65,7 @@ type payload =
   | Reconfig of { term : int; members : int array }
       (** Leader -> aggregator: membership changed; flush soft state,
           resize the quorum, rebuild the followers fan-out group. *)
-  | Rabia of (cmd, snap) Hovercraft_ordering.Rabia.msg
+  | Rabia of (cmd, Apply.image) Hovercraft_ordering.Rabia.msg
       (** Leaderless randomized-agreement traffic (the rabia ordering
           backend). Batch values on the wire are metadata-sized, like
           HovercRaft append_entries — bodies ride the client multicast. *)

@@ -34,7 +34,7 @@ type outcome = {
 
 (* One in-flight message; the bag is a list the scheduler indexes
    randomly, which is what buys reordering for free. *)
-type packet = { dst : int; msg : (int, unit) Rabia.msg }
+type packet = { dst : int; msg : (int * int, unit) Rabia.msg }
 
 let run cfg =
   if cfg.n < 2 then invalid_arg "Rabia_check.run: n must be >= 2";
@@ -48,7 +48,8 @@ let run cfg =
         batch_max = 4;
         coin_seed = cfg.seed lxor 0x5bd1e995;
       }
-      ~key_of:(Printf.sprintf "%06d")
+      ~key_of:(fun (c, _) -> Printf.sprintf "%06d" c)
+      ~stamp_of:snd
   in
   let nodes = Array.init cfg.n mk in
   let bag : packet list ref = ref [] in
@@ -77,7 +78,27 @@ let run cfg =
       feed p.dst (Rabia.Receive p.msg)
     end
   in
-  let injected = ref 0 in
+  let injected = ref 0 and sent = Hashtbl.create 64 in
+  (* Command [c] goes to one random node stamped [10 * c]. A third of
+     the time a client resend, a later-stamped copy, goes to a random
+     node too, before or after it: replicas then hold copies that
+     differ in stamp only. *)
+  let inject () =
+    incr injected;
+    let c = !injected in
+    let first = (Rng.int rng cfg.n, (c, 10 * c)) in
+    let copies =
+      if Rng.bool rng 0.3 then
+        let resend = (Rng.int rng cfg.n, (c, (10 * c) + 1 + Rng.int rng 5)) in
+        if Rng.bool rng 0.5 then [ first; resend ] else [ resend; first ]
+      else [ first ]
+    in
+    List.iter
+      (fun (i, cmd) ->
+        Hashtbl.replace sent cmd ();
+        feed i (Rabia.Client_command cmd))
+      copies
+  in
   (* Adversarial phase: random interleaving of delivery (with drops,
      duplication and, because the bag index is random, reordering),
      command injection at a single random node (dissemination is the
@@ -86,10 +107,7 @@ let run cfg =
   for _ = 1 to cfg.steps do
     if Rng.bool rng cfg.recover_prob then
       Rabia.recover nodes.(Rng.int rng cfg.n);
-    if !injected < cfg.cmds && Rng.bool rng 0.05 then begin
-      incr injected;
-      feed (Rng.int rng cfg.n) (Rabia.Client_command !injected)
-    end;
+    if !injected < cfg.cmds && Rng.bool rng 0.05 then inject ();
     match List.length !bag with
     | 0 -> feed (Rng.int rng cfg.n) Rabia.Tick
     | len ->
@@ -98,8 +116,7 @@ let run cfg =
   done;
   (* Make sure everything was offered at least once. *)
   while !injected < cfg.cmds do
-    incr injected;
-    feed (Rng.int rng cfg.n) (Rabia.Client_command !injected)
+    inject ()
   done;
   (* Calm phase: lossless delivery plus ticks until a full sweep makes no
      progress, so liveness (everything decides everywhere) is checkable
@@ -133,7 +150,8 @@ let run cfg =
   in
   (* Agreement: entry terms are slot numbers and batches append
      atomically, so index-wise equality of (slot, cmd) pairs across every
-     log IS per-slot agreement on the decided batches. *)
+     log IS per-slot agreement on the decided batches — stamps
+     included. *)
   let entry i idx =
     let e = Rlog.get (Rabia.log nodes.(i)) idx in
     (e.Hovercraft_raft.Types.term, e.Hovercraft_raft.Types.cmd)
@@ -143,21 +161,21 @@ let run cfg =
     for j = i + 1 to cfg.n - 1 do
       let common = min (last i) (last j) in
       for idx = 1 to common do
-        let si, ci = entry i idx and sj, cj = entry j idx in
-        if (si, ci) <> (sj, cj) then
+        let si, (ci, ti) = entry i idx and sj, (cj, tj) = entry j idx in
+        if (si, ci, ti) <> (sj, cj, tj) then
           bad agreed
-            "index %d: node%d has (slot %d, cmd %d), node%d (slot %d, cmd %d)"
-            idx i si ci j sj cj
+            "index %d: node%d has (slot %d, cmd %d@%d), node%d (slot %d, cmd \
+             %d@%d)"
+            idx i si ci ti j sj cj tj
       done
     done
   done;
-  (* Validity: only injected commands ever decide. *)
-  let was_injected c = c >= 1 && c <= !injected in
+  (* Validity: only injected copies ever decide. *)
   for i = 0 to cfg.n - 1 do
     for idx = 1 to last i do
-      let _, c = entry i idx in
-      if not (was_injected c) then
-        bad valid "node%d decided uninjected cmd %d" i c
+      let _, (c, stamp) = entry i idx in
+      if not (Hashtbl.mem sent (c, stamp)) then
+        bad valid "node%d decided uninjected cmd %d@%d" i c stamp
     done
   done;
   (* Liveness after the calm phase: every command decided on every node
@@ -168,7 +186,7 @@ let run cfg =
   for i = 0 to cfg.n - 1 do
     let seen = Hashtbl.create 64 in
     for idx = 1 to last i do
-      Hashtbl.replace seen (snd (entry i idx)) ()
+      Hashtbl.replace seen (fst (snd (entry i idx))) ()
     done;
     for c = 1 to !injected do
       if not (Hashtbl.mem seen c) then begin

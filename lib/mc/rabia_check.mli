@@ -4,9 +4,10 @@
     per-slot randomized agreement has a much wider nondeterminism
     surface (the coin folds the slot and round into every branch), so
     this module trades exhaustiveness for adversarial depth: [n] {e
-    pure} {!Hovercraft_ordering.Rabia} instances over integer commands,
-    driven by a seeded scheduler that delivers, drops, duplicates and
-    reorders messages and crash-recovers nodes mid-agreement, followed
+    pure} {!Hovercraft_ordering.Rabia} instances over stamped integer
+    commands, some injected twice with different stamps, driven by a
+    seeded scheduler that delivers, drops, duplicates and reorders
+    messages and crash-recovers nodes mid-agreement, followed
     by a lossless calm phase so liveness is a checkable postcondition
     rather than a property of the schedule.
 
@@ -15,7 +16,8 @@
       common prefix, (slot, command)-wise — since a decided batch
       appends atomically with the slot number as entry term, this is
       agreement on every decided slot;
-    - {b validity}: only injected commands ever decide;
+    - {b validity}: only injected commands ever decide, each with the
+      stamp of a copy that was injected;
     - {b liveness} (after the calm phase): every injected command is
       decided on every node.
 
@@ -23,7 +25,9 @@
 
 type config = {
   n : int;  (** Instances (>= 2). *)
-  cmds : int;  (** Integer commands injected, each at one random node. *)
+  cmds : int;
+      (** Integer commands injected, each at one random node; about a
+          third also as a later-stamped resend at a random node. *)
   steps : int;  (** Adversarial scheduler steps. *)
   drop_prob : float;  (** Per-delivery drop probability. *)
   dup_prob : float;  (** Per-delivery duplication probability. *)

@@ -50,6 +50,7 @@ type ('cmd, 'snap) action =
 type ('cmd, 'snap) t = {
   cfg : config;
   key_of : 'cmd -> string;
+  stamp_of : 'cmd -> int;
   members : int list;  (* sorted, static: no reconfig under rabia *)
   quorum : int;  (* n - f = floor(n/2) + 1 *)
   f : int;  (* tolerated crash faults: floor((n-1)/2) *)
@@ -75,7 +76,8 @@ type ('cmd, 'snap) t = {
          matter what order dissemination delivered them in. A FIFO pool
          here livelocks — once arrival orders diverge, no two nodes
          ever propose the same batch again and every slot decides null
-         forever. *)
+         forever. One copy per key: the least-stamped one seen (see
+         [offer]). *)
   (* --- current-slot round state (durable) --- *)
   mutable my_prop : 'cmd value option;  (* locked: never changes once sent *)
   proposals : (int, 'cmd value) Hashtbl.t;  (* sender -> value, self incl. *)
@@ -106,13 +108,14 @@ type ('cmd, 'snap) t = {
   mutable snap_slot : int;  (* slot of the snapshot's last entry *)
 }
 
-let create cfg ~key_of =
+let create cfg ~key_of ~stamp_of =
   if cfg.batch_max < 1 then invalid_arg "Rabia.create: batch_max must be >= 1";
   let members = List.sort_uniq compare (cfg.id :: Array.to_list cfg.peers) in
   let n = List.length members in
   {
     cfg;
     key_of;
+    stamp_of;
     members;
     quorum = (n / 2) + 1;
     f = (n - 1) / 2;
@@ -161,10 +164,29 @@ let coin t ~slot ~round =
   in
   Rng.bool r 0.5
 
+(* A value's identity is every command's key AND stamp: two replicas
+   can hold copies of one command stamped differently (a client resend
+   that reached only some of them), and what the log appends must be
+   the same everywhere, stamps included, since the embedder's apply
+   reads them. *)
 let value_key t = function
   | Bot -> ""
   | Batch arr ->
-      String.concat "|" (Array.to_list (Array.map t.key_of arr))
+      let name c = t.key_of c ^ "@" ^ string_of_int (t.stamp_of c) in
+      String.concat "|" (Array.to_list (Array.map name arr))
+
+(* Pool a command unless a copy stamped no later is there already; true
+   when the pool changed. Keeping the least stamp is a join, so pools
+   that saw the same copies agree whatever the order, and proposal
+   adoption carries the least stamp to every pool: copies that disagree
+   cost null slots until then, never agreement. *)
+let offer t c =
+  let k = t.key_of c in
+  match Smap.find_opt k t.pool with
+  | Some c' when t.stamp_of c' <= t.stamp_of c -> false
+  | Some _ | None ->
+      t.pool <- Smap.add k c t.pool;
+      true
 
 let broadcast t msg acts =
   Array.iter (fun p -> acts := Send (p, msg) :: !acts) t.cfg.peers
@@ -463,21 +485,16 @@ and handle_msg t msg acts =
       | Proposal { from; value; _ } ->
           if not (Hashtbl.mem t.proposals from) then begin
             Hashtbl.replace t.proposals from value;
-            (* Adopt commands we have never seen: dissemination lost them
-               on the way here, but the proposal carries them whole. This
-               is what un-sticks a command only one live node knows —
-               without it, that batch could never reach quorum-identical
+            (* Adopt commands we have never seen, or have only in a
+               later-stamped copy: dissemination lost them on the way
+               here, but the proposal carries them whole. This is what
+               un-sticks a command only one live node knows — without
+               it, that batch could never reach quorum-identical
                proposals. Duplicates with already-decided slots are
                possible and resolved by the embedder's exactly-once
                apply. *)
             (match value with
-            | Batch arr ->
-                Array.iter
-                  (fun c ->
-                    let k = t.key_of c in
-                    if not (Smap.mem k t.pool) then
-                      t.pool <- Smap.add k c t.pool)
-                  arr
+            | Batch arr -> Array.iter (fun c -> ignore (offer t c)) arr
             | Bot -> ());
             maybe_start t acts;
             check_proposals t acts
@@ -579,50 +596,35 @@ let handle t input =
   let acts = ref [] in
   (match input with
   | Receive msg -> handle_msg t msg acts
-  | Client_command c ->
-      let k = t.key_of c in
-      if not (Smap.mem k t.pool) then begin
-        t.pool <- Smap.add k c t.pool;
-        maybe_start t acts
-      end
+  | Client_command c -> if offer t c then maybe_start t acts
   | Applied_up_to idx -> if idx > t.applied then t.applied <- idx
   | Tick ->
       let mark = (t.next_slot, t.round, t.voting) in
       if mark = t.tick_mark then begin
-        (* A full tick with no progress: retransmit the current phase's
-           message (drop recovery) and probe for repairs. *)
+        (* A full tick with no progress: retransmit everything this node
+           said about the slot — its proposal, and its state and vote of
+           every round so far (drop recovery) — and probe for repairs. A
+           peer can be stuck in any earlier round waiting for one of
+           those: a lost round-1 vote strands it in round 1 for good if
+           only the current phase's message is ever resent. *)
         (match t.my_prop with
-        | Some v when t.round = 0 ->
-            broadcast t
-              (Proposal { from = t.cfg.id; slot = t.next_slot; value = v })
-              acts
-        | Some _ when not t.voting ->
-            broadcast t
-              (State
-                 {
-                   from = t.cfg.id;
-                   slot = t.next_slot;
-                   round = t.round;
-                   est = t.est;
-                   value = cand_value t;
-                 })
-              acts
-        | Some _ ->
-            let vote =
-              match Hashtbl.find_opt t.votes (t.round, t.cfg.id) with
-              | Some v -> v
-              | None -> Vq
-            in
-            broadcast t
-              (Vote
-                 {
-                   from = t.cfg.id;
-                   slot = t.next_slot;
-                   round = t.round;
-                   vote;
-                   value = cand_value t;
-                 })
-              acts
+        | Some v ->
+            let from = t.cfg.id and slot = t.next_slot in
+            broadcast t (Proposal { from; slot; value = v }) acts;
+            for round = 1 to t.round do
+              (match Hashtbl.find_opt t.states (round, from) with
+              | Some est ->
+                  broadcast t
+                    (State { from; slot; round; est; value = cand_value t })
+                    acts
+              | None -> ());
+              match Hashtbl.find_opt t.votes (round, from) with
+              | Some vote ->
+                  broadcast t
+                    (Vote { from; slot; round; vote; value = cand_value t })
+                    acts
+              | None -> ()
+            done
         | None -> ());
         (* Probe for repairs: reset the single-flight pull (whatever was
            outstanding is a full tick stale) and ask one peer, rotating

@@ -73,9 +73,10 @@ type ('cmd, 'snap) msg =
 type ('cmd, 'snap) input =
   | Receive of ('cmd, 'snap) msg
   | Tick
-      (** Periodic: retransmit the current phase's message when the slot
-          made no progress since the previous tick, and broadcast a
-          [Status] probe. The embedder owns the cadence. *)
+      (** Periodic: when the slot made no progress since the previous
+          tick, retransmit this node's proposal and its state and vote of
+          every round of the slot so far, and send a [Status] probe. The
+          embedder owns the cadence. *)
   | Client_command of 'cmd
   | Applied_up_to of int
 
@@ -93,10 +94,14 @@ type ('cmd, 'snap) action =
 
 type ('cmd, 'snap) t
 
-val create : config -> key_of:('cmd -> string) -> ('cmd, 'snap) t
-(** [key_of] names a command for identity purposes — proposal-batch
-    equality, pending-queue dedup. Must be injective (e.g. a printed
-    request id). *)
+val create :
+  config -> key_of:('cmd -> string) -> stamp_of:('cmd -> int) -> ('cmd, 'snap) t
+(** [key_of] names a command for the proposal pool, which holds one copy
+    per key. Must be injective (e.g. a printed request id). [stamp_of]
+    tells copies of one command apart: the pool keeps the least-stamped
+    copy it has seen, and proposal batches are equal when their keys and
+    stamps are, so every replica appends a decided batch with the same
+    stamps. *)
 
 val handle :
   ('cmd, 'snap) t -> ('cmd, 'snap) input -> ('cmd, 'snap) action list

@@ -360,12 +360,7 @@ let move_shard t ?(on_done = fun () -> ()) ~slots ~target () =
               wait_cut (Some (Hnode.id l, cut)))
   and extract l =
     let image = Hnode.extract_range l ~keep in
-    let completions =
-      List.map
-        (fun (rid, result, at) ->
-          { Op.c_rid = rid; c_result = result; c_at = at })
-        (Hnode.completion_records l)
-    in
+    let completions = Hnode.completion_records l in
     let size =
       Kvstore.image_bytes image
       + (Op.completion_wire_bytes * List.length completions)

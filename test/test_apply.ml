@@ -2,7 +2,8 @@
    [Op.footprint] conflict relation, the apply_threads knob validation,
    determinism of replica state across K and across identical runs, a
    forced same-key conflict chain that must serialize onto one thread,
-   and a chaos run at K=4 with snapshots enabled. *)
+   a chaos run at K=4 with snapshots enabled, and the apply layer's
+   execute-or-replay decisions as a function of the log alone. *)
 
 open Hovercraft_sim
 open Hovercraft_core
@@ -184,6 +185,158 @@ let test_chaos_k4_with_snapshots () =
   check "consistent" true o.Chaos.verdict.Chaos.consistent;
   check "compaction ran" true (o.Chaos.max_log_base > 0)
 
+(* --- the apply layer: same log, same decisions --------------------- *)
+
+(* One generated log entry. Ids come from a small pool, so duplicates
+   land both inside and beyond the retention window; stamps jitter below
+   the running clock (another replica's stamp under a leaderless
+   backend); Merges seed records, some of them already older than the
+   window; internal entries carry no stamp. [runs_reads] is the caller's
+   role, the same in both runs. *)
+type log_entry = {
+  e_rid : int;
+  e_op : [ `Push of int | `Len of int | `Merge of (int * int) list | `Internal ];
+  e_stamp : int;
+  e_runs_reads : bool;
+}
+
+(* What a run does after applying an entry, besides applying the next. *)
+type fault = Expire | Cut | Round_trip | Restart
+
+let apply_window = 50
+let pool = 6
+let log_rid i = { Hovercraft_r2p2.R2p2.id = i; src_addr = Hovercraft_net.Addr.Client 0; src_port = 1 }
+
+let merge_chunk =
+  let kv = Kvstore.create () in
+  ignore (Kvstore.execute kv (Kvstore.Put ("merged", "v")));
+  Kvstore.snapshot kv
+
+let log_gen =
+  let open QCheck.Gen in
+  let entry =
+    let* e_rid = int_bound (pool - 1) and* e_runs_reads = bool in
+    let* e_op =
+      frequency
+        [
+          (5, map (fun k -> `Push k) (int_bound 2));
+          (2, map (fun k -> `Len k) (int_bound 2));
+          (1, map (fun l -> `Merge l)
+               (list_size (int_range 1 3) (pair (int_bound (pool - 1)) (int_bound 90))));
+          (1, return `Internal);
+        ]
+    in
+    (* The stamp's step from the last one: mostly forward, sometimes far
+       past the window, sometimes behind. *)
+    let* step = frequency [ (6, int_range 0 12); (1, int_range 40 80); (2, int_range (-40) (-1)) ] in
+    return (e_rid, e_op, step, e_runs_reads)
+  in
+  let* raw = list_size (int_range 1 120) entry in
+  let _, log =
+    List.fold_left
+      (fun (base, acc) (e_rid, e_op, step, e_runs_reads) ->
+        let base = Int.max 0 (base + step) in
+        let e_stamp = if e_op = `Internal then 0 else base in
+        (base, { e_rid; e_op; e_stamp; e_runs_reads } :: acc))
+      (100, []) raw
+  in
+  let n = List.length log in
+  let faults =
+    list_size (int_range 0 12)
+      (pair (int_bound (n - 1)) (oneofl [ Expire; Expire; Cut; Round_trip; Restart ]))
+  in
+  let* fa = faults and* fb = faults in
+  return (Array.of_list (List.rev log), fa, fb)
+
+let pp_entry i e =
+  Printf.sprintf "%d:%s rid%d@%d%s" (i + 1)
+    (match e.e_op with
+    | `Push k -> Printf.sprintf "push%d" k
+    | `Len k -> Printf.sprintf "len%d" k
+    | `Merge l ->
+        "merge[" ^ String.concat "," (List.map (fun (i, b) -> Printf.sprintf "%d-%d" i b) l) ^ "]"
+    | `Internal -> "internal")
+    e.e_rid e.e_stamp
+    (if e.e_runs_reads then "" else " noreads")
+
+let pp_faults l =
+  String.concat ","
+    (List.map
+       (fun (i, f) ->
+         Printf.sprintf "%s@%d"
+           (match f with Expire -> "expire" | Cut -> "cut" | Round_trip -> "round-trip" | Restart -> "restart")
+           (i + 1))
+       l)
+
+let log_arb =
+  QCheck.make log_gen ~print:(fun (log, fa, fb) ->
+      String.concat "; " (Array.to_list (Array.mapi pp_entry log))
+      ^ "\nrun a: " ^ pp_faults fa ^ "\nrun b: " ^ pp_faults fb)
+
+let apply_entry st e =
+  let op =
+    match e.e_op with
+    | `Push k -> Op.Kv (Kvstore.Rpush (Printf.sprintf "k%d" k, "x"))
+    | `Len k -> Op.Kv (Kvstore.Llen (Printf.sprintf "k%d" k))
+    | `Merge seeds ->
+        Op.Merge
+          {
+            chunk = merge_chunk;
+            completions =
+              List.map
+                (fun (i, back) ->
+                  { Op.c_rid = log_rid i; c_result = Op.Done; c_at = e.e_stamp - back })
+                seeds;
+          }
+    | `Internal -> Op.Nop
+  in
+  fst
+    (Apply.apply st ~runs_reads:e.e_runs_reads ~internal:(e.e_op = `Internal)
+       ~rid:(log_rid e.e_rid) ~read_only:(Op.read_only op) ~ordered_at:e.e_stamp op)
+
+(* Apply the whole log, with [faults] falling after the entries they
+   name: a physical expiry, a checkpoint cut, a cut installed straight
+   back into the running state, or a restart that rebuilds the state
+   from the newest cut (empty when there is none) and re-applies the log
+   from there. Returns the state and each entry's result. *)
+let run log faults =
+  let st = ref (Apply.create ~window:apply_window ()) in
+  let results = Array.make (Array.length log) Op.Done in
+  let cut = ref None in
+  let replay lo hi = for i = lo to hi do results.(i) <- apply_entry !st log.(i) done in
+  Array.iteri
+    (fun i e ->
+      results.(i) <- apply_entry !st e;
+      List.iter
+        (fun (at, f) ->
+          if at = i then
+            match (f, !cut) with
+            | Expire, _ -> Apply.expire !st
+            | Cut, _ -> cut := Some (i, Apply.image !st)
+            | Round_trip, _ -> Apply.install !st (Apply.image !st)
+            | Restart, None ->
+                st := Apply.create ~window:apply_window ();
+                replay 0 i
+            | Restart, Some (c, image) ->
+                st := Apply.create ~window:apply_window ();
+                Apply.install !st image;
+                replay (c + 1) i)
+        faults)
+    log;
+  (!st, results)
+
+let prop_same_log_same_decisions =
+  QCheck.Test.make ~name:"same log, same decisions, wherever expiry and checkpoints fall"
+    ~count:500 log_arb (fun (log, fa, fb) ->
+      let a, ra = run log fa and b, rb = run log fb in
+      let same what x y = if x <> y then QCheck.Test.fail_reportf "%s differ" what in
+      Array.iteri (fun i r -> same (Printf.sprintf "results at %d" (i + 1)) r rb.(i)) ra;
+      same "fingerprints" (Op.fingerprint (Apply.state a)) (Op.fingerprint (Apply.state b));
+      same "executed counts" (Op.executed (Apply.state a)) (Op.executed (Apply.state b));
+      same "live records" (Apply.records a) (Apply.records b);
+      same "log clocks" (Apply.clock a) (Apply.clock b);
+      true)
+
 let suite =
   [
     Alcotest.test_case "op footprints" `Quick test_footprints;
@@ -196,4 +349,5 @@ let suite =
     Alcotest.test_case "disjoint keys spread" `Quick test_disjoint_keys_spread;
     Alcotest.test_case "chaos at K=4 with snapshots" `Slow
       test_chaos_k4_with_snapshots;
+    QCheck_alcotest.to_alcotest prop_same_log_same_decisions;
   ]

@@ -192,7 +192,7 @@ let test_replier_sparse_ids () =
 (* --- protocol sizing ---------------------------------------------------- *)
 
 let entry op =
-  { Rtypes.term = 1; cmd = Protocol.client_cmd ~rid:(rid ()) op }
+  { Rtypes.term = 1; cmd = Protocol.client_cmd ~rid:(rid ()) ~at:0 op }
 
 let test_protocol_ae_bytes () =
   let op = Op.Synth { cost = 0; read_only = false; req_bytes = 512; rep_bytes = 8 } in
@@ -206,8 +206,10 @@ let test_protocol_ae_bytes () =
 
 let test_protocol_meta () =
   let op = Op.Kv (K.Get "x") in
-  let cmd = Protocol.client_cmd ~rid:(rid ()) op in
+  let cmd = Protocol.client_cmd ~rid:(rid ()) ~at:7 op in
   check "read-only derived" true cmd.Protocol.meta.read_only;
+  check_int "stamped" 7 cmd.Protocol.meta.ordered_at;
+  check_int "noop unstamped" 0 Protocol.internal_noop.Protocol.meta.ordered_at;
   check_int "replier unassigned" (-1) cmd.Protocol.meta.replier;
   check "not internal" false cmd.Protocol.meta.internal;
   check "noop internal" true Protocol.internal_noop.Protocol.meta.internal

@@ -140,7 +140,7 @@ let test_rabia_agreement () =
         "all decided" true o.Hovercraft_mc.Rabia_check.all_decided;
       if o.Hovercraft_mc.Rabia_check.decided <= 0 then
         Alcotest.failf "seed %d: nothing decided" seed)
-    [ 1; 2; 3; 4; 5 ]
+    (List.init 20 (fun i -> i + 1))
 
 let test_rabia_agreement_five_nodes () =
   let o =

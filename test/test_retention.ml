@@ -1,6 +1,6 @@
 (* Oracle tests for the retention tables: the time-ordered [Unordered]
-   store and the FIFO [Completions] table are driven by random operation
-   sequences on a monotone clock, side by side with straightforward
+   store and the apply layer's FIFO of completion records are driven by
+   random operation sequences, side by side with straightforward
    reference implementations (a full-scan hash table and a hash table
    plus a FIFO queue), and must agree after every step. The flat
    [Rid_table] under both is checked against a model too, with ids chosen
@@ -187,53 +187,87 @@ let prop_unordered_matches_full_scan =
 
 (* --- reference: completion records as a hash table plus a FIFO -------- *)
 
+(* The apply layer's records under the log-clock rule: the clock is the
+   running maximum of the applied stamps, a record stamped [at] is live
+   while [clock - at <= retain], a lookup ignores one that is not and a
+   new record replaces it at the tail. Every client entry is an [Rpush]
+   on one key, so a fresh execution answers with the push count. *)
 module Ref_completions = struct
-  type t = { tbl : (Op.result * int) Rtbl.t; fifo : (R2p2.req_id * int) Queue.t }
+  type t = {
+    retain : int;
+    tbl : (Op.result * int) Rtbl.t;
+    fifo : (R2p2.req_id * int) Queue.t;
+        (* Insertion order; an id replaced after expiry leaves its old
+           position behind, told apart by its stamp. *)
+    mutable clock : int;
+    mutable pushes : int;
+  }
 
-  let create () = { tbl = Rtbl.create 16; fifo = Queue.create () }
+  let create ~retain =
+    { retain; tbl = Rtbl.create 16; fifo = Queue.create (); clock = 0; pushes = 0 }
+
+  let find t rid ~ordered_at =
+    match Rtbl.find_opt t.tbl rid with
+    | Some (result, at) when Int.max t.clock ordered_at - at <= t.retain -> Some result
+    | Some _ | None -> None
 
   let record t rid result ~at =
-    if not (Rtbl.mem t.tbl rid) then begin
+    if t.clock - at <= t.retain && find t rid ~ordered_at:0 = None then begin
       Rtbl.replace t.tbl rid (result, at);
       Queue.push (rid, at) t.fifo
     end
 
-  let find t rid = Option.map fst (Rtbl.find_opt t.tbl rid)
+  let advance t ordered_at = t.clock <- Int.max t.clock ordered_at
 
-  let expire t ~now ~retain =
+  let apply t rid ~ordered_at =
+    advance t ordered_at;
+    match find t rid ~ordered_at with
+    | Some result -> result
+    | None ->
+        t.pushes <- t.pushes + 1;
+        let result = Op.Kv_reply (K.Count t.pushes) in
+        record t rid result ~at:t.clock;
+        result
+
+  let merge t rid ~ordered_at seeds =
+    advance t ordered_at;
+    let result = Option.value ~default:Op.Done (find t rid ~ordered_at) in
+    List.iter (fun (seed, at) -> record t seed Op.Done ~at) seeds;
+    record t rid Op.Done ~at:t.clock;
+    result
+
+  let current t (rid, at) =
+    match Rtbl.find_opt t.tbl rid with Some (_, at') -> at = at' | None -> false
+
+  let expire t =
     while
-      (not (Queue.is_empty t.fifo)) && now - snd (Queue.peek t.fifo) > retain
+      (not (Queue.is_empty t.fifo)) && t.clock - snd (Queue.peek t.fifo) > t.retain
     do
-      Rtbl.remove t.tbl (fst (Queue.pop t.fifo))
+      let head = Queue.pop t.fifo in
+      if current t head then Rtbl.remove t.tbl (fst head)
     done
 
   let records t =
     List.rev
       (Queue.fold
-         (fun acc (rid, _) ->
+         (fun acc (rid, at) ->
            match Rtbl.find_opt t.tbl rid with
-           | Some (result, at) -> (rid, result, at) :: acc
-           | None -> acc)
+           | Some (c_result, at') when at = at' && t.clock - at <= t.retain ->
+               { Op.c_rid = rid; c_result; c_at = at } :: acc
+           | Some _ | None -> acc)
          [] t.fifo)
-
-  let install t records =
-    Rtbl.reset t.tbl;
-    Queue.clear t.fifo;
-    List.iter
-      (fun (rid, result, at) ->
-        Rtbl.replace t.tbl rid (result, at);
-        Queue.push (rid, at) t.fifo)
-      records
 end
 
 type completion_op =
-  | Record of int * int  (* rid id, how far before now it is stamped *)
+  | Apply of int * int  (* rid id, how far before now the entry is stamped *)
+  | Seed of int * int  (* a Merge seeding a record that far before now *)
   | Expire
-  | Round_trip  (* export, then install into the same table *)
+  | Round_trip  (* cut an image, install it into a fresh state and back *)
   | Advance of int
 
 let pp_completion_op = function
-  | Record (i, back) -> Printf.sprintf "record %d at now-%d" i back
+  | Apply (i, back) -> Printf.sprintf "apply %d at now-%d" i back
+  | Seed (i, back) -> Printf.sprintf "seed %d at now-%d" i back
   | Expire -> "expire"
   | Round_trip -> "round-trip"
   | Advance d -> Printf.sprintf "tick %d" d
@@ -242,9 +276,11 @@ let completion_op_gen =
   let open QCheck.Gen in
   frequency
     [
-      (* Mostly applied now; some seeded from a Merge with older stamps. *)
-      (4, map (fun i -> Record (i, 0)) (int_bound (rid_space - 1)));
-      (2, map2 (fun i b -> Record (i, b)) (int_bound (rid_space - 1)) (int_bound 80));
+      (* Mostly stamped now; some stamped earlier than the clock (another
+         replica's stamp) or seeded from a Merge with older stamps. *)
+      (4, map (fun i -> Apply (i, 0)) (int_bound (rid_space - 1)));
+      (1, map2 (fun i b -> Apply (i, b)) (int_bound (rid_space - 1)) (int_bound 80));
+      (2, map2 (fun i b -> Seed (i, b)) (int_bound (rid_space - 1)) (int_bound 80));
       (2, return Expire);
       (1, return Round_trip);
       (3, map (fun d -> Advance d) (int_bound 30));
@@ -255,38 +291,59 @@ let completion_ops =
     ~print:(fun l -> String.concat "; " (List.map pp_completion_op l))
     QCheck.Gen.(list_size (int_range 0 300) completion_op_gen)
 
+let push = Op.Kv (K.Rpush ("log", "x"))
+let empty_chunk = K.snapshot (K.create ())
+
+(* A Merge's own id: one client apart from the ids it seeds. *)
+let merge_rid step = { R2p2.id = step; src_addr = Addr.Client 99; src_port = 1 }
+
 let prop_completions_match_fifo =
   QCheck.Test.make ~name:"completion records match the table+FIFO oracle"
     ~count:300 completion_ops (fun ops ->
       let retain = 50 in
       let now = ref 100 in
-      let c = Completions.create () and r = Ref_completions.create () in
-      let same what a b =
-        if a <> b then QCheck.Test.fail_reportf "%s differs at t=%d" what !now
+      let a = Apply.create ~window:retain () and r = Ref_completions.create ~retain in
+      let same what x y =
+        if x <> y then QCheck.Test.fail_reportf "%s differs at t=%d" what !now
+      in
+      let apply rid ~ordered_at op =
+        fst (Apply.apply a ~runs_reads:true ~internal:false ~rid ~read_only:false ~ordered_at op)
       in
       List.iteri
         (fun step o ->
           (match o with
-          | Record (i, back) ->
-              let result = Op.Kv_reply (K.Count step) in
-              Completions.record c (rid i) result ~at:(!now - back);
-              Ref_completions.record r (rid i) result ~at:(!now - back)
+          | Apply (i, back) ->
+              let ordered_at = !now - back in
+              same "result"
+                (apply (rid i) ~ordered_at push)
+                (Ref_completions.apply r (rid i) ~ordered_at)
+          | Seed (i, back) ->
+              let completions =
+                [ { Op.c_rid = rid i; c_result = Op.Done; c_at = !now - back } ]
+              in
+              same "merge result"
+                (apply (merge_rid step) ~ordered_at:!now
+                   (Op.Merge { chunk = empty_chunk; completions }))
+                (Ref_completions.merge r (merge_rid step) ~ordered_at:!now
+                   [ (rid i, !now - back) ])
           | Expire ->
-              Completions.expire c ~now:!now ~retain;
-              Ref_completions.expire r ~now:!now ~retain
+              Apply.expire a;
+              Ref_completions.expire r
           | Round_trip ->
-              let exported = Completions.records c in
-              let fresh = Completions.create () in
-              Completions.install fresh exported;
-              same "fresh install" (Completions.records fresh) exported;
-              Completions.install c exported;
-              Ref_completions.install r (Ref_completions.records r)
+              let image = Apply.image a in
+              let fresh = Apply.create ~window:retain () in
+              Apply.install fresh image;
+              same "fresh install" (Apply.records fresh) image.Apply.s_completions;
+              same "installed clock" (Apply.clock fresh) (Apply.clock a);
+              Apply.install a image
           | Advance d -> now := !now + d);
+          same "clock" (Apply.clock a) r.Ref_completions.clock;
           for i = 0 to rid_space - 1 do
-            same "mem" (Completions.mem c (rid i)) (Ref_completions.find r (rid i) <> None);
-            same "find" (Completions.find c (rid i)) (Ref_completions.find r (rid i))
+            same "find"
+              (Apply.find a (rid i) ~ordered_at:!now)
+              (Ref_completions.find r (rid i) ~ordered_at:!now)
           done;
-          same "records" (Completions.records c) (Ref_completions.records r))
+          same "records" (Apply.records a) (Ref_completions.records r))
         ops;
       true)
 
@@ -779,14 +836,19 @@ let test_rids_round_trip_through_stores () =
     @ [ client_rid (-3); client_rid min_int; client_rid max_int ]
     @ [ client_rid 5; client_rid (5 + cap); client_rid (5 + (2 * cap)) ]
   in
-  let c = Completions.create () in
-  List.iteri (fun i rid -> Completions.record c rid (Op.Kv_reply (K.Count i)) ~at:i) rids;
+  let a = Apply.create ~window:1000 () in
+  List.iteri
+    (fun i rid ->
+      ignore (Apply.apply a ~runs_reads:true ~internal:false ~rid ~read_only:false ~ordered_at:i push))
+    rids;
   Alcotest.(check bool) "completion records" true
-    (Completions.records c = List.mapi (fun i rid -> (rid, Op.Kv_reply (K.Count i), i)) rids);
-  let fresh = Completions.create () in
-  Completions.install fresh (Completions.records c);
-  Alcotest.(check bool) "installed records" true
-    (Completions.records fresh = Completions.records c);
+    (Apply.records a
+    = List.mapi
+        (fun i rid -> { Op.c_rid = rid; c_result = Op.Kv_reply (K.Count (i + 1)); c_at = i })
+        rids);
+  let fresh = Apply.create ~window:1000 () in
+  Apply.install fresh (Apply.image a);
+  Alcotest.(check bool) "installed records" true (Apply.records fresh = Apply.records a);
   let s = Unordered.create ~now:(fun () -> 0) ~gc_unordered:10 ~gc_ordered:10 () in
   List.iteri (fun i rid -> Unordered.add s rid (op i)) rids;
   Alcotest.(check bool) "unordered bindings" true
