@@ -3,8 +3,9 @@
    Raft gives at-most-once semantics: a reply can be lost, and naive client
    retries would execute an operation twice (§5 discusses this and points
    at RIFL). This implementation keeps RIFL-style completion records in the
-   replicated apply path: a retransmitted request id is answered from the
-   record instead of being re-executed or re-ordered.
+   replicated apply path: a retransmitted write is answered from the
+   record instead of being re-executed or re-ordered. (Reads are
+   idempotent and keep no record: a retried read is simply run again.)
 
    The example pushes sequenced entries onto a list through a cluster that
    drops 5% of all packets, with clients retrying aggressively — and shows

@@ -223,10 +223,11 @@ type outcome = {
 
    Returns the rids seen and how many state-machine executions the
    applied prefix (never past the commit index) prescribes under the
-   apply rule: the first occurrence of a rid executes iff it is a write,
-   or a read whose designated replier is this node (Hover modes).
-   Duplicate orderings of a retried rid never execute — that is the
-   exactly-once contract the count verifies. *)
+   apply rule: a write executes at its first ordering, a read at every
+   ordering whose designated replier is this node (Hover modes). A
+   duplicate ordering of a retried write never executes — that is the
+   exactly-once contract the count verifies; a read is idempotent and
+   keeps no record, so its retry is ordered and answered again. *)
 let scan node visit =
   let applied = Hnode.applied_index node in
   let seen = Rid_tbl.create 4096 in
@@ -237,13 +238,12 @@ let scan node visit =
       let m = cmd.Protocol.meta in
       if not m.Protocol.internal then begin
         let fresh = not (Rid_tbl.mem seen m.Protocol.rid) in
-        if fresh then begin
-          Rid_tbl.replace seen m.Protocol.rid ();
-          if
-            idx <= applied
-            && ((not m.Protocol.read_only) || m.Protocol.replier = Hnode.id node)
-          then incr executions
-        end;
+        if fresh then Rid_tbl.replace seen m.Protocol.rid ();
+        if
+          idx <= applied
+          && if m.Protocol.read_only then m.Protocol.replier = Hnode.id node
+             else fresh
+        then incr executions;
         visit idx term m ~fresh
       end;
       match cmd.Protocol.body with
@@ -358,7 +358,7 @@ let check groups ~completed_writes =
               live
       in
       (* 1. Exactly-once execution: each replica's execution counter equals
-         what its applied log prefix prescribes — retried rids ordered
+         what its applied log prefix prescribes — a retried write ordered
          twice must execute once. Exact only for the Hover modes with
          replicated reads (the configurations chaos runs); elsewhere reads
          execute on the leader of the moment, so only writes give a firm

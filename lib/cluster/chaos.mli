@@ -6,8 +6,9 @@
     After a heal-and-restart epilogue the checker verifies, in each group:
 
     - {e exactly-once execution}: each replica's execution counter equals
-      what its applied log prefix prescribes, so a retried request ordered
-      twice still executed once;
+      what its applied log prefix prescribes: a write at its first
+      ordering (a retried write ordered twice still executed once), a
+      read at every ordering whose replier is that replica;
     - {e prefix agreement}: live replicas agree (term and request id) at
       every shared committed index;
     - {e catch-up}: every live replica (including restarted ones) has

@@ -68,7 +68,8 @@ val create :
     (they bypass consensus entirely and may observe stale data, §6.1).
     [retry = (timeout, attempts)] enables
     RPC retransmission with the {e same} request id — the server side's
-    completion records turn the combination into exactly-once semantics.
+    completion records turn the combination into exactly-once semantics
+    for writes; a retried read is ordered and answered again.
     The optional callbacks observe every measured completion/NACK;
     [on_reply] identifies the request (id and operation) so failure and
     chaos experiments can build a client-observed history for the

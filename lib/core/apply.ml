@@ -6,12 +6,13 @@ type image = {
   s_completions : Op.completion list;
   s_preloaded : int;
   s_clock : Timebase.t;
+  s_index : int;
 }
 
 let image_bytes s =
   Op.image_bytes s.s_app
   + (Op.completion_wire_bytes * List.length s.s_completions)
-  + 8 (* preload counter *)
+  + 8 (* preload counter; the index is the snapshot's own last index *)
 
 (* One expiry list, in insertion order. A record's stamp is the log clock
    it was recorded at, so expiry stops at the first live head even when a
@@ -21,6 +22,7 @@ type t = {
   records : Op.result Rid_table.t;
   window : Timebase.t;
   mutable clock : Timebase.t;
+  mutable index : int;
   mutable preloaded : int;
 }
 
@@ -32,11 +34,13 @@ let create ~window () =
     records = Rid_table.create ~capacity:1024 ~lists:1 ();
     window;
     clock = 0;
+    index = 0;
     preloaded = 0;
   }
 
 let state t = t.state
 let clock t = t.clock
+let index t = t.index
 let preloaded t = t.preloaded
 
 (* The one expiry rule: a record is live at log clock [now] while
@@ -61,35 +65,46 @@ let record t rid result ~at =
     end
   end
 
-let apply t ~runs_reads ~internal ~rid ~read_only ~ordered_at op =
-  if internal then (Op.Done, 0)
+let apply t ~index ~runs_reads ~internal ~rid ~read_only ~ordered_at op =
+  if index <= t.index then
+    (* Dispatched again after a restart: the state already holds this
+       entry. A write answers from its record; nothing else runs. *)
+    if internal || read_only then None
+    else Option.map (fun r -> (r, 0)) (find t rid ~ordered_at:0)
   else begin
-    if ordered_at > t.clock then t.clock <- ordered_at;
-    let node = Rid_table.find t.records rid in
-    let hit = (not (Rid_table.is_nil node)) && live t ~now:t.clock node in
-    let ((result, _) as outcome) =
-      if hit then (Rid_table.value t.records node, 0)
-      else if read_only && not runs_reads then (Op.Done, 0)
-      else Op.apply t.state op
-    in
-    (match op with
-    | Op.Merge { completions; _ } ->
-        (* The source group's records go in before this entry's own, in
-           the same step: a rid the source already answered never
-           re-executes here, e.g. a client retry of a pre-migration write
-           that this group ordered again after the map flipped. *)
-        List.iter
-          (fun { Op.c_rid; c_result; c_at } -> record t c_rid c_result ~at:c_at)
-          completions;
-        record t rid result ~at:t.clock
-    | _ ->
-        (* Nothing was seeded since the lookup above: a miss there is
-           still a miss, and its expired record (if any) is still [node]. *)
-        if not hit then begin
-          Rid_table.remove_node t.records node;
-          ignore (Rid_table.add t.records rid result ~stamp:t.clock ~list:fifo)
-        end);
-    outcome
+    t.index <- index;
+    if internal then None
+    else begin
+      if ordered_at > t.clock then t.clock <- ordered_at;
+      if read_only then
+        (* Idempotent: no record. It runs where its reply leaves. *)
+        if runs_reads then Some (Op.apply t.state op) else None
+      else
+        let node = Rid_table.find t.records rid in
+        let hit = (not (Rid_table.is_nil node)) && live t ~now:t.clock node in
+        let ((result, _) as outcome) =
+          if hit then (Rid_table.value t.records node, 0) else Op.apply t.state op
+        in
+        (match op with
+        | Op.Merge { completions; _ } ->
+            (* The source group's records go in before this entry's own, in
+               the same step: a rid the source already answered never
+               re-executes here, e.g. a client retry of a pre-migration
+               write that this group ordered again after the map flipped. *)
+            List.iter
+              (fun { Op.c_rid; c_result; c_at } -> record t c_rid c_result ~at:c_at)
+              completions;
+            record t rid result ~at:t.clock
+        | _ ->
+            (* Nothing was seeded since the lookup above: a miss there is
+               still a miss, and its expired record (if any) is still
+               [node]. *)
+            if not hit then begin
+              Rid_table.remove_node t.records node;
+              ignore (Rid_table.add t.records rid result ~stamp:t.clock ~list:fifo)
+            end);
+        Some outcome
+    end
   end
 
 let preload t ops =
@@ -120,12 +135,14 @@ let image t =
     s_completions = records t;
     s_preloaded = t.preloaded;
     s_clock = t.clock;
+    s_index = t.index;
   }
 
 let install t s =
   Op.install t.state s.s_app;
   Rid_table.reset t.records;
   t.clock <- s.s_clock;
+  t.index <- s.s_index;
   List.iter
     (fun { Op.c_rid; c_result; c_at } -> record t c_rid c_result ~at:c_at)
     s.s_completions;

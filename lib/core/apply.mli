@@ -1,9 +1,11 @@
 (** The apply layer: one replica's state machine and its exactly-once
     completion records, advanced by the ordered log and nothing else.
 
-    Every client entry either executes or replays the result its earlier
+    Every client write either executes or replays the result its earlier
     copy recorded (RIFL-style exactly-once), and then holds a record of
-    its own. Records live for [window] of {e log} time. The log clock is
+    its own. Reads are idempotent: they keep no record and run at every
+    ordering, on the replica that answers them only. Records live for
+    [window] of {e log} time. The log clock is
     the running maximum of the [ordered_at] stamps of the entries applied
     so far: the time each command was stamped with (the Raft leader's
     clock, or on Rabia the request packet's send time, which the decided
@@ -16,7 +18,12 @@
     A lookup ignores a record that is not, and a new record replaces it.
     Physical removal ({!expire}) is lazy and local: it drops what is past
     the window at the current clock, which every later entry's clock can
-    only exceed. *)
+    only exceed.
+
+    Applying is idempotent by log index: the state keeps the last index
+    it applied, so an entry dispatched again (a restart resumes from the
+    consensus layer's applied index, which can trail the state's) changes
+    nothing. *)
 
 open Hovercraft_sim
 open Hovercraft_r2p2
@@ -34,6 +41,7 @@ type image = {
           execution counter, so a replica that installs the image must
           inherit it. *)
   s_clock : Timebase.t;  (** The log clock at the checkpoint. *)
+  s_index : int;  (** The last log index the image applied. *)
 }
 (** A checkpoint of the applied state: what a snapshot carries besides
     the consensus metadata. *)
@@ -49,23 +57,29 @@ val create : window:Timebase.t -> unit -> t
 
 val apply :
   t ->
+  index:int ->
   runs_reads:bool ->
   internal:bool ->
   rid:R2p2.req_id ->
   read_only:bool ->
   ordered_at:Timebase.t ->
   Op.t ->
-  Op.result * Timebase.t
-(** Apply the next entry of the log. A client entry advances the log
-    clock to [ordered_at] if that is later, then replays [rid]'s live
-    record if there is one, else executes the operation — unless it is
-    read-only and this replica does not run reads ([runs_reads = false]),
-    in which case the result is [Done]. A [Merge] seeds the records it
-    carries first. The entry's own record is stamped with the log
-    clock. Returns the result
-    and the CPU time its execution costs (0 for a replay). An
+  (Op.result * Timebase.t) option
+(** Apply the log entry at [index]. A client entry advances the log clock
+    to [ordered_at] if that is later. A write then replays [rid]'s live
+    record if there is one, else executes; a [Merge] seeds the records it
+    carries first, and the entry's own record is stamped with the log
+    clock. A read neither looks up nor leaves a record: it executes if
+    this replica runs reads ([runs_reads]) and is skipped otherwise. An
     [internal] entry (a term-opening no-op or a config entry) carries no
-    client and no stamp: it answers [Done] and changes nothing. *)
+    client and no stamp and changes nothing but the index.
+
+    An [index] at or below the last one applied changes nothing: a write
+    there answers from its live record, anything else is skipped.
+
+    Returns the result and the CPU time its execution costs (0 for a
+    replay), or [None] when there is nothing to answer: an internal
+    entry, a skipped read, or a re-dispatched entry without a record. *)
 
 val find : t -> R2p2.req_id -> ordered_at:Timebase.t -> Op.result option
 (** The record an entry for [rid] stamped [ordered_at] would replay if it
@@ -97,6 +111,10 @@ val state : t -> Op.state
 val clock : t -> Timebase.t
 (** The log clock: the latest [ordered_at] applied so far (0 before the
     first client entry). *)
+
+val index : t -> int
+(** The last log index applied (0 before the first), inherited through
+    {!install}. *)
 
 val preloaded : t -> int
 (** How many operations {!preload} applied, inherited through

@@ -618,6 +618,22 @@ let replays_here t rid =
 let leader_hint t =
   match t.order with Raft r -> Rnode.leader_hint r | Local | Rabia _ -> None
 
+(* The node that replies to a client entry, and so the one that runs it
+   if it is a read: the leader of the moment under vanilla Raft, the
+   entry's designated replier under HovercRaft. *)
+let replies_here t (meta : Protocol.meta) =
+  (not meta.internal)
+  &&
+  match t.p.mode with
+  | Vanilla -> is_leader t
+  | Hover | Hover_pp -> meta.replier = t.id
+  | Unreplicated -> true
+
+(* Whether applying a client entry needs its body here: a read that
+   another node answers is skipped, so it needs none. *)
+let needs_body t (meta : Protocol.meta) =
+  (not meta.read_only) || replies_here t meta
+
 let raft_send_extra t = function
   | Rtypes.Append_entries { entries; _ } ->
       let base = per_entry_tx_ns * Array.length entries in
@@ -753,8 +769,9 @@ and on_rabia_appended t rb members lo hi =
          computes the same node. *)
       if meta.replier < 0 && n > 0 then meta.replier <- members.(idx mod n);
       if
-        idx > t.applied_ptr
+        idx > Apply.index t.apply
         && (not (Unordered.mark_ordered t.store meta.rid))
+        && needs_body t meta
         && not (replays_record t meta)
       then request_recovery t meta.rid
     end
@@ -892,12 +909,18 @@ and pump t =
       let entry = Rlog.get (consensus_log t) idx in
       let cmd = entry.Rtypes.cmd in
       match body_for t cmd with
-      | None when replays_record t cmd.meta ->
-          (* A re-ordered duplicate of an already-applied command (a
-             leaderless backend can decide the same rid at two slots
-             after a snapshot catch-up): the body may be gone everywhere,
-             but the completion record holds the result — no recovery
-             could ever succeed, and none is needed to replay it. *)
+      | None
+        when idx <= Apply.index t.apply
+             || (not (needs_body t cmd.meta))
+             || replays_record t cmd.meta ->
+          (* No execution needs the body: the state already holds the
+             entry (dispatched before a restart, which wiped the body
+             store), another node answers this read, or it is a
+             re-ordered duplicate of an applied write (a leaderless
+             backend can decide the same rid at two slots after a
+             snapshot catch-up), whose record holds the result — the
+             body may be gone everywhere, and no recovery could ever
+             succeed. *)
           dispatch_one t idx cmd Op.Nop
       | None ->
           request_recovery t cmd.meta.rid;
@@ -1096,21 +1119,18 @@ and take_snapshot t idx =
    delayed epilogue needs. *)
 and apply_atomic t idx (cmd : Protocol.cmd) op =
   let meta = cmd.Protocol.meta in
-  (* The node that replies is the one that runs reads. *)
-  let should_reply =
-    (not meta.internal)
-    &&
-    match t.p.mode with
-    | Vanilla -> is_leader t
-    | Hover | Hover_pp -> meta.replier = t.id
-    | Unreplicated -> true
-  in
-  let result, exec_cost =
-    Apply.apply t.apply ~runs_reads:should_reply ~internal:meta.internal
+  let replier = replies_here t meta in
+  let outcome =
+    Apply.apply t.apply ~index:idx ~runs_reads:replier ~internal:meta.internal
       ~rid:meta.rid ~read_only:meta.read_only ~ordered_at:meta.ordered_at op
   in
-  let reply_bytes =
-    if should_reply then R2p2.header_bytes + Op.reply_bytes op result else 0
+  (* A re-dispatched read has no result to send: its client retries. *)
+  let should_reply, exec_cost, reply_bytes =
+    match outcome with
+    | Some (result, exec_cost) when replier ->
+        (true, exec_cost, R2p2.header_bytes + Op.reply_bytes op result)
+    | Some (_, exec_cost) -> (false, exec_cost, 0)
+    | None -> (false, 0, 0)
   in
   let cost =
     app_per_op_ns + exec_cost
@@ -1417,9 +1437,11 @@ and on_client_request_ordered t ~sent_at rid op =
           pump t
       | Local | Raft _ ->
           if is_leader t then begin
-            (* Duplicate suppression: a retransmission of a request that
-               is already in the log must not be ordered twice. *)
-            if not already_ordered then
+            (* Duplicate suppression: a retransmission of a write that is
+               already in the log must not be ordered twice. A read keeps
+               no completion record, so nothing else would answer its
+               retry: it is ordered again and runs on its new replier. *)
+            if (not already_ordered) || Op.read_only op then
               feed_raft t (Rnode.Client_command (client_cmd t rid op))
           end
           else pump t)
@@ -1434,10 +1456,13 @@ let bind_bodies t ~prev_idx (entries : Protocol.cmd Rtypes.entry array) =
           let idx = prev_idx + 1 + i in
           let meta = e.cmd.Protocol.meta in
           (* Entries at or below the applied index were already executed;
-             retransmissions of them need no body. *)
-          if idx > t.applied_ptr && not meta.internal then
-            if not (Unordered.mark_ordered t.store meta.rid) then
-              request_recovery t meta.rid)
+             retransmissions of them need no body, nor does a read that
+             another node answers. *)
+          if idx > Apply.index t.apply && not meta.internal then
+            if
+              (not (Unordered.mark_ordered t.store meta.rid))
+              && needs_body t meta
+            then request_recovery t meta.rid)
         entries
   | Vanilla | Unreplicated -> ()
 
@@ -2051,9 +2076,11 @@ let kill = halt
 
 (* Crash–recovery (DESIGN.md): what survives is the Raft persistent state
    (term, vote, log — and the configuration stack, derived from it) and
-   the state machine up to the applied index — including the exactly-once
-   completion records, the log clock and the applied membership view,
-   which are part of it. Everything else is rebuilt: the node re-attaches
+   the state machine — including the exactly-once completion records, the
+   log clock, the last index it applied and the applied membership view,
+   which are part of it. The dispatcher resumes from the consensus
+   layer's applied index, which can trail the state's by the entries in
+   flight at the crash; those dispatch again and change nothing. Everything else is rebuilt: the node re-attaches
    its NIC, re-enters as a follower with a fresh election clock, and
    catches up on entries committed while it was down through the ordinary
    append-entries backtracking, fetching bodies it missed via recovery

@@ -382,9 +382,9 @@ val set_shard_filter :
     map version the filter reflects. *)
 
 val completion_records : t -> Hovercraft_apps.Op.completion list
-(** The live exactly-once completion records in FIFO order — what a
-    checkpoint ships, and what a shard migration exports alongside the
-    sub-range image. *)
+(** The live exactly-once completion records in FIFO order, one per
+    write (reads keep none) — what a checkpoint ships, and what a shard
+    migration exports alongside the sub-range image. *)
 
 val extract_range :
   t -> keep:(string -> bool) -> Hovercraft_apps.Kvstore.image
@@ -399,9 +399,11 @@ val kill : t -> unit
 val restart : t -> unit
 (** Bring a killed node back as a follower. Simulated-crash semantics
     (DESIGN.md): Raft persistent state (term, vote, log) and the state
-    machine up to the applied index — completion records included —
-    survive; the body store, commit knowledge beyond the applied prefix
-    and all leader-side state are volatile and rebuilt. The node
+    machine — completion records and the last index it applied included
+    — survive; the body store, commit knowledge beyond the applied prefix
+    and all leader-side state are volatile and rebuilt. Entries the state
+    applied past the consensus layer's applied index are dispatched again
+    and change nothing ({!Apply.apply} is idempotent by index). The node
     re-registers its NIC port, re-arms its election clock and GC loop,
     and catches up on entries committed during its downtime via
     append-entries backtracking plus body recovery requests (which need

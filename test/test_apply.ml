@@ -201,7 +201,7 @@ type log_entry = {
 }
 
 (* What a run does after applying an entry, besides applying the next. *)
-type fault = Expire | Cut | Round_trip | Restart
+type fault = Expire | Cut | Round_trip | Restart | Redispatch of int
 
 let apply_window = 50
 let pool = 6
@@ -243,7 +243,15 @@ let log_gen =
   let n = List.length log in
   let faults =
     list_size (int_range 0 12)
-      (pair (int_bound (n - 1)) (oneofl [ Expire; Expire; Cut; Round_trip; Restart ]))
+      (pair (int_bound (n - 1))
+         (frequency
+            [
+              (2, return Expire);
+              (1, return Cut);
+              (1, return Round_trip);
+              (1, return Restart);
+              (2, map (fun k -> Redispatch k) (int_range 1 8));
+            ]))
   in
   let* fa = faults and* fb = faults in
   return (Array.of_list (List.rev log), fa, fb)
@@ -264,7 +272,12 @@ let pp_faults l =
     (List.map
        (fun (i, f) ->
          Printf.sprintf "%s@%d"
-           (match f with Expire -> "expire" | Cut -> "cut" | Round_trip -> "round-trip" | Restart -> "restart")
+           (match f with
+           | Expire -> "expire"
+           | Cut -> "cut"
+           | Round_trip -> "round-trip"
+           | Restart -> "restart"
+           | Redispatch k -> Printf.sprintf "redispatch%d" k)
            (i + 1))
        l)
 
@@ -273,7 +286,7 @@ let log_arb =
       String.concat "; " (Array.to_list (Array.mapi pp_entry log))
       ^ "\nrun a: " ^ pp_faults fa ^ "\nrun b: " ^ pp_faults fb)
 
-let apply_entry st e =
+let apply_entry st i e =
   let op =
     match e.e_op with
     | `Push k -> Op.Kv (Kvstore.Rpush (Printf.sprintf "k%d" k, "x"))
@@ -290,23 +303,27 @@ let apply_entry st e =
           }
     | `Internal -> Op.Nop
   in
-  fst
-    (Apply.apply st ~runs_reads:e.e_runs_reads ~internal:(e.e_op = `Internal)
-       ~rid:(log_rid e.e_rid) ~read_only:(Op.read_only op) ~ordered_at:e.e_stamp op)
+  Option.map fst
+    (Apply.apply st ~index:(i + 1) ~runs_reads:e.e_runs_reads
+       ~internal:(e.e_op = `Internal) ~rid:(log_rid e.e_rid) ~read_only:(Op.read_only op)
+       ~ordered_at:e.e_stamp op)
 
 (* Apply the whole log, with [faults] falling after the entries they
    name: a physical expiry, a checkpoint cut, a cut installed straight
-   back into the running state, or a restart that rebuilds the state
-   from the newest cut (empty when there is none) and re-applies the log
-   from there. Returns the state and each entry's result. *)
+   back into the running state, a restart that rebuilds the state from
+   the newest cut (empty when there is none) and re-applies the log from
+   there, or a restart that keeps the state and dispatches its last [k]
+   entries again (the consensus layer's applied index trails the
+   state's). Returns the state and each entry's result, as its first
+   dispatch on that state answered it. *)
 let run log faults =
   let st = ref (Apply.create ~window:apply_window ()) in
-  let results = Array.make (Array.length log) Op.Done in
+  let results = Array.make (Array.length log) None in
   let cut = ref None in
-  let replay lo hi = for i = lo to hi do results.(i) <- apply_entry !st log.(i) done in
+  let replay lo hi = for i = lo to hi do results.(i) <- apply_entry !st i log.(i) done in
   Array.iteri
     (fun i e ->
-      results.(i) <- apply_entry !st e;
+      results.(i) <- apply_entry !st i e;
       List.iter
         (fun (at, f) ->
           if at = i then
@@ -320,21 +337,35 @@ let run log faults =
             | Restart, Some (c, image) ->
                 st := Apply.create ~window:apply_window ();
                 Apply.install !st image;
-                replay (c + 1) i)
+                replay (c + 1) i
+            | Redispatch k, _ ->
+                for j = Int.max 0 (i - k + 1) to i do
+                  ignore (apply_entry !st j log.(j))
+                done)
         faults)
     log;
   (!st, results)
 
+(* Two faulty runs and the uninterrupted one agree on everything: a
+   re-dispatched read never runs again, and a re-dispatched write never
+   executes twice. *)
 let prop_same_log_same_decisions =
   QCheck.Test.make ~name:"same log, same decisions, wherever expiry and checkpoints fall"
     ~count:500 log_arb (fun (log, fa, fb) ->
-      let a, ra = run log fa and b, rb = run log fb in
-      let same what x y = if x <> y then QCheck.Test.fail_reportf "%s differ" what in
-      Array.iteri (fun i r -> same (Printf.sprintf "results at %d" (i + 1)) r rb.(i)) ra;
-      same "fingerprints" (Op.fingerprint (Apply.state a)) (Op.fingerprint (Apply.state b));
-      same "executed counts" (Op.executed (Apply.state a)) (Op.executed (Apply.state b));
-      same "live records" (Apply.records a) (Apply.records b);
-      same "log clocks" (Apply.clock a) (Apply.clock b);
+      let c, rc = run log [] in
+      List.iter
+        (fun (name, faults) ->
+          let a, ra = run log faults in
+          let same what x y =
+            if x <> y then QCheck.Test.fail_reportf "run %s: %s differ" name what
+          in
+          Array.iteri (fun i r -> same (Printf.sprintf "results at %d" (i + 1)) r rc.(i)) ra;
+          same "fingerprints" (Op.fingerprint (Apply.state a)) (Op.fingerprint (Apply.state c));
+          same "executed counts" (Op.executed (Apply.state a)) (Op.executed (Apply.state c));
+          same "live records" (Apply.records a) (Apply.records c);
+          same "log clocks" (Apply.clock a) (Apply.clock c);
+          same "applied indices" (Apply.index a) (Apply.index c))
+        [ ("a", fa); ("b", fb) ];
       true)
 
 let suite =

@@ -72,7 +72,9 @@ let kv_workload rng =
 
 (* Two groups, one active, split live under load with the target killed
    the moment the map flips: fence NACKs drive reroutes, and the
-   stranded rids burn their retries and are written off as lost. *)
+   stranded rids burn their retries and are written off as lost. Captured
+   again when reads stopped keeping completion records: the migration
+   ships fewer of them, so the fence is up for less time. *)
 let two_group_split () =
   let p = Hnode.params ~mode:Hnode.Hover ~n:3 () in
   let sd = Shard_deploy.create (Shard_deploy.config ~active:1 ~shards:2 p) in
@@ -113,13 +115,13 @@ let test_two_group_golden () =
   Alcotest.check golden "two-group split run"
     {
       sent = 9017;
-      completed = 5360;
+      completed = 5358;
       nacked = 0;
-      lost = 3011;
+      lost = 3013;
       p50_us = 0x1.4a8f5c28f5c29p+3;
-      p99_us = 0x1.eb5c28f5c28f6p+3;
-      retried = 6022;
-      rerouted = 38;
+      p99_us = 0x1.e8bc6a7ef9db2p+3;
+      retried = 6026;
+      rerouted = 13;
     }
     (two_group_split ())
 

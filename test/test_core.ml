@@ -518,6 +518,49 @@ let test_cluster_kv_workload_applies () =
   check "state machine non-trivial" true
     (Hnode.executed_ops deploy.Deploy.nodes.(0) > 500)
 
+(* Regression: a read retried after its first answer reached the leader,
+   which answered it from a completion record filed for a read it never
+   ran (its replier was a follower) — an empty [Done] reply. Reads keep
+   no record now: a retry is ordered again, and every reply to a read
+   carries its value. *)
+let test_retried_read_reply_carries_value () =
+  let d = Deploy.create (Deploy.config (Hnode.params ~mode:Hnode.Hover ~n:3 ())) in
+  let leader = Hnode.id (Option.get (Deploy.leader d)) in
+  let value = String.make 200 'v' in
+  let replies = ref [] in
+  let port =
+    Fabric.attach d.Deploy.fabric ~addr:(Addr.Client 0) ~rate_gbps:10.
+      ~handler:(fun (pkt : Protocol.payload Fabric.packet) ->
+        match pkt.payload with
+        | Protocol.Response { rid } -> replies := (rid.R2p2.id, pkt.src, pkt.bytes) :: !replies
+        | _ -> ())
+  in
+  let send id op =
+    let policy = if Op.read_only op then R2p2.Replicated_req_r else R2p2.Replicated_req in
+    let payload = Protocol.Request { rid = rid ~id (); policy; op } in
+    Fabric.send d.Deploy.fabric port ~dst:(Deploy.client_target d)
+      ~bytes:(Protocol.payload_bytes ~with_bodies:false payload)
+      payload
+  in
+  let reads = List.init 6 (fun i -> i + 1) in
+  send 0 (Op.Kv (K.Put ("k", value)));
+  Deploy.quiesce d ();
+  List.iter (fun id -> send id (Op.Kv (K.Get "k"))) reads;
+  Deploy.quiesce d ();
+  check "a follower answered some read" true
+    (List.exists (fun (id, src, _) -> id > 0 && src <> Addr.Node leader) !replies);
+  (* Every read again, same id: the client's retry. *)
+  List.iter (fun id -> send id (Op.Kv (K.Get "k"))) reads;
+  Deploy.quiesce d ();
+  let read_replies = List.filter (fun (id, _, _) -> id > 0) !replies in
+  check_int "every read and retry answered" 12 (List.length read_replies);
+  List.iter
+    (fun (id, src, bytes) ->
+      if bytes < String.length value then
+        Alcotest.failf "read %d answered by %s with %d bytes" id
+          (Format.asprintf "%a" Addr.pp src) bytes)
+    read_replies
+
 let suite =
   [
     Alcotest.test_case "unordered add/find" `Quick test_unordered_add_find;
@@ -560,4 +603,6 @@ let suite =
     Alcotest.test_case "cluster modes agree on state" `Slow
       test_cluster_hover_vs_vanilla_same_results;
     Alcotest.test_case "cluster kv workload" `Slow test_cluster_kv_workload_applies;
+    Alcotest.test_case "retried read reply carries its value" `Quick
+      test_retried_read_reply_carries_value;
   ]

@@ -306,8 +306,13 @@ let prop_completions_match_fifo =
       let same what x y =
         if x <> y then QCheck.Test.fail_reportf "%s differs at t=%d" what !now
       in
+      let index = ref 0 in
       let apply rid ~ordered_at op =
-        fst (Apply.apply a ~runs_reads:true ~internal:false ~rid ~read_only:false ~ordered_at op)
+        incr index;
+        fst
+          (Option.get
+             (Apply.apply a ~index:!index ~runs_reads:true ~internal:false ~rid
+                ~read_only:false ~ordered_at op))
       in
       List.iteri
         (fun step o ->
@@ -839,7 +844,9 @@ let test_rids_round_trip_through_stores () =
   let a = Apply.create ~window:1000 () in
   List.iteri
     (fun i rid ->
-      ignore (Apply.apply a ~runs_reads:true ~internal:false ~rid ~read_only:false ~ordered_at:i push))
+      ignore
+        (Apply.apply a ~index:(i + 1) ~runs_reads:true ~internal:false ~rid
+           ~read_only:false ~ordered_at:i push))
     rids;
   Alcotest.(check bool) "completion records" true
     (Apply.records a
@@ -1067,6 +1074,53 @@ let test_retained_memory_bounded () =
     Alcotest.failf "live words per extra request above %.0f: %s"
       words_per_request (String.concat "; " over)
 
+(* Reads are idempotent and keep no completion record: an all-read load
+   leaves every replica's completion table empty, in every mode that
+   orders reads. Before, each read filed a record on every replica (an
+   empty [Done] one where the read did not run), and a retry answered
+   from one got an empty reply. *)
+let test_reads_keep_no_records () =
+  let module Deploy = Hovercraft_cluster.Deploy in
+  let module Loadgen = Hovercraft_cluster.Loadgen in
+  let module Sd = Hovercraft_shard.Shard_deploy in
+  let module Sl = Hovercraft_shard.Shard_loadgen in
+  let ms = Hovercraft_sim.Timebase.ms in
+  let spec = Hovercraft_apps.Service.spec ~read_fraction:1. () in
+  let workload = Hovercraft_apps.Service.sample spec in
+  let run_one ?flow_cap params =
+    let d = Deploy.create (Deploy.config ?flow_cap params) in
+    let g = Loadgen.create d ~clients:8 ~rate_rps:50_000. ~workload ~seed:5 () in
+    let r = Loadgen.run g ~warmup:0 ~duration:(ms 40) () in
+    (r.Loadgen.completed, Array.to_list d.Deploy.nodes)
+  in
+  let run_two params =
+    let sd = Sd.create (Sd.config ~shards:2 params) in
+    let g = Sl.create sd ~clients:8 ~rate_rps:50_000. ~workload ~seed:5 () in
+    let r = Sl.run g ~warmup:0 ~duration:(ms 40) () in
+    ( r.Loadgen.completed,
+      List.concat_map (fun d -> Array.to_list d.Deploy.nodes) (Array.to_list (Sd.groups sd)) )
+  in
+  List.iter
+    (fun (name, cell) ->
+      let completed, nodes = cell () in
+      if completed < 1_000 then Alcotest.failf "%s: only %d reads answered" name completed;
+      List.iter
+        (fun n ->
+          let records = List.length (Hnode.completion_records n) in
+          if records > 0 then
+            Alcotest.failf "%s: node%d holds %d completion records after %d reads" name
+              (Hnode.id n) records completed)
+        nodes)
+    [
+      ("vanilla", fun () -> run_one (sweep_params Hnode.Vanilla));
+      ("hover", fun () -> run_one (sweep_params Hnode.Hover));
+      ("hoverpp, flow cap", fun () -> run_one ~flow_cap:64 (sweep_params Hnode.Hover_pp));
+      ( "hoverpp, 4 stages, 4 apply threads",
+        fun () -> run_one (sweep_params ~net_stages:4 ~apply_threads:4 Hnode.Hover_pp) );
+      ("hover/rabia", fun () -> run_one (sweep_params ~backend:Hnode.Rabia Hnode.Hover));
+      ("two-group hoverpp", fun () -> run_two (sweep_params Hnode.Hover_pp));
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_unordered_matches_full_scan;
@@ -1092,4 +1146,6 @@ let suite =
       test_synth_hover_words_per_request;
     Alcotest.test_case "retained memory bounded in every mode" `Quick
       test_retained_memory_bounded;
+    Alcotest.test_case "reads keep no completion records" `Quick
+      test_reads_keep_no_records;
   ]
