@@ -2,7 +2,7 @@
 # and `dune runtest` directly, then several of the smoke targets below;
 # `make check` is the local equivalent of its first two steps.
 
-.PHONY: all build test check golden-cell golden-control golden-modes golden-chaos golden-repro golden-ycsb obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
+.PHONY: all build test check golden-cell golden-control golden-modes golden-chaos golden-repro golden-ycsb rabia-seeds obs-snapshot snapshot chaos reconfig shard bench-shard applyscale netscale backendscale control autoscale clean
 
 all: build
 
@@ -110,6 +110,18 @@ golden-chaos:
 	  chaos-apply4-snap-seed3 chaos-net4-apply4-seed5 chaos-net2-snap-seed6 \
 	  chaos-rabia-net2-snap-seed102 chaos-rabia-net2-snap-seed113; do \
 	  cmp $(GOLDEN_CHAOS)/$$f.out test/golden/$$f.out || exit 1; \
+	done
+
+# The Rabia exactly-once sweep: seeds 100-115 of the two-stage,
+# checkpointing chaos run, where a replica that applies far behind its
+# peers once re-executed a request or wedged with recoveries pending.
+# Each seed must pass the history checker; the first that fails stops
+# the sweep with its exit code (~1 min on 2 vCPUs).
+rabia-seeds:
+	for s in $$(seq 100 115); do \
+	  echo "rabia seed $$s"; \
+	  $(HC) chaos --duration-ms 1000 --backend rabia --net-stages 2 \
+	    --snapshot-interval 1000 --seed $$s > /dev/null || exit 1; \
 	done
 
 # The experiment front end pinned byte for byte: Table 1, Figures 11 and

@@ -32,13 +32,9 @@ let mode_of_string = function
   | "hoverpp" | "hovercraft++" -> Ok Hover_pp
   | s -> Error (Printf.sprintf "unknown mode %S" s)
 
-(* Parameters are grouped by concern: [cost] calibrates the simulated
-   CPU/NIC price of each operation, [timing] holds every clock and window,
-   [features] toggles protocol variants and their knobs. The top level
-   keeps only the identity of the experiment (mode, bootstrap size, seed). *)
-
 (* The calibrated CPU prices and clocks no experiment varies
-   (DESIGN.md §5). *)
+   (DESIGN.md §5). The knobs experiments vary are the params records,
+   documented in the interface. *)
 
 (* Base cost of receiving any packet. *)
 let net_rx_packet_ns = 150
@@ -73,16 +69,9 @@ let app_per_op_ns = 20
    compaction). *)
 let gc_interval = Timebase.ms 10
 
-(* First retry delay of a body recovery request; it doubles per retry,
-   capped at 10 ms. *)
-let recovery_timeout = Timebase.us 200
-
 type cost_params = {
   link_gbps : float;
   stage_handoff_ns : int;
-      (* Queue hop between pipeline stages of the compartmentalized net
-         path (net_stages > 1): enqueue + cacheline transfer between
-         cores. Never charged on the monolithic (net_stages = 1) path. *)
 }
 
 type timing_params = {
@@ -96,28 +85,13 @@ type timing_params = {
 
 type feature_params = {
   apply_threads : int;
-      (* Simulated application threads per node (K). The apply loop is a
-         dependency-aware dispatcher that runs key-disjoint committed
-         entries on separate CPUs (state mutation stays in log order —
-         only the timing is parallel, so replicas remain byte-identical).
-         At K = 1 its window is one entry: the paper's serial loop. *)
   net_stages : int;
-      (* Simulated CPUs for the network hot path. 1 keeps the paper's
-         monolithic net thread; >1 compartmentalizes it into pipeline
-         stages (ingress / sequencer / fanout / replier), each with its
-         own CPU queue, adjacent roles sharing cores when stages < 4.
-         Handler logic is identical at any setting — only where the
-         simulated cycles are spent changes, so replicas remain
-         byte-identical across stage counts. *)
   batch_max : int;
   reply_lb : bool;
   lb_policy : Jbsq.policy;
   bound : int;
   read_mode : read_mode;
   flow_control : bool;
-      (* Deploy.create sets this from its flow_cap (credits exactly when
-         the middlebox is attached); only a node built without Deploy
-         reads a hand-set value. *)
   eager_commit_notify : bool;
   log_retain : int;
   snapshot_interval : int;
@@ -128,11 +102,6 @@ type feature_params = {
 type params = {
   mode : mode;
   backend : backend;
-      (* Which ordering machine sits under the HovercRaft dataplane:
-         [Raft] is the paper's leader-based log; [Rabia] the leaderless
-         randomized-agreement alternative. Only [Hover] mode supports
-         [Rabia] — the aggregated fast path and vanilla's body shipping
-         are leader-shaped. *)
   n : int;
   seed : int;
   cost : cost_params;
@@ -238,13 +207,7 @@ let params ?(mode = Hover) ?(backend = Raft) ?(n = 3) () =
 type ordering =
   | Local  (* unreplicated: no consensus, the node acts as its own leader *)
   | Raft of (Protocol.cmd, Apply.image) Rnode.t
-  | Rabia of {
-      rb : (Protocol.cmd, Apply.image) Rb.t;
-      members : int array;
-          (* Sorted static membership (reconfig is leader-shaped and
-             rejected under rabia): drives the deterministic replier
-             rotation and the replay-ownership hash. *)
-    }
+  | Rabia of (Protocol.cmd, Apply.image) Rb.t
 
 type t = {
   p : params;
@@ -264,9 +227,9 @@ type t = {
          run on index 0. *)
   rng : Rng.t;
   order : ordering;
-  mutable store : Unordered.t;
-      (* The body store is RAM: a crash empties it (bodies for unapplied
-         entries come back via the recovery path after restart). *)
+  intake : Intake.t;
+      (* The request path: body store (RAM, emptied by a crash), pending
+         recoveries, shard filter and lease contacts. *)
   replier : Replier.t;
   apply : Apply.t;
       (* The state machine and its completion records: durable, so a
@@ -284,11 +247,7 @@ type t = {
          the life they were started under and stop when it changes, so a
          quick kill/restart cycle cannot leave two live loops running. *)
   mutable passive : bool;
-      (* A node added to a running cluster boots passive: it must not
-         campaign (and inflate its term, disrupting the leader it will
-         later meet) before it has heard from any leader — it is not in
-         the committed configuration yet, so its candidacies can only be
-         ignored. First leader contact clears the flag. *)
+      (* A joining node: no campaigning until a leader is heard ({!create}). *)
   mutable last_activity : Timebase.t;
   mutable election_timeout : Timebase.t;
   mutable hb_gen : int;  (* invalidates stale heartbeat loops *)
@@ -306,8 +265,6 @@ type t = {
       (* The dispatcher is mid-loop: re-entrant pumps (a
          checkpoint cut inside the loop feeds the consensus layer, whose
          actions pump again) must not start a second loop. *)
-  pending_recovery : int Rid_table.t;  (* rid -> retries, stamped when issued *)
-  lease_heard : (int, Timebase.t) Hashtbl.t;  (* leader: last contact per node *)
   mutable ack_override : Addr.t option;
   mutable probe_sent_term : int;
   mutable last_transfer : int option;
@@ -316,14 +273,6 @@ type t = {
       (* Index of the newest checkpoint this node holds (taken locally or
          installed); the apply loop cuts the next one [snapshot_interval]
          entries later. *)
-  mutable shard_filter : (Op.t -> bool) option;
-      (* Shard-routing gate (None outside sharded deployments): accepts
-         the operations whose key this node's group owns. Keyless
-         operations must be accepted. Deployment state, not node state —
-         it survives crashes like the map that produced it. *)
-  mutable shard_version : int;
-      (* Version of the shard map the filter was installed under; rides in
-         Wrong_shard NACKs so clients know how stale their map is. *)
   xfer_start : (int, Timebase.t) Hashtbl.t;
       (* Leader: when the in-flight snapshot transfer to each peer began,
          for the install-latency histogram. *)
@@ -373,11 +322,11 @@ type t = {
          replication (the gated-announce stall fix). *)
 }
 
-let commit_index_internal t =
+let commit_index t =
   match t.order with
   | Local -> 0
   | Raft r -> Rnode.commit_index r
-  | Rabia { rb; _ } -> Rb.commit_index rb
+  | Rabia rb -> Rb.commit_index rb
 
 let has_consensus t =
   match t.order with Local -> false | Raft _ | Rabia _ -> true
@@ -388,25 +337,15 @@ let with_bodies t = t.p.mode = Vanilla
 
 let completion_records t = Apply.records t.apply
 
-(* Whether the entry carrying [meta] would replay its completion record,
-   were it applied next: then it needs no body. *)
-let replays_record t (meta : Protocol.meta) =
-  Option.is_some (Apply.find t.apply meta.rid ~ordered_at:meta.ordered_at)
-
 (* Names a command for the leaderless backend's proposal pool. *)
 let rabia_key rid = Format.asprintf "%a" R2p2.pp_req_id rid
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages of the network hot path                             *)
 
-(* The compartmentalization cut lines (DESIGN.md §4e): ingress owns rx
-   decode and loss accounting; the sequencer owns the raft feed and
-   ordering (strictly serial); fanout owns AppendEntries/aggregator
-   bookkeeping and commit tracking; the replier owns reply tx and
-   recovery resolution. With fewer CPUs than roles, adjacent roles
-   collapse onto shared cores from the rx side: 2 CPUs split rx-side
-   (ingress+sequencer) from tx-side (fanout+replier); 3 give the rx side
-   its own pair. Role-to-CPU mapping is [role * stages / 4]. *)
+(* The pipeline roles of [net_stages] (the interface, DESIGN.md §4e).
+   With fewer CPUs than roles, adjacent roles share cores from the rx
+   side: role r runs on CPU [r * stages / 4]. *)
 let stage_names = [| "ingress"; "sequencer"; "fanout"; "replier" |]
 let n_stage_roles = Array.length stage_names
 let stage_ingress = 0
@@ -540,24 +479,17 @@ let tr t sev ~kind detail =
     Trace.record t.trace ~at:(Engine.now t.engine) ~node:t.id sev ~kind
       ~detail:(detail ())
 
-(* A pending recovery is resolved by whichever copy of the body arrives
-   first: a recovery_response, a client retransmission, or a duplicate
-   multicast delivery. All paths funnel through here so issued = resolved +
-   still-pending always holds. *)
+(* Every copy of a body that arrives, and every applied entry, ends its
+   pending recovery here, so issued = resolved + still-pending holds. *)
 let resolve_recovery t rid =
-  (* Runs on every apply; on a loss-free run the table is empty. *)
-  if Rid_table.length t.pending_recovery > 0 then
-    let h = Rid_table.find t.pending_recovery rid in
-    if not (Rid_table.is_nil h) then begin
-      let retries = Rid_table.value t.pending_recovery h
-      and issued_at = Rid_table.stamp t.pending_recovery h in
-      Rid_table.remove_node t.pending_recovery h;
+  match Intake.resolve t.intake ~now:(Engine.now t.engine) rid with
+  | Some (retries, waited) ->
       Metrics.incr t.c_recoveries_resolved;
-      Metrics.observe t.h_recovery_ns (Engine.now t.engine - issued_at);
+      Metrics.observe t.h_recovery_ns waited;
       tr t Trace.Info ~kind:"recovery_resolved" (fun () ->
           Format.asprintf "%a after %d retries, %dns" R2p2.pp_req_id rid retries
-            (Engine.now t.engine - issued_at))
-    end
+            waited)
+  | None -> ()
 
 (* Power the node down (crash, or retirement after removal from the
    configuration). Needed by the apply path, so it lives before it;
@@ -568,12 +500,11 @@ let halt t =
     t.life <- t.life + 1;
     Array.iter Cpu.halt t.net_cpus;
     Array.iter Cpu.halt t.apps;
-    (* Pending recoveries are volatile: their retry timers check this
-       table, so clearing it also disarms them. *)
-    Rid_table.reset t.pending_recovery;
-    (* So is the dispatcher's in-flight window: the CPUs' queued
-       closures died with the halt above. The watermark is recomputed
-       from the durable applied index at restart. *)
+    (* Volatile: the pending recoveries (clearing them disarms their
+       retry timers) and the dispatcher's in-flight window, whose queued
+       closures died with the CPUs. The watermark is recomputed from the
+       durable applied index at restart. *)
+    Intake.crash t.intake;
     t.apply_inflight <- 0;
     Hashtbl.reset t.apply_done;
     tr t Trace.Warn ~kind:"killed" (fun () ->
@@ -603,18 +534,6 @@ let is_leader t =
   | Raft r -> Rnode.role r = Rnode.Leader
   | Rabia _ -> false
 
-(* Which node answers retransmissions of completed requests (and fences
-   disowned shard keys). Leader-based backends: the leader. Leaderless:
-   there is no leader, so ownership is a deterministic hash of the
-   request id over the static membership — exactly one live responder
-   per rid, same on every replica. *)
-let replays_here t rid =
-  match t.order with
-  | Rabia { members; _ } ->
-      let n = Array.length members in
-      n > 0 && members.(R2p2.req_id_hash rid land max_int mod n) = t.id
-  | Local | Raft _ -> is_leader t
-
 let leader_hint t =
   match t.order with Raft r -> Rnode.leader_hint r | Local | Rabia _ -> None
 
@@ -628,11 +547,6 @@ let replies_here t (meta : Protocol.meta) =
   | Vanilla -> is_leader t
   | Hover | Hover_pp -> meta.replier = t.id
   | Unreplicated -> true
-
-(* Whether applying a client entry needs its body here: a read that
-   another node answers is skipped, so it needs none. *)
-let needs_body t (meta : Protocol.meta) =
-  (not meta.read_only) || replies_here t meta
 
 let raft_send_extra t = function
   | Rtypes.Append_entries { entries; _ } ->
@@ -718,7 +632,9 @@ and perform t raft action =
         (Protocol.Raft msg)
   | Rnode.Commit_advanced _ -> pump t
   | Rnode.Snapshot_installed meta -> on_snapshot_installed t meta
-  | Rnode.Appended idx -> on_appended t raft idx
+  | Rnode.Appended idx ->
+      (* The leader just ordered a request: bind its body to the log. *)
+      bind t ~index:idx (Rlog.get (Rnode.log raft) idx).cmd.Protocol.meta
   | Rnode.Became_leader -> on_became_leader t raft
   | Rnode.Became_follower _ -> on_became_follower t
   | Rnode.Leader_activity ->
@@ -726,56 +642,30 @@ and perform t raft action =
       t.last_activity <- Engine.now t.engine
   | Rnode.Reject_command _ -> Metrics.incr t.c_rejected
 
-and on_appended t raft idx =
-  (* The leader just ordered a request: its body is now bound to the log. *)
-  let entry = Rlog.get (Rnode.log raft) idx in
-  if not entry.cmd.Protocol.meta.internal then
-    match t.p.mode with
-    | Hover | Hover_pp ->
-        ignore (Unordered.mark_ordered t.store entry.cmd.Protocol.meta.rid)
-    | Vanilla | Unreplicated -> ()
+and bind t ~index meta =
+  if Intake.bind t.intake ~now:(Engine.now t.engine) ~index meta then
+    request_recovery t meta.Protocol.rid
 
 and feed_rabia t input =
   match t.order with
-  | Rabia { rb; members } ->
+  | Rabia rb ->
       if t.alive then
         let actions = Rb.handle rb input in
-        List.iter (perform_rabia t rb members) actions
+        List.iter (perform_rabia t rb) actions
   | Local | Raft _ -> ()
 
-and perform_rabia t rb members action =
+and perform_rabia t rb action =
   match action with
   | Rb.Send (peer, msg) ->
       transmit_net t ~dst:(Addr.Node peer) ~extra:(rabia_send_extra msg)
         (Protocol.Rabia msg)
   | Rb.Commit_advanced _ -> pump t
-  | Rb.Appended_range (lo, hi) -> on_rabia_appended t rb members lo hi
+  | Rb.Appended_range (lo, hi) ->
+      (* A decided slot or a repair; {!Intake.bind} picks its repliers. *)
+      for idx = lo to hi do
+        bind t ~index:idx (Rlog.get (Rb.log rb) idx).Rtypes.cmd.Protocol.meta
+      done
   | Rb.Snapshot_installed meta -> on_snapshot_installed t meta
-
-(* A decided slot (or a repair) just entered the log. Two leader duties
-   move here under the leaderless backend: replier assignment — a
-   deterministic rotation over the static membership, same on every
-   replica, replacing the leader's JBSQ pick — and the ordered-mark /
-   body-recovery step the raft path runs in [bind_bodies]. *)
-and on_rabia_appended t rb members lo hi =
-  let log = Rb.log rb in
-  let n = Array.length members in
-  for idx = lo to hi do
-    let entry = Rlog.get log idx in
-    let meta = entry.Rtypes.cmd.Protocol.meta in
-    if not meta.internal then begin
-      (* The cmd value is shared across replicas (simulated wire): first
-         appender assigns; the rule is index-determined, so every replica
-         computes the same node. *)
-      if meta.replier < 0 && n > 0 then meta.replier <- members.(idx mod n);
-      if
-        idx > Apply.index t.apply
-        && (not (Unordered.mark_ordered t.store meta.rid))
-        && needs_body t meta
-        && not (replays_record t meta)
-      then request_recovery t meta.rid
-    end
-  done
 
 and gate t idx (cmd : Protocol.cmd) =
   if not t.p.features.reply_lb then begin
@@ -817,7 +707,7 @@ and on_became_leader t raft =
       List.iter
         (fun (rid, op) ->
           feed_raft t (Rnode.Client_command (client_cmd t rid op)))
-        (Unordered.unordered_bindings t.store)
+        (Intake.unordered t.intake)
   | Vanilla | Unreplicated -> ());
   if t.p.mode = Hover_pp then
     (* Tell the aggregator who is in the cluster before enabling the
@@ -847,19 +737,11 @@ and start_heartbeats t =
 (* ------------------------------------------------------------------ *)
 (* The apply loop (application thread)                                 *)
 
-and body_for t (cmd : Protocol.cmd) =
-  if cmd.meta.internal then Some Op.Nop
-  else
-    match t.p.mode with
-    | Vanilla -> Some cmd.body
-    | Hover | Hover_pp -> Unordered.find t.store cmd.meta.rid
-    | Unreplicated -> Some cmd.body
-
 and consensus_log t =
   match t.order with
   | Local -> invalid_arg "Hnode: no ordering backend"
   | Raft r -> Rnode.log r
-  | Rabia { rb; _ } -> Rb.log rb
+  | Rabia rb -> Rb.log rb
 
 (* Applied-index feedback to the ordering backend: ack piggybacking for
    raft, checkpoint accounting for both. *)
@@ -879,19 +761,13 @@ and snapshot_due t idx =
   match t.order with
   | Local -> false
   | Raft _ -> true
-  | Rabia { rb; _ } -> Rb.slot_final rb idx
+  | Rabia rb -> Rb.slot_final rb idx
 
-(* The apply loop: a dependency-aware dispatcher over the K application
-   threads. Entries leave the committed prefix strictly in log order and
-   mutate the state machine at dispatch time, so replicas stay
-   byte-identical no matter how thread timing interleaves; only the
-   simulated CPU work (execution cost, the reply leaving the wire, the
-   applied watermark the consensus layer sees) is spread over K threads.
-   The in-flight window bounds how far dispatch runs ahead of finished
-   work, so a crash can only lose a bounded suffix of timing (never
-   state: mutation + record advance atomically at dispatch). At K = 1 the
-   window is one entry, so each dispatch waits for the previous entry's
-   completion: the paper's serial apply loop. *)
+(* The apply loop over the K application threads ([apply_threads] in the
+   interface, DESIGN.md §4d). The in-flight window bounds how far
+   dispatch runs ahead of finished work, so a crash loses a bounded
+   suffix of timing, never state. At K = 1 it is one entry: the paper's
+   serial apply loop. *)
 and apply_window t =
   let k = Array.length t.apps in
   if k = 1 then 1 else 8 * k
@@ -903,29 +779,15 @@ and pump t =
     while
       (not !stalled) && t.alive
       && t.apply_inflight < apply_window t
-      && t.applied_ptr < commit_index_internal t
+      && t.applied_ptr < commit_index t
     do
       let idx = t.applied_ptr + 1 in
-      let entry = Rlog.get (consensus_log t) idx in
-      let cmd = entry.Rtypes.cmd in
-      match body_for t cmd with
-      | None
-        when idx <= Apply.index t.apply
-             || (not (needs_body t cmd.meta))
-             || replays_record t cmd.meta ->
-          (* No execution needs the body: the state already holds the
-             entry (dispatched before a restart, which wiped the body
-             store), another node answers this read, or it is a
-             re-ordered duplicate of an applied write (a leaderless
-             backend can decide the same rid at two slots after a
-             snapshot catch-up), whose record holds the result — the
-             body may be gone everywhere, and no recovery could ever
-             succeed. *)
-          dispatch_one t idx cmd Op.Nop
+      let cmd = (Rlog.get (consensus_log t) idx).Rtypes.cmd in
+      match Intake.due t.intake ~index:idx cmd with
+      | Some op -> dispatch_one t idx cmd op
       | None ->
           request_recovery t cmd.meta.rid;
           stalled := true
-      | Some op -> dispatch_one t idx cmd op
     done;
     t.pumping <- false
   end
@@ -988,13 +850,22 @@ and dispatch_one t idx (cmd : Protocol.cmd) op =
     Array.iter (fun c -> Cpu.advance_to c after) t.apps
 
 (* Delayed completion of a dispatched entry (runs on its thread's CPU,
-   [cost] later). The consensus layer's applied counter — and the
-   replier-queue accounting and announce re-kick driven from it — advance
-   along the contiguous watermark, never past a still-running entry. An
-   in-order completion (always, at K = 1) moves the watermark itself;
-   only out-of-order ones wait in [apply_done]. *)
+   [cost] later): the reply (and its flow-control credit) leaves the
+   wire, and the pending body recovery resolves (the body stays in the
+   store as recovery material until the GC's ordered window, §5). The
+   consensus layer's applied counter — and the replier-queue accounting
+   and announce re-kick driven from it — advance along the contiguous
+   watermark, never past a still-running entry. An in-order completion
+   (always, at K = 1) moves the watermark itself; only out-of-order ones
+   wait in [apply_done]. *)
 and apply_completed t idx (cmd : Protocol.cmd) ~should_reply ~reply_bytes =
-  apply_visible t cmd ~should_reply ~reply_bytes;
+  let meta = cmd.Protocol.meta in
+  if should_reply then begin
+    Metrics.incr t.c_replies;
+    hand_off_reply t ~bytes:reply_bytes (fun () ->
+        send_response t ~dst:meta.rid.src_addr ~bytes:reply_bytes meta.rid)
+  end;
+  if not meta.internal then resolve_recovery t meta.rid;
   t.apply_inflight <- Int.max 0 (t.apply_inflight - 1);
   let before = t.apply_watermark in
   if idx > before then begin
@@ -1063,7 +934,7 @@ and on_snapshot_installed t (meta : Apply.image Snapshot.meta) =
         Printf.sprintf "idx=%d already applied (applied=%d)" idx t.applied_ptr)
   else begin
     Apply.install t.apply meta.Snapshot.data;
-    Rid_table.reset t.pending_recovery;
+    Intake.install t.intake;
     t.members <- meta.Snapshot.members;
     t.applied_ptr <- idx;
     t.apply_watermark <- Int.max t.apply_watermark idx;
@@ -1076,9 +947,9 @@ and on_snapshot_installed t (meta : Apply.image Snapshot.meta) =
        re-proposed and ordered a second time. The restored completion
        records say which ones those are. *)
     (match t.order with
-    | Rabia { rb; _ } ->
+    | Rabia rb ->
         Rb.filter_pending rb ~keep:(fun (c : Protocol.cmd) ->
-            not (replays_record t c.Protocol.meta))
+            not (Intake.replays t.intake c.Protocol.meta))
     | Local | Raft _ -> ());
     if not (List.mem t.id t.members) then retire_if_still_removed t
     else if is_leader t then Replier.set_nodes t.replier t.members
@@ -1104,7 +975,7 @@ and take_snapshot t idx =
   (match t.order with
   | Local -> ()
   | Raft raft -> Rnode.set_snapshot raft meta
-  | Rabia { rb; _ } -> Rb.set_snapshot rb meta);
+  | Rabia rb -> Rb.set_snapshot rb meta);
   t.last_snap <- idx;
   Metrics.incr t.c_snapshots;
   Metrics.set t.g_snap_index idx
@@ -1145,100 +1016,36 @@ and apply_atomic t idx (cmd : Protocol.cmd) op =
   if snapshot_due t idx then take_snapshot t idx;
   (cost, should_reply, reply_bytes)
 
-(* The delayed, externally visible part of applying an entry: the reply
-   (and its flow-control credit) leaves the wire and the pending body
-   recovery resolves. Runs on the entry's application thread, [cost]
-   after dispatch. *)
-and apply_visible t (cmd : Protocol.cmd) ~should_reply ~reply_bytes =
-  let meta = cmd.Protocol.meta in
-  if should_reply then begin
-    Metrics.incr t.c_replies;
-    hand_off_reply t ~bytes:reply_bytes (fun () ->
-        send_response t ~dst:meta.rid.src_addr ~bytes:reply_bytes meta.rid)
-  end;
-  (* Bodies stay in the store after application: duplicate AEs
-     (heartbeat retransmits) must still bind, and lagging followers
-     recover bodies from peers that already applied them. The GC's
-     ordered-retention window reclaims them (§5). *)
-  match t.p.mode with
-  | Hover | Hover_pp -> if not meta.internal then resolve_recovery t meta.rid
-  | Vanilla | Unreplicated -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Recovery of lost multicast bodies (§5)                              *)
 
-and recovery_target t retries =
-  (* First ask the leader; on retries ask a random other member, since any
-     group member may hold the body. With no peers there is nobody to ask:
-     the body can only come back via client retransmission. *)
-  let others = List.filter (fun i -> i <> t.id) t.members in
-  match others with
-  | [] -> None
-  | _ -> (
-      match (leader_hint t, retries) with
-      | Some l, 0 when l <> t.id -> Some (Addr.Node l)
-      | _ ->
-          let arr = Array.of_list others in
-          Some (Addr.Node arr.(Rng.int t.rng (Array.length arr))))
-
 and request_recovery t rid =
-  if not (Rid_table.mem t.pending_recovery rid) then begin
-    ignore (Rid_table.add t.pending_recovery rid 0 ~stamp:(Engine.now t.engine) ~list:0);
+  if Intake.recover t.intake ~now:(Engine.now t.engine) rid then begin
     tr t Trace.Info ~kind:"recovery_issued" (fun () ->
         Format.asprintf "%a applied=%d commit=%d" R2p2.pp_req_id rid
-          t.applied_ptr (commit_index_internal t));
+          t.applied_ptr (commit_index t));
     send_recovery t rid 0
   end
 
-(* Keep asking until the body turns up: the apply loop is wedged on this
-   rid, so giving up would wedge it forever (commit advances past the hole
-   never). Unicast probes walk the group; once the retry budget is spent we
-   escalate to a cluster-group broadcast, which reaches every node that
-   could possibly hold the body in one shot. Retries back off
-   exponentially (capped at 10 ms): a node catching up after a long dead
-   window has hundreds of recoveries in flight, and re-probing each at a
-   fixed 200 us would flood its own NIC with more retry traffic than a
-   thin link carries — starving the very answers (and append acks) it is
-   waiting for. The healthy path is unaffected: the first probe resolves
-   in an RTT. *)
+(* One probe of a pending recovery ({!Intake.probe}), then its retry
+   timer. Probes leave through the replier stage. *)
 and send_recovery t rid retries =
-  if t.alive && Rid_table.mem t.pending_recovery rid then begin
-    let escalated = retries >= t.p.features.recovery_retry_max in
-    if escalated && retries = t.p.features.recovery_retry_max then begin
+  if t.alive && Intake.pending t.intake rid then begin
+    if retries = t.p.features.recovery_retry_max then begin
       Metrics.incr t.c_recovery_escalations;
       tr t Trace.Warn ~kind:"recovery_escalated" (fun () ->
           Format.asprintf "%a after %d unicast retries" R2p2.pp_req_id rid
             retries)
     end;
-    let dst =
-      if escalated then
-        if List.length t.members <= 1 then None
-        else Some (Addr.Group Addr.cluster_group)
-      else recovery_target t retries
-    in
-    (match dst with
+    let leader = leader_hint t in
+    (match Intake.probe t.intake ~retries ~members:t.members ~leader t.rng with
     | Some dst ->
         Metrics.incr t.c_recoveries;
-        (* Recovery resolution is the replier stage's job (same CPU as
-           the single net thread on the monolithic path). *)
         transmit_stage t stage_replier ~dst
           (Protocol.Recovery_request { rid; asker = t.id })
     | None -> ());
-    let backoff =
-      min
-        (recovery_timeout * (1 lsl Int.min retries 6))
-        (Timebase.ms 10)
-    in
-    Engine.after t.engine backoff (fun () ->
-        let h = Rid_table.find t.pending_recovery rid in
-        if (not (Rid_table.is_nil h)) && Rid_table.value t.pending_recovery h = retries
-        then begin
-          let issued_at = Rid_table.stamp t.pending_recovery h in
-          Rid_table.remove_node t.pending_recovery h;
-          ignore
-            (Rid_table.add t.pending_recovery rid (retries + 1) ~stamp:issued_at ~list:0);
-          send_recovery t rid (retries + 1)
-        end)
+    Engine.after t.engine (Intake.backoff retries) (fun () ->
+        if Intake.retry t.intake rid ~retries then send_recovery t rid (retries + 1))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1287,35 +1094,11 @@ let rx_stage_of = function
   | Protocol.Wrong_shard _ | Protocol.Probe _ | Protocol.Reconfig _ ->
       stage_ingress
 
-(* Read leases (the §3.5 alternative to replier load balancing): the
-   leader may serve read-only requests locally, without ordering, while it
-   has heard from a quorum within the lease window — proof that no other
-   leader can have been elected meanwhile (the window is kept below the
-   minimum election timeout). *)
-let lease_note_contact t node =
-  Hashtbl.replace t.lease_heard node (Engine.now t.engine)
-
-let lease_valid t =
-  let now = Engine.now t.engine in
-  Hashtbl.replace t.lease_heard t.id now;
-  let fresh =
-    List.fold_left
-      (fun acc i ->
-        let heard = Option.value ~default:0 (Hashtbl.find_opt t.lease_heard i) in
-        if now - heard <= t.p.timing.lease_window then acc + 1 else acc)
-      0 t.members
-  in
-  fresh >= (List.length t.members / 2) + 1
-
-(* Where a locally executed (never-ordered) operation runs. Pinning these
-   to app CPU 0 was a bug at K > 1: every lease read, unreplicated op and
-   router-balanced request serialized onto one core while replicated
-   writes spread — a phantom knee on read-heavy workloads. Keyed ops
-   follow the same footprint hash the apply dispatcher uses (so same-key
-   work shares a queue); footprint-free — and global: local execution
-   mutates state synchronously at call time, there is nothing to barrier
-   against — ops take the least-loaded CPU, ties to the lowest index.
-   The choice affects only simulated timing, never replicated state. *)
+(* Where a locally executed (never-ordered) operation runs: a keyed op on
+   its apply thread (same-key work shares a queue), any other on the
+   least-loaded CPU, ties to the lowest index (local execution mutates
+   state at call time: nothing to barrier against). Pinning them all to
+   CPU 0 made a phantom knee on read-heavy workloads at K > 1. *)
 let local_exec_cpu t op =
   if Array.length t.apps = 1 then t.apps.(0)
   else
@@ -1342,134 +1125,49 @@ let execute_locally ?feedback t rid op =
           Metrics.incr t.c_replies;
           send_response t ~dst:rid.R2p2.src_addr ~bytes ?credit:feedback rid))
 
-(* A retransmitted request that already completed is answered from the
-   completion record (exactly-once); one that is in flight (ordered but not
-   applied) is ignored — its reply is coming. On the monolithic net the
-   replay rides the footprint-spread app CPU, not a hardwired apps.(0). *)
-let replay_completion t rid op =
-  match Apply.find t.apply rid ~ordered_at:0 with
-  | Some result ->
-      let cpu, extra = reply_tx_cpu t ~app:(local_exec_cpu t op) in
-      transmit_on t cpu ~dst:rid.R2p2.src_addr
-        ~bytes:(R2p2.header_bytes + Op.reply_bytes op result)
-        ~extra (Protocol.Response { rid });
-      credit_on t cpu rid;
-      true
-  | None -> false
-
-(* Shard-routing gate. A request whose key this group does not own is
-   NACKed back with the responder's map version — but only after
-   [replay_completion] had its chance: answering retransmissions of
-   already-completed requests from the record even for disowned keys is
-   the dual-ownership fence that lets exactly-once survive a migration
-   handoff. Only one node may respond (requests are multicast to the
-   whole group), so the gate runs where replay runs: on the leader. *)
-let shard_rejects t rid op =
-  match t.shard_filter with
-  | Some owns when not (owns op) ->
-      transmit_stage t stage_replier ~dst:rid.R2p2.src_addr
-        (Protocol.Wrong_shard { rid; version = t.shard_version });
-      (* Without the credit, wrong-shard retries during a migration would
-         wedge the middlebox's in-flight cap. *)
-      credit_on t (stage_cpu t stage_replier) rid;
-      true
-  | Some _ | None -> false
-
-let rec on_client_request t ~src ~sent_at ~policy rid op =
+(* A client request: the unrestricted kind (§6.1) runs here and now, its
+   credit back to the router that balanced it; a replicated one carries
+   out {!Intake.admit}'s decision. *)
+let on_client_request t ~src ~sent_at ~policy rid op =
   match policy with
   | R2p2.Unrestricted ->
-      (* A non-replicated request (§6.1): executed here and now, never
-         ordered — reads may be stale on a follower. The completion credit
-         returns to the router that balanced it here. *)
       let feedback = if Addr.equal src Addr.Router then Some Addr.Router else None in
       execute_locally ?feedback t rid op
-  | R2p2.Replicated_req | R2p2.Replicated_req_r ->
-      (* Only one node replays ([replays_here]: the leader, the node
-         itself when unreplicated, or the rid's hash-owner under the
-         leaderless backend), so a retransmission multicast to the whole
-         group yields one reply. Followers keep storing bodies even for
-         disowned keys: an operation ordered just before the fence
-         engaged still needs its body everywhere. *)
-      let owner = replays_here t rid in
-      if owner && replay_completion t rid op then ()
-      else if owner && shard_rejects t rid op then ()
-      else on_client_request_fresh t ~sent_at rid op
-
-and on_client_request_fresh t ~sent_at rid op =
-  let lease_read =
-    t.p.features.read_mode = Leader_leases
-    && Op.read_only op
-    && t.p.mode <> Unreplicated
-  in
-  if lease_read then begin
-    (* Only the leader acts on lease reads; followers drop them (with a
-       multicast target every node sees the request). A leader without a
-       valid lease falls through to the ordered path for safety. *)
-    if is_leader t then
-      if lease_valid t then execute_locally t rid op
-      else on_client_request_ordered t ~sent_at rid op
-  end
-  else on_client_request_ordered t ~sent_at rid op
-
-and on_client_request_ordered t ~sent_at rid op =
-  match t.p.mode with
-  | Unreplicated ->
-      (* No consensus: hand straight to the application thread. *)
-      execute_locally t rid op
-  | Vanilla ->
-      if is_leader t then
-        feed_raft t (Rnode.Client_command (client_cmd t rid op))
-      else Metrics.incr t.c_rejected
-  | Hover | Hover_pp -> (
-      let already_ordered = Unordered.ingest t.store rid op in
-      resolve_recovery t rid;
-      match t.order with
-      | Rabia _ ->
-          (* Leaderless: every replica ingests the command into its
-             proposal pool (the backend dedups by rid); the pools
-             converge through proposal adoption. The stamp is the
-             request packet's send time, the same on every replica the
-             multicast reached; a resend that reached only some carries
-             a later one, and Rabia keeps the least (its [stamp_of]). *)
-          if not already_ordered then
-            feed_rabia t
-              (Rb.Client_command (Protocol.client_cmd ~rid ~at:sent_at op));
+  | R2p2.Replicated_req | R2p2.Replicated_req_r -> (
+      let now = Engine.now t.engine in
+      match Intake.admit t.intake ~now ~leader:(is_leader t) ~members:t.members rid op with
+      | Intake.Replay result ->
+          let cpu, extra = reply_tx_cpu t ~app:(local_exec_cpu t op) in
+          transmit_on t cpu ~dst:rid.R2p2.src_addr
+            ~bytes:(R2p2.header_bytes + Op.reply_bytes op result)
+            ~extra (Protocol.Response { rid });
+          credit_on t cpu rid
+      | Intake.Wrong_shard ->
+          transmit_stage t stage_replier ~dst:rid.R2p2.src_addr
+            (Protocol.Wrong_shard { rid; version = Intake.shard_version t.intake });
+          credit_on t (stage_cpu t stage_replier) rid
+      | Intake.Execute -> execute_locally t rid op
+      | Intake.Propose -> (
+          resolve_recovery t rid;
+          match t.order with
+          | Rabia _ ->
+              (* Stamped with the packet's send time, the same on every
+                 replica the multicast reached (Rabia keeps the least). *)
+              feed_rabia t (Rb.Client_command (Protocol.client_cmd ~rid ~at:sent_at op));
+              pump t
+          | Local | Raft _ -> feed_raft t (Rnode.Client_command (client_cmd t rid op)))
+      | Intake.Wait ->
+          resolve_recovery t rid;
           pump t
-      | Local | Raft _ ->
-          if is_leader t then begin
-            (* Duplicate suppression: a retransmission of a write that is
-               already in the log must not be ordered twice. A read keeps
-               no completion record, so nothing else would answer its
-               retry: it is ordered again and runs on its new replier. *)
-            if (not already_ordered) || Op.read_only op then
-              feed_raft t (Rnode.Client_command (client_cmd t rid op))
-          end
-          else pump t)
-
-(* After accepting an append_entries, check that every newly ordered
-   entry's body is present; fetch the ones the multicast lost. *)
-let bind_bodies t ~prev_idx (entries : Protocol.cmd Rtypes.entry array) =
-  match t.p.mode with
-  | Hover | Hover_pp ->
-      Array.iteri
-        (fun i (e : Protocol.cmd Rtypes.entry) ->
-          let idx = prev_idx + 1 + i in
-          let meta = e.cmd.Protocol.meta in
-          (* Entries at or below the applied index were already executed;
-             retransmissions of them need no body, nor does a read that
-             another node answers. *)
-          if idx > Apply.index t.apply && not meta.internal then
-            if
-              (not (Unordered.mark_ordered t.store meta.rid))
-              && needs_body t meta
-            then request_recovery t meta.rid)
-        entries
-  | Vanilla | Unreplicated -> ()
+      | Intake.Duplicate -> resolve_recovery t rid
+      | Intake.Reject -> Metrics.incr t.c_rejected
+      | Intake.Ignore -> ())
 
 let on_agg_commit t ~term ~commit ~applied =
   if is_leader t then begin
     (* A quorum acknowledged through the aggregator: the lease renews. *)
-    Array.iteri (fun node _ -> lease_note_contact t node) applied;
+    let now = Engine.now t.engine in
+    Array.iteri (fun node _ -> Intake.note_contact t.intake ~now node) applied;
     (* The completed registers are the only per-follower progress the
        leader sees in this mode: they feed the bounded queues and, with no
        snapshot, the Raft layer's compaction bound. *)
@@ -1497,44 +1195,38 @@ let dispatch t (pkt : Protocol.payload Fabric.packet) =
             (match pkt.src with Addr.Netagg -> Some Addr.Netagg | _ -> None);
           feed_raft t (Rnode.Receive msg);
           t.ack_override <- None;
-          bind_bodies t ~prev_idx entries;
-          pump t
-      | Rtypes.Append_ack { from; applied_idx; _ } ->
-          tr t Trace.Debug ~kind:"ae_acked" (fun () ->
-              Printf.sprintf "from=%d applied=%d" from applied_idx);
-          (* Followers piggyback their applied index on every ack (§6.2);
-             it feeds the leader's bounded queues and the read lease — and
+          (* Bind every entry's body; fetch the ones the multicast lost. *)
+          Array.iteri
+            (fun i (e : Protocol.cmd Rtypes.entry) ->
+              bind t ~index:(prev_idx + 1 + i) e.cmd.Protocol.meta)
+            entries
+      | Rtypes.Append_ack { from; applied_idx; _ }
+      | Rtypes.Install_ack { from; applied_idx; _ } ->
+          (match msg with
+          | Rtypes.Append_ack _ ->
+              tr t Trace.Debug ~kind:"ae_acked" (fun () ->
+                  Printf.sprintf "from=%d applied=%d" from applied_idx)
+          | _ -> ());
+          (* Append and install acks piggyback the applied index (§6.2):
+             it feeds the leader's bounded queues and the read lease, and
              may un-stall a gated announce. *)
           if is_leader t then begin
             note_applied t ~node:from ~applied:applied_idx;
-            lease_note_contact t from
+            Intake.note_contact t.intake ~now:(Engine.now t.engine) from
           end;
-          feed_raft t (Rnode.Receive msg);
-          pump t
-      | Rtypes.Install_ack { from; applied_idx; _ } ->
-          (* Install acks piggyback the applied index like append acks:
-             the transfer target's progress feeds the leader's bounded
-             queues and lease. *)
-          if is_leader t then begin
-            note_applied t ~node:from ~applied:applied_idx;
-            lease_note_contact t from
-          end;
-          feed_raft t (Rnode.Receive msg);
-          pump t
+          feed_raft t (Rnode.Receive msg)
       | Rtypes.Request_vote _ | Rtypes.Vote _ | Rtypes.Commit_to _
       | Rtypes.Agg_ack _ | Rtypes.Timeout_now _ | Rtypes.Install_snapshot _ ->
-          feed_raft t (Rnode.Receive msg);
-          pump t)
+          feed_raft t (Rnode.Receive msg));
+      pump t
   | Protocol.Recovery_request { rid; asker } -> (
-      match Unordered.find t.store rid with
+      match Intake.body t.intake rid with
       | Some op ->
           transmit_stage t stage_replier ~dst:(Addr.Node asker)
             (Protocol.Recovery_response { rid; op })
       | None -> ())
   | Protocol.Recovery_response { rid; op } ->
-      if Rid_table.mem t.pending_recovery rid then begin
-        Unordered.add t.store rid op;
-        ignore (Unordered.mark_ordered t.store rid);
+      if Intake.deliver t.intake ~now:(Engine.now t.engine) rid op then begin
         resolve_recovery t rid;
         pump t
       end
@@ -1636,16 +1328,17 @@ let start_gc_loop t =
     Engine.after t.engine gc_interval (fun () ->
         if t.alive && t.life = life then begin
           Apply.expire t.apply;
+          let now = Engine.now t.engine in
           (match t.order with
           | Local -> ()
           | Raft raft ->
-              ignore (Unordered.gc t.store);
+              Intake.gc t.intake ~now;
               Metrics.set t.g_log_base (Rnode.compact raft ~retain)
-          | Rabia { rb; _ } ->
+          | Rabia rb ->
               (* Bodies still in the leaderless proposal pool are pinned:
                  their time-to-order is unbounded (see {!Unordered.gc}). *)
               let pinned rid = Rb.pending_mem rb (rabia_key rid) in
-              ignore (Unordered.gc t.store ~keep:pinned);
+              Intake.gc t.intake ~now ~keep:pinned;
               Metrics.set t.g_log_base (Rb.compact rb ~retain));
           loop ()
         end)
@@ -1674,8 +1367,6 @@ let boot t =
   Fabric.join t.fabric ~group:Addr.cluster_group (Addr.Node t.id);
   t.election_timeout <- draw_timeout t;
   start_timers t
-
-(* ------------------------------------------------------------------ *)
 
 (* Raft-internal events surface here as metrics and trace entries; the
    observer is strictly one-way except for the gate veto, which arms the
@@ -1774,24 +1465,30 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
              ~noop:Protocol.internal_noop)
     | (Vanilla | Hover | Hover_pp), Rabia ->
         Rabia
-          {
-            rb =
-              Rb.create
-                {
-                  Rb.id;
-                  peers;
-                  batch_max = p.features.batch_max;
-                  (* Cluster-wide: the common coin must flip the same way
-                     on every node, so the seed is the shared experiment
-                     seed, not the per-node one. *)
-                  coin_seed = p.seed;
-                }
-                ~key_of:(fun (c : Protocol.cmd) -> rabia_key c.Protocol.meta.rid)
-                ~stamp_of:(fun (c : Protocol.cmd) -> c.Protocol.meta.ordered_at);
-            members = Array.of_list members;
-          }
+          (Rb.create
+             {
+               Rb.id;
+               peers;
+               batch_max = p.features.batch_max;
+               (* Cluster-wide: the common coin must flip the same way on
+                  every node, so the seed is the shared experiment seed,
+                  not the per-node one. *)
+               coin_seed = p.seed;
+             }
+             ~key_of:(fun (c : Protocol.cmd) -> rabia_key c.Protocol.meta.rid)
+             ~stamp_of:(fun (c : Protocol.cmd) -> c.Protocol.meta.ordered_at))
   in
-  let now () = Engine.now engine in
+  let apply = Apply.create ~window:p.timing.gc_ordered () in
+  let path : Intake.path =
+    match p.mode with Unreplicated -> Local | Vanilla -> Shipped | Hover | Hover_pp -> Bound
+  in
+  let intake =
+    Intake.create ~id ~path
+      ~ring:(match order with Rabia _ -> Array.of_list members | Local | Raft _ -> [||])
+      ~leases:(p.features.read_mode = Leader_leases)
+      ~lease_window:p.timing.lease_window ~gc_unordered:p.timing.gc_unordered
+      ~gc_ordered:p.timing.gc_ordered ~retry_max:p.features.recovery_retry_max apply
+  in
   let metrics = Metrics.create () in
   let trace =
     match trace with Some tr -> tr | None -> Trace.create ~level:Trace.Info ()
@@ -1807,13 +1504,11 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       apps = Array.init p.features.apply_threads (fun _ -> Cpu.create engine);
       rng;
       order;
-      store =
-        Unordered.create ~now ~gc_unordered:p.timing.gc_unordered
-          ~gc_ordered:p.timing.gc_ordered ();
+      intake;
       replier =
         Replier.create p.features.lb_policy ~bound:p.features.bound
           ~nodes:members ~rng:(Rng.split rng);
-      apply = Apply.create ~window:p.timing.gc_ordered ();
+      apply;
       members;
       alive = true;
       life = 0;
@@ -1827,14 +1522,10 @@ let create ?trace ?members ?(passive = false) engine fabric p ~id =
       apply_watermark = 0;
       apply_rr = 0;
       pumping = false;
-      pending_recovery = Rid_table.create ~capacity:64 ~lists:1 ();
-      lease_heard = Hashtbl.create 16;
       ack_override = None;
       probe_sent_term = -1;
       last_transfer = None;
       last_snap = 0;
-      shard_filter = None;
-      shard_version = 0;
       xfer_start = Hashtbl.create 8;
       metrics;
       trace;
@@ -1895,7 +1586,6 @@ let alive t = t.alive
 let mode t = t.p.mode
 let backend t = t.p.backend
 
-let commit_index t = commit_index_internal t
 let applied_index t = t.applied_ptr
 
 let log_length t =
@@ -1907,7 +1597,7 @@ let snapshot_index t =
   match t.order with
   | Local -> 0
   | Raft r -> Rnode.snapshot_index r
-  | Rabia { rb; _ } -> Rb.snapshot_index rb
+  | Rabia rb -> Rb.snapshot_index rb
 
 let snapshots_taken t = Metrics.value t.c_snapshots
 let installs_received t = Metrics.value t.c_installs_recv
@@ -1915,11 +1605,11 @@ let installs_received t = Metrics.value t.c_installs_recv
 let app_fingerprint t = Op.fingerprint (Apply.state t.apply)
 let executed_ops t = Op.executed (Apply.state t.apply)
 let replies_sent t = Metrics.value t.c_replies
-let store_size t = Unordered.size t.store
+let store_size t = Intake.stored t.intake
 
 let recoveries_sent t = Metrics.value t.c_recoveries
 let recovery_escalations t = Metrics.value t.c_recovery_escalations
-let pending_recoveries t = Rid_table.length t.pending_recovery
+let pending_recoveries t = Intake.pending_count t.intake
 let port t = Option.get t.port
 
 let net_busy_time t =
@@ -1961,7 +1651,6 @@ let aggregated t =
   match t.order with Raft r -> Rnode.aggregated r | Local | Rabia _ -> false
 
 let metrics t = t.metrics
-let trace t = t.trace
 let redraw_election_timeout t = draw_timeout t
 let members t = t.members
 let last_transfer t = t.last_transfer
@@ -2004,9 +1693,7 @@ let transfer_leadership t ~target =
 let preload t ops = Apply.preload t.apply ops
 let preloaded t = Apply.preloaded t.apply
 
-let set_shard_filter t ~version owns =
-  t.shard_filter <- Some owns;
-  t.shard_version <- version
+let set_shard_filter t = Intake.set_shard_filter t.intake
 
 let extract_range t ~keep = Op.extract_kv (Apply.state t.apply) ~keep
 
@@ -2040,8 +1727,8 @@ let snapshot t =
       ("log_length", Json.Int (log_length t));
       ("log_base", Json.Int (log_base t));
       ("snapshot_index", Json.Int (snapshot_index t));
-      ("store_size", Json.Int (Unordered.size t.store));
-      ("pending_recoveries", Json.Int (Rid_table.length t.pending_recovery));
+      ("store_size", Json.Int (store_size t));
+      ("pending_recoveries", Json.Int (pending_recoveries t));
       ("net_busy_ns", Json.Int (net_busy_time t));
       ("app_busy_ns", Json.Int (app_busy_time t));
       ("apply_threads", Json.Int (Array.length t.apps));
@@ -2074,37 +1761,25 @@ let snapshot t =
 
 let kill = halt
 
-(* Crash–recovery (DESIGN.md): what survives is the Raft persistent state
-   (term, vote, log — and the configuration stack, derived from it) and
-   the state machine — including the exactly-once completion records, the
-   log clock, the last index it applied and the applied membership view,
-   which are part of it. The dispatcher resumes from the consensus
-   layer's applied index, which can trail the state's by the entries in
-   flight at the crash; those dispatch again and change nothing. Everything else is rebuilt: the node re-attaches
-   its NIC, re-enters as a follower with a fresh election clock, and
-   catches up on entries committed while it was down through the ordinary
-   append-entries backtracking, fetching bodies it missed via recovery
-   requests. *)
+(* Crash–recovery (the interface and DESIGN.md): the Raft persistent
+   state, the state machine and the applied membership view survive;
+   everything volatile is rebuilt below. *)
 let restart t =
   if t.alive then invalid_arg "Hnode.restart: node is alive";
   t.alive <- true;
   Array.iter Cpu.resume t.net_cpus;
   Array.iter Cpu.resume t.apps;
-  t.store <-
-    Unordered.create
-      ~now:(fun () -> Engine.now t.engine)
-      ~gc_unordered:t.p.timing.gc_unordered ~gc_ordered:t.p.timing.gc_ordered ();
+  Intake.restart t.intake;
   t.announce_stalled <- false;
   t.ack_override <- None;
   t.probe_sent_term <- -1;
   t.hb_gen <- t.hb_gen + 1;
-  Hashtbl.reset t.lease_heard;
   (match t.order with
   | Local -> ()
   | Raft raft ->
       Rnode.recover raft;
       t.applied_ptr <- Rnode.applied_index raft
-  | Rabia { rb; _ } ->
+  | Rabia rb ->
       Rb.recover rb;
       t.applied_ptr <- Rb.applied_index rb);
   (* The checkpoint is durable (part of the applied state machine's

@@ -301,9 +301,6 @@ val metrics : t -> Hovercraft_obs.Metrics.t
     barriers, and [stage_stall_ns] the downstream backlog pipeline
     handoffs observe. *)
 
-val trace : t -> Hovercraft_obs.Trace.t
-(** The protocol-event ring this node records into. *)
-
 val snapshot : t -> Hovercraft_obs.Json.t
 (** Point-in-time JSON roll-up: role, indices (including [log_base] and
     [snapshot_index]), store and recovery state, membership ([members],

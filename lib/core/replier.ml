@@ -8,7 +8,6 @@ type node_state = {
   mutable applied : int;
   assigned : int Queue.t;  (* assigned entry indices, ascending *)
   mutable last_assigned : int;
-  mutable excluded : bool;
 }
 
 type t = {
@@ -21,7 +20,7 @@ type t = {
 }
 
 let fresh_state () =
-  { applied = 0; assigned = Queue.create (); last_assigned = 0; excluded = false }
+  { applied = 0; assigned = Queue.create (); last_assigned = 0 }
 
 let state_opt t i = if i >= 0 && i < Array.length t.states then t.states.(i) else None
 
@@ -73,10 +72,10 @@ let applied_of t i =
 let depth t i =
   match state_opt t i with Some st -> Queue.length st.assigned | None -> 0
 
-let eligible_st t st = (not st.excluded) && Queue.length st.assigned < t.bound
-
 let eligible t i =
-  match state_opt t i with Some st -> eligible_st t st | None -> false
+  match state_opt t i with
+  | Some st -> Queue.length st.assigned < t.bound
+  | None -> false
 
 let any_eligible t = Array.exists (fun i -> eligible t i) t.nodes
 
@@ -119,16 +118,12 @@ let assign t ~node ~index =
       st.last_assigned <- index;
       if index > st.applied then Queue.push index st.assigned
 
-let set_excluded t i flag =
-  match state_opt t i with Some st -> st.excluded <- flag | None -> ()
-
 let reset t =
   Array.iter
     (function
       | Some st ->
           st.applied <- 0;
           st.last_assigned <- 0;
-          st.excluded <- false;
           Queue.clear st.assigned
       | None -> ())
     t.states

@@ -47,8 +47,5 @@ val assign : t -> node:int -> index:int -> unit
 (** Record that entry [index] was assigned to [node]. Indices assigned to
     one node must be increasing. *)
 
-val set_excluded : t -> int -> bool -> unit
-(** Administratively exclude a node (known dead). *)
-
 val reset : t -> unit
 (** Forget all assignments and applied knowledge (new leadership). *)

@@ -62,7 +62,6 @@ let create engine fabric ~n ?(bound = 16) ?(seed = 97) ~rate_gbps () =
   t.port <- Some port;
   t
 
-let set_excluded t i flag = Jbsq.set_excluded t.queues i flag
 let forwarded t = t.forwarded
 let rejected t = t.rejected
 let outstanding t i = Jbsq.depth t.queues i

@@ -28,9 +28,6 @@ val create :
     [Node 0 .. Node (n-1)]. [bound] is the JBSQ queue bound per server
     (default 16). *)
 
-val set_excluded : t -> int -> bool -> unit
-(** Take a server out of rotation (e.g. it crashed). *)
-
 val forwarded : t -> int
 val rejected : t -> int
 (** Requests NACKed because every server was at its bound. *)

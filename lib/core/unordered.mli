@@ -42,8 +42,8 @@ val find : t -> R2p2.req_id -> Hovercraft_apps.Op.t option
 
 val status : t -> R2p2.req_id -> [ `Absent | `Unordered | `Ordered ]
 (** Whether the id is unknown, received but not yet ordered, or already
-    bound to a log position. Drives duplicate suppression when clients
-    retransmit. *)
+    bound to a log position. An inspection for tests: the node's
+    duplicate check reads the same state through {!ingest}. *)
 
 val mark_ordered : t -> R2p2.req_id -> bool
 (** Transition to ordered when the id shows up in the log, restarting its

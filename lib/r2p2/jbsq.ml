@@ -10,7 +10,6 @@ type t = {
   policy : policy;
   bound : int;
   depths : int array;
-  excluded : bool array;
   rng : Rng.t;
   scratch : int array;  (* candidate buffer reused across picks *)
 }
@@ -22,7 +21,6 @@ let create policy ~bound ~n ~rng =
     policy;
     bound;
     depths = Array.make n 0;
-    excluded = Array.make n false;
     rng;
     scratch = Array.make n 0;
   }
@@ -30,9 +28,7 @@ let create policy ~bound ~n ~rng =
 let n t = Array.length t.depths
 let bound t = t.bound
 let depth t i = t.depths.(i)
-let set_excluded t i flag = t.excluded.(i) <- flag
-let excluded t i = t.excluded.(i)
-let eligible t i = (not t.excluded.(i)) && t.depths.(i) < t.bound
+let eligible t i = t.depths.(i) < t.bound
 
 let pick t =
   match t.policy with
@@ -69,7 +65,3 @@ let assign t i =
 let complete t i =
   if t.depths.(i) <= 0 then invalid_arg "Jbsq.complete: depth already zero";
   t.depths.(i) <- t.depths.(i) - 1
-
-let set_depth t i d =
-  if d < 0 then invalid_arg "Jbsq.set_depth: negative depth";
-  t.depths.(i) <- d

@@ -26,14 +26,8 @@ val n : t -> int
 val bound : t -> int
 val depth : t -> int -> int
 
-val set_excluded : t -> int -> bool -> unit
-(** Administratively exclude a server (e.g. it is known dead); excluded
-    servers are never eligible regardless of depth. *)
-
-val excluded : t -> int -> bool
-
 val eligible : t -> int -> bool
-(** Depth below bound and not excluded. *)
+(** Depth below bound. *)
 
 val pick : t -> int option
 (** Choose an eligible server per the policy; [None] when none is
@@ -47,7 +41,3 @@ val assign : t -> int -> unit
 
 val complete : t -> int -> unit
 (** Account one completed unit; depth must be positive. *)
-
-val set_depth : t -> int -> int -> unit
-(** Overwrite a depth (used when the leader learns applied_idx from an
-    append_entries reply rather than counting completions one by one). *)

@@ -14,6 +14,7 @@ let () =
       ("chaos", Test_chaos.suite);
       ("snapshot", Test_snapshot.suite);
       ("apply", Test_apply.suite);
+      ("intake", Test_intake.suite);
       ("pipeline", Test_pipeline.suite);
       ("reconfig", Test_reconfig.suite);
       ("shard", Test_shard.suite);

@@ -118,10 +118,9 @@ let test_replier_dead_node_bounded () =
 let test_replier_reset () =
   let r = Replier.create Jbsq.Jbsq ~bound:2 ~nodes:[ 0; 1 ] ~rng:(Rng.create 3) in
   Replier.assign r ~node:0 ~index:5;
-  Replier.set_excluded r 1 true;
   Replier.reset r;
   check_int "depths cleared" 0 (Replier.depth r 0);
-  check "exclusions cleared, assign restarts" true (Replier.pick r () <> None);
+  check "assign restarts" true (Replier.pick r () <> None);
   Replier.assign r ~node:0 ~index:1
 
 let test_replier_assign_monotone () =
@@ -134,7 +133,8 @@ let test_replier_assign_monotone () =
 (* Per-node state is indexed by node id: a membership that skips ids
    (grow {0,1,2} by 5, then drop 1) must pick, prune and forget exactly
    as the id-keyed table it replaced. The expected traces were recorded
-   from that table: each phase lists its picks ("-" when nobody is
+   from that table (the last two phases again once nodes could no longer
+   be excluded by hand): each phase lists its picks ("-" when nobody is
    eligible), then every id's applied index and queue depth. *)
 let replier_trace policy =
   let r = Replier.create policy ~bound:3 ~nodes:[ 2; 0; 1 ] ~rng:(Rng.create 7) in
@@ -164,7 +164,6 @@ let replier_trace policy =
   phase "start" 10;
   Replier.set_nodes r [ 0; 1; 2; 5 ];
   phase " add5" 12;
-  Replier.set_excluded r 2 true;
   Replier.set_nodes r [ 5; 2; 0 ];
   phase " rm1" 12;
   Replier.reset r;
@@ -176,17 +175,17 @@ let test_replier_sparse_ids () =
     "jbsq"
     "start 1 2 0 2 1 0 1 0 2 1 [0:7/1] [1:6/2] [2:5/1] [3:0/0] [4:0/0] [5:0/0] \
      [6:0/0]; add5 5 2 5 0 1 1 0 2 2 0 1 5 [0:20/0] [1:19/1] [2:18/1] [3:0/0] \
-     [4:0/0] [5:15/1] [6:0/0]; rm1 0 0 5 0 5 0 0 0 - 0 5 - [0:30/1] [1:0/0] \
-     [2:28/0] [3:0/0] [4:0/0] [5:25/2] [6:0/0]; reset 0 2 5 0 2 0 [0:36/1] \
-     [1:0/0] [2:34/1] [3:0/0] [4:0/0] [5:31/1] [6:0/0];"
+     [4:0/0] [5:15/1] [6:0/0]; rm1 0 5 2 0 2 0 0 2 0 5 0 2 [0:32/1] [1:0/0] \
+     [2:30/1] [3:0/0] [4:0/0] [5:27/1] [6:0/0]; reset 2 0 5 2 5 0 [0:38/1] \
+     [1:0/0] [2:36/1] [3:0/0] [4:0/0] [5:33/2] [6:0/0];"
     (replier_trace Jbsq.Jbsq);
   Alcotest.(check string)
     "random"
     "start 1 0 2 2 1 0 1 0 0 1 [0:7/2] [1:6/2] [2:5/0] [3:0/0] [4:0/0] [5:0/0] \
      [6:0/0]; add5 1 2 5 0 2 2 0 2 1 2 0 5 [0:20/1] [1:19/0] [2:18/1] [3:0/0] \
-     [4:0/0] [5:15/1] [6:0/0]; rm1 5 0 5 0 0 - 0 - - 0 - - [0:27/2] [1:0/0] \
-     [2:25/0] [3:0/0] [4:0/0] [5:22/2] [6:0/0]; reset 2 2 2 5 0 5 [0:33/1] \
-     [1:0/0] [2:31/1] [3:0/0] [4:0/0] [5:28/2] [6:0/0];"
+     [4:0/0] [5:15/1] [6:0/0]; rm1 5 5 2 2 2 0 0 0 - 2 2 5 [0:31/0] [1:0/0] \
+     [2:29/2] [3:0/0] [4:0/0] [5:26/1] [6:0/0]; reset 0 2 2 2 0 5 [0:37/1] \
+     [1:0/0] [2:35/2] [3:0/0] [4:0/0] [5:32/1] [6:0/0];"
     (replier_trace Jbsq.Random_choice)
 
 (* --- protocol sizing ---------------------------------------------------- *)

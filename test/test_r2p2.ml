@@ -67,15 +67,6 @@ let test_jbsq_picks_shortest () =
     Alcotest.(check (option int)) "shortest queue" (Some 2) (Jbsq.pick q)
   done
 
-let test_jbsq_exclusion () =
-  let q = mk ~n:2 ~bound:4 () in
-  Jbsq.set_excluded q 0 true;
-  for _ = 1 to 10 do
-    Alcotest.(check (option int)) "excluded never picked" (Some 1) (Jbsq.pick q)
-  done;
-  Jbsq.set_excluded q 1 true;
-  Alcotest.(check (option int)) "all excluded" None (Jbsq.pick q)
-
 let test_random_picks_only_eligible () =
   let q = mk ~policy:Jbsq.Random_choice ~n:4 ~bound:1 () in
   Jbsq.assign q 1;
@@ -87,13 +78,6 @@ let test_random_picks_only_eligible () =
     | None -> Alcotest.fail "pick failed with eligible servers"
   done
 
-let test_jbsq_set_depth () =
-  let q = mk ~n:2 ~bound:4 () in
-  Jbsq.set_depth q 0 4;
-  check "set to bound = ineligible" false (Jbsq.eligible q 0);
-  Jbsq.set_depth q 0 3;
-  check "below bound again" true (Jbsq.eligible q 0)
-
 (* Invariant under random operations: depths never exceed the bound and
    never go negative; picks always return eligible servers. *)
 let prop_jbsq_invariants =
@@ -104,17 +88,15 @@ let prop_jbsq_invariants =
       let q = Jbsq.create Jbsq.Jbsq ~bound ~n ~rng:(Rng.create seed) in
       List.for_all
         (fun op ->
-          (match op mod 3 with
-          | 0 -> (
-              match Jbsq.pick q with
-              | Some i ->
-                  assert (Jbsq.eligible q i);
-                  Jbsq.assign q i
-              | None -> ())
-          | 1 ->
-              let i = op mod n in
-              if Jbsq.depth q i > 0 then Jbsq.complete q i
-          | _ -> Jbsq.set_excluded q (op mod n) (op mod 2 = 0));
+          (if op mod 2 = 0 then
+             match Jbsq.pick q with
+             | Some i ->
+                 assert (Jbsq.eligible q i);
+                 Jbsq.assign q i
+             | None -> ()
+           else
+             let i = op mod n in
+             if Jbsq.depth q i > 0 then Jbsq.complete q i);
           let ok = ref true in
           for i = 0 to n - 1 do
             if Jbsq.depth q i < 0 || Jbsq.depth q i > bound then ok := false
@@ -130,9 +112,7 @@ let suite =
     Alcotest.test_case "jbsq initial eligibility" `Quick test_jbsq_initial_all_eligible;
     Alcotest.test_case "jbsq bound enforced" `Quick test_jbsq_bound_enforced;
     Alcotest.test_case "jbsq picks shortest" `Quick test_jbsq_picks_shortest;
-    Alcotest.test_case "jbsq exclusion" `Quick test_jbsq_exclusion;
     Alcotest.test_case "random picks eligible only" `Quick
       test_random_picks_only_eligible;
-    Alcotest.test_case "jbsq set_depth" `Quick test_jbsq_set_depth;
     QCheck_alcotest.to_alcotest prop_jbsq_invariants;
   ]

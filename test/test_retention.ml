@@ -921,30 +921,37 @@ let test_window_slide_allocation () =
   if words >= float_of_int ops /. 100. then
     Alcotest.failf "window slide allocates: %.0f minor words / %d cycles" words ops
 
-(* The whole send, execute and reply cycle of an unreplicated cell, in
-   minor words per request sent. Keeping the in-flight requests in a
-   [Rid_table] (stamp = send time, value = operation) measured 139.1
-   words; a hash table of (sent_at, op, endpoint) tuples cost a 4-word
-   tuple and a 4-word bucket per request, plus its resizes: 151.6. *)
+(* The whole send, execute and reply cycle, in minor words per request
+   sent (deterministic for a given cell). Unreplicated: keeping the
+   in-flight requests in a [Rid_table] (stamp = send time, value =
+   operation) measured 139.1 words; a hash table of (sent_at, op,
+   endpoint) tuples cost a 4-word tuple and a 4-word bucket per request,
+   plus its resizes: 151.6. Replicated (Hover, N=3): 873.3 words, so a
+   request-path decision that allocates per request, on any of the three
+   nodes, fails the bound. *)
 let test_loadgen_cycle_allocation () =
   let module Deploy = Hovercraft_cluster.Deploy in
   let module Loadgen = Hovercraft_cluster.Loadgen in
-  let p = Hnode.params ~mode:Hnode.Unreplicated ~n:1 () in
-  let d = Deploy.create (Deploy.config p) in
-  let spec = Hovercraft_apps.Service.spec () in
-  let g =
-    Loadgen.create d ~clients:8 ~rate_rps:200_000.
-      ~workload:(Hovercraft_apps.Service.sample spec) ~seed:3 ()
+  let cycle mode ~n ~bound =
+    let d = Deploy.create (Deploy.config (Hnode.params ~mode ~n ())) in
+    let spec = Hovercraft_apps.Service.spec () in
+    let g =
+      Loadgen.create d ~clients:8 ~rate_rps:200_000.
+        ~workload:(Hovercraft_apps.Service.sample spec) ~seed:3 ()
+    in
+    let before = Gc.minor_words () in
+    let r =
+      Loadgen.run g ~warmup:(Hovercraft_sim.Timebase.ms 2)
+        ~duration:(Hovercraft_sim.Timebase.ms 40) ()
+    in
+    let per_req = (Gc.minor_words () -. before) /. float_of_int r.Loadgen.sent in
+    Alcotest.(check bool) "requests answered" true (r.Loadgen.completed > 7000);
+    if per_req > bound then
+      Alcotest.failf "%a send/reply cycle allocates %.1f minor words per request"
+        Hnode.pp_mode mode per_req
   in
-  let before = Gc.minor_words () in
-  let r =
-    Loadgen.run g ~warmup:(Hovercraft_sim.Timebase.ms 2)
-      ~duration:(Hovercraft_sim.Timebase.ms 40) ()
-  in
-  let per_req = (Gc.minor_words () -. before) /. float_of_int r.Loadgen.sent in
-  Alcotest.(check bool) "requests answered" true (r.Loadgen.completed > 7000);
-  if per_req > 145. then
-    Alcotest.failf "send/reply cycle allocates %.1f minor words per request" per_req
+  cycle Hnode.Unreplicated ~n:1 ~bound:145.;
+  cycle Hnode.Hover ~n:3 ~bound:900.
 
 (* --- retained memory is bounded by the retention windows -------------- *)
 
